@@ -131,7 +131,7 @@ def _configured_fields(spec, config, seed, default_kind, particle):
     )
 
 
-def _cmd_verify(config, seed, out_dir, fmt, quiet):
+def _cmd_verify(config, seed, out_dir, fmt):
     block = config.get("verify", {})
     suites = run_all(
         seed,
@@ -150,7 +150,7 @@ def _cmd_verify(config, seed, out_dir, fmt, quiet):
     return status, results, max_abs, lines
 
 
-def _cmd_simulate(config, seed, out_dir, fmt, quiet):
+def _cmd_simulate(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
 
@@ -270,7 +270,7 @@ def _residual_grids(fields, provider, particle):
     }
 
 
-def _cmd_residuals(config, seed, out_dir, fmt, quiet):
+def _cmd_residuals(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
     spec = _grid_from(config)
@@ -299,7 +299,7 @@ def _cmd_residuals(config, seed, out_dir, fmt, quiet):
     return 0, results, max_abs, lines
 
 
-def _cmd_fisher(config, seed, out_dir, fmt, quiet):
+def _cmd_fisher(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
     spec = _grid_from(config)
@@ -358,7 +358,7 @@ def run(config, seed=None, out_dir=None, fmt=None, quiet=False):
 
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-    status, results, max_abs, lines = _COMMANDS[command](config, seed, out_dir, fmt, quiet)
+    status, results, max_abs, lines = _COMMANDS[command](config, seed, out_dir, fmt)
     elapsed = time.perf_counter() - t0
 
     write_json_report(

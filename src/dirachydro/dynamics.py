@@ -12,9 +12,13 @@ is an invariant of the motion.
 The integrator is a fixed-step classical RK4, not an adaptive scheme:
 acceptance runs need bitwise-reproducible trajectories and the systems
 exercised are non-stiff. Spin is renormalized to unit length every step;
-mass-shell drift is reported, with projection to the shell opt-in. For
-position-independent providers the right-hand side is unrolled to scalar
-arithmetic, which makes million-step drift studies affordable.
+mass-shell drift is reported, with projection to the shell opt-in. One
+scalar loop serves every provider: each stage reads the field as plain
+floats (the generator M = (q/m) F g, (q/m) E and (q/m) B) at its own
+position, and providers marked ``constant_field`` are sampled once and
+their coefficients reused, which makes million-step drift studies
+affordable. ``state_derivative`` stays the NumPy reference for one
+right-hand side.
 """
 
 from __future__ import annotations
@@ -155,137 +159,65 @@ def _steps_from(ds, s_max, n_steps):
     return ds, n_steps
 
 
-def _integrate_generic(state, provider, ds, n_steps, particle, charge_sign,
-                       renormalize_spin, project_mass_shell, out_x, out_u, out_s):
-    x, u, sp = state.x.copy(), state.u.copy(), state.s_rest.copy()
-
-    def rhs(xx, uu, ss):
-        probe = DynState.__new__(DynState)  # skip validation inside stages
-        object.__setattr__(probe, "x", xx)
-        object.__setattr__(probe, "u", uu)
-        object.__setattr__(probe, "s_rest", ss)
-        object.__setattr__(probe, "s_proper", 0.0)
-        return state_derivative(probe, provider, particle, charge_sign)
-
-    for step in range(1, n_steps + 1):
-        k1 = rhs(x, u, sp)
-        k2 = rhs(x + 0.5 * ds * k1[0], u + 0.5 * ds * k1[1], sp + 0.5 * ds * k1[2])
-        k3 = rhs(x + 0.5 * ds * k2[0], u + 0.5 * ds * k2[1], sp + 0.5 * ds * k2[2])
-        k4 = rhs(x + ds * k3[0], u + ds * k3[1], sp + ds * k3[2])
-        x = x + (ds / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + (ds / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        sp = sp + (ds / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if renormalize_spin:
-            norm = np.linalg.norm(sp)
-            if norm > 1e-300:
-                sp = sp / norm
-        if project_mass_shell:
-            uu = u[0] ** 2 - np.dot(u[1:], u[1:])
-            if uu <= 0:
-                raise InstabilityError(step)
-            u = u / np.sqrt(uu)
-        bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(sp)))
-        if bad or max(np.max(np.abs(x)), np.max(np.abs(u)), np.max(np.abs(sp))) > _BLOWUP_LIMIT:
-            raise InstabilityError(step)
-        out_x[step], out_u[step], out_s[step] = x, u, sp
-
-
-def _integrate_constant_field(state, F, ds, n_steps, particle, charge_sign,
-                              renormalize_spin, project_mass_shell, out_x, out_u, out_s):
-    """Scalar-unrolled RK4 for a position-independent field tensor."""
-    qm = charge_sign * particle.charge / particle.mass
-    # du^mu/ds = M u with M = (q/m) F^{mu nu} g_nu
-    M = qm * np.asarray(F, dtype=np.float64).copy()
+def _coefficients(F, qm):
+    """M = (q/m) F^{mu nu} g_nu row by row, then (q/m) E and (q/m) B, as floats."""
+    M = qm * np.asarray(F, dtype=np.float64)
     M[:, 1:4] *= -1.0
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = M
-    E = electric_field(F)
-    B = magnetic_field(F)
-    ex, ey, ez = (qm * E).tolist()
-    bx, by, bz = (qm * B).tolist()
+    E, B = qm * electric_field(F), qm * magnetic_field(F)
+    return (*M.ravel().tolist(), *E.tolist(), *B.tolist())
 
-    t, x, y, z = state.x.tolist()
-    u0, u1, u2, u3 = state.u.tolist()
-    sx, sy, sz = state.s_rest.tolist()
 
-    def accel(a0, a1, a2, a3):
-        return (
-            m00 * a0 + m01 * a1 + m02 * a2 + m03 * a3,
-            m10 * a0 + m11 * a1 + m12 * a2 + m13 * a3,
-            m20 * a0 + m21 * a1 + m22 * a2 + m23 * a3,
-            m30 * a0 + m31 * a1 + m32 * a2 + m33 * a3,
-        )
+def _rk4(y, field_at, ds, n_steps, renormalize_spin, project_mass_shell, out):
+    """Classical RK4 on the flat state y = (x^mu, u^mu, s_rest), one row of out per step.
 
-    def spin_rate(a0, a1, a2, a3, px, py, pz):
+    field_at(y) returns the _coefficients at the position y[:4].
+    """
+
+    def rhs(stage):
+        (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
+         ex, ey, ez, bx, by, bz) = field_at(stage)
+        _, _, _, _, u0, u1, u2, u3, sx, sy, sz = stage
         # Omega = -(q/m) [B - (gamma/(gamma+1)) beta x E], then Omega x s;
         # (gamma/(gamma+1)) beta x E written as (u x E)/(gamma+1)
-        f = 1.0 / (a0 + 1.0)
-        cbx = (a2 * ez - a3 * ey) * f
-        cby = (a3 * ex - a1 * ez) * f
-        cbz = (a1 * ey - a2 * ex) * f
-        ox = cbx - bx
-        oy = cby - by
-        oz = cbz - bz
-        return (oy * pz - oz * py, oz * px - ox * pz, ox * py - oy * px)
+        f = 1.0 / (u0 + 1.0)
+        ox = (u2 * ez - u3 * ey) * f - bx
+        oy = (u3 * ex - u1 * ez) * f - by
+        oz = (u1 * ey - u2 * ex) * f - bz
+        return (
+            u0, u1, u2, u3,
+            m00 * u0 + m01 * u1 + m02 * u2 + m03 * u3,
+            m10 * u0 + m11 * u1 + m12 * u2 + m13 * u3,
+            m20 * u0 + m21 * u1 + m22 * u2 + m23 * u3,
+            m30 * u0 + m31 * u1 + m32 * u2 + m33 * u3,
+            oy * sz - oz * sy, oz * sx - ox * sz, ox * sy - oy * sx,
+        )
 
     half = 0.5 * ds
     sixth = ds / 6.0
     for step in range(1, n_steps + 1):
-        a1_ = accel(u0, u1, u2, u3)
-        s1_ = spin_rate(u0, u1, u2, u3, sx, sy, sz)
-
-        v0, v1, v2, v3 = (u0 + half * a1_[0], u1 + half * a1_[1],
-                          u2 + half * a1_[2], u3 + half * a1_[3])
-        px, py, pz = sx + half * s1_[0], sy + half * s1_[1], sz + half * s1_[2]
-        a2_ = accel(v0, v1, v2, v3)
-        s2_ = spin_rate(v0, v1, v2, v3, px, py, pz)
-        x2_ = (v0, v1, v2, v3)
-
-        v0, v1, v2, v3 = (u0 + half * a2_[0], u1 + half * a2_[1],
-                          u2 + half * a2_[2], u3 + half * a2_[3])
-        px, py, pz = sx + half * s2_[0], sy + half * s2_[1], sz + half * s2_[2]
-        a3_ = accel(v0, v1, v2, v3)
-        s3_ = spin_rate(v0, v1, v2, v3, px, py, pz)
-        x3_ = (v0, v1, v2, v3)
-
-        v0, v1, v2, v3 = (u0 + ds * a3_[0], u1 + ds * a3_[1],
-                          u2 + ds * a3_[2], u3 + ds * a3_[3])
-        px, py, pz = sx + ds * s3_[0], sy + ds * s3_[1], sz + ds * s3_[2]
-        a4_ = accel(v0, v1, v2, v3)
-        s4_ = spin_rate(v0, v1, v2, v3, px, py, pz)
-
-        t += sixth * (u0 + 2.0 * x2_[0] + 2.0 * x3_[0] + v0)
-        x += sixth * (u1 + 2.0 * x2_[1] + 2.0 * x3_[1] + v1)
-        y += sixth * (u2 + 2.0 * x2_[2] + 2.0 * x3_[2] + v2)
-        z += sixth * (u3 + 2.0 * x2_[3] + 2.0 * x3_[3] + v3)
-        u0 += sixth * (a1_[0] + 2.0 * a2_[0] + 2.0 * a3_[0] + a4_[0])
-        u1 += sixth * (a1_[1] + 2.0 * a2_[1] + 2.0 * a3_[1] + a4_[1])
-        u2 += sixth * (a1_[2] + 2.0 * a2_[2] + 2.0 * a3_[2] + a4_[2])
-        u3 += sixth * (a1_[3] + 2.0 * a2_[3] + 2.0 * a3_[3] + a4_[3])
-        sx += sixth * (s1_[0] + 2.0 * s2_[0] + 2.0 * s3_[0] + s4_[0])
-        sy += sixth * (s1_[1] + 2.0 * s2_[1] + 2.0 * s3_[1] + s4_[1])
-        sz += sixth * (s1_[2] + 2.0 * s2_[2] + 2.0 * s3_[2] + s4_[2])
-
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + ds * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
         if renormalize_spin:
-            norm = sqrt(sx * sx + sy * sy + sz * sz)
+            norm = sqrt(y[8] * y[8] + y[9] * y[9] + y[10] * y[10])
             if norm > 1e-300:
-                sx /= norm
-                sy /= norm
-                sz /= norm
+                y[8] /= norm
+                y[9] /= norm
+                y[10] /= norm
         if project_mass_shell:
-            uu = u0 * u0 - u1 * u1 - u2 * u2 - u3 * u3
+            uu = y[4] * y[4] - y[5] * y[5] - y[6] * y[6] - y[7] * y[7]
             if uu <= 0:
                 raise InstabilityError(step)
             root = sqrt(uu)
-            u0 /= root
-            u1 /= root
-            u2 /= root
-            u3 /= root
-        biggest = max(abs(t), abs(x), abs(y), abs(z), abs(u0), abs(u1), abs(u2), abs(u3))
-        if not biggest < _BLOWUP_LIMIT:  # also catches nan
+            y[4] /= root
+            y[5] /= root
+            y[6] /= root
+            y[7] /= root
+        if not all(abs(v) < _BLOWUP_LIMIT for v in y):  # also catches nan
             raise InstabilityError(step)
-        out_x[step] = (t, x, y, z)
-        out_u[step] = (u0, u1, u2, u3)
-        out_s[step] = (sx, sy, sz)
+        out[step] = y
 
 
 def integrate(
@@ -311,24 +243,28 @@ def integrate(
         raise ContractError("charge_sign must be +1 or -1")
     ds, n_steps = _steps_from(ds, s_max, n_steps)
 
-    out_x = np.empty((n_steps + 1, 4))
-    out_u = np.empty((n_steps + 1, 4))
-    out_s = np.empty((n_steps + 1, 3))
-    out_x[0], out_u[0], out_s[0] = initial.x, initial.u, initial.s_rest
+    qm = charge_sign * particle.charge / particle.mass
 
+    def sampled(y):
+        _, F = provider.sample(np.array(y[:4]))
+        if not np.all(np.isfinite(F)):
+            raise ContractError("field sample is not finite")
+        return _coefficients(F, qm)
+
+    field_at = sampled
     if getattr(provider, "constant_field", False):
-        _, F = provider.sample(initial.x)
-        _integrate_constant_field(initial, F, ds, n_steps, particle, charge_sign,
-                                  renormalize_spin, project_mass_shell, out_x, out_u, out_s)
-    else:
-        _integrate_generic(initial, provider, ds, n_steps, particle, charge_sign,
-                           renormalize_spin, project_mass_shell, out_x, out_u, out_s)
+        cached = sampled(initial.x)
+        field_at = lambda y: cached
+
+    out = np.empty((n_steps + 1, 11))
+    out[0, :4], out[0, 4:8], out[0, 8:] = initial.x, initial.u, initial.s_rest
+    _rk4(out[0].tolist(), field_at, ds, n_steps, renormalize_spin, project_mass_shell, out)
 
     return Trajectory(
         s=initial.s_proper + ds * np.arange(n_steps + 1),
-        x=out_x,
-        u=out_u,
-        s_rest=out_s,
+        x=out[:, :4].copy(),
+        u=out[:, 4:8].copy(),
+        s_rest=out[:, 8:].copy(),
     )
 
 

@@ -20,7 +20,7 @@ the field equations:
 * :func:`second_order_residuals_expanded` evaluates the same relation with
   the spinor-gradient pieces replaced by closed-form expressions in the
   shape parameters.  The coefficients of those closed-form terms are frozen
-  module constants; ``scripts/calibrate_expanded_coefficients.py`` measures
+  module constants; ``demos/calibrate_expanded_coefficients.py`` measures
   them against the bilinear evaluator and records the result.
 
 :func:`squared_dirac_residual` applies the squared operator directly to the
@@ -229,18 +229,18 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     return FirstOrderResiduals(continuity=continuity, hamilton_jacobi=hj)
 
 
-def _dilate_mask(mask, spec, radius):
+def _dilate_mask(mask, radius):
     # Invalid points poison every stencil that reads them; extend the mask
-    # far enough to cover the widest (one-sided, 4-point) formula.
+    # far enough to cover the widest (one-sided, 4-point) formula. Shifts
+    # stop at the grid edge: the grid is not periodic.
     out = mask.copy()
-    for axis in spec.active_axes:
-        grid_axis = spec.active_axes.index(axis)
-        shifted = mask
+    for axis in range(mask.ndim):
+        grown = np.moveaxis(mask.copy(), axis, 0)
         for _ in range(radius):
-            forward = np.roll(shifted, 1, axis=grid_axis)
-            backward = np.roll(shifted, -1, axis=grid_axis)
-            shifted = shifted | forward | backward
-        out = out | shifted
+            previous = grown.copy()
+            grown[1:] |= previous[:-1]
+            grown[:-1] |= previous[1:]
+        out |= np.moveaxis(grown, 0, axis)
     return out
 
 
@@ -259,7 +259,7 @@ def quantum_potential(spec, rho0, hbar=1.0, floor=DENSITY_FLOOR):
     root = np.sqrt(safe)
     q = -(0.5 * float(hbar) ** 2) * spec.dalembertian(root) / root
     if np.any(invalid):
-        mask = _dilate_mask(invalid, spec, radius=3)
+        mask = _dilate_mask(invalid, radius=3)
         return np.ma.MaskedArray(q, mask=mask)
     return np.ma.MaskedArray(q, mask=np.zeros_like(invalid))
 

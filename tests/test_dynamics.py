@@ -1,5 +1,7 @@
 """Point dynamics: Lorentz force, spin precession, RK4 integrator, fits."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,15 @@ from dirachydro.dynamics import (
     state_derivative,
 )
 from dirachydro.errors import ContractError, FitError, InstabilityError
-from dirachydro.fields import ELECTRON, UniformField, tensor_from_EB
+from dirachydro.fields import ELECTRON, PlaneWaveField, UniformField, tensor_from_EB
 
 B_UNIT = UniformField(B0=np.array([0.0, 0.0, 1.0]))
 REST = DynState(x=np.zeros(4), u=np.array([1.0, 0.0, 0.0, 0.0]),
                 s_rest=np.array([1.0, 0.0, 0.0]))
+WAVE = PlaneWaveField(wave_vector=np.array([1.0, 0.0, 0.0, 1.0]),
+                      polarization=np.array([1.0, 0.0, 0.0]), amplitude=0.8)
+MOVING = DynState(x=np.zeros(4), u=np.array([np.cosh(0.3), 0.0, np.sinh(0.3), 0.0]),
+                  s_rest=np.array([0.0, 0.0, 1.0]))
 
 
 def test_state_validation():
@@ -74,7 +80,7 @@ def test_rest_spin_precession_in_B():
 
 
 def test_fast_path_matches_generic_integrator():
-    """The scalar-unrolled constant-field path is the same map as the generic one."""
+    """A cached constant field and the same field sampled at every stage give the same orbit."""
 
     class Wrapped:
         # identical samples, but no constant_field attribute
@@ -92,9 +98,66 @@ def test_fast_path_matches_generic_integrator():
     )
     fast = integrate(state, provider, ds=1e-3, n_steps=500)
     slow = integrate(state, Wrapped(provider), ds=1e-3, n_steps=500)
-    np.testing.assert_allclose(fast.x, slow.x, atol=1e-12)
-    np.testing.assert_allclose(fast.u, slow.u, atol=1e-12)
-    np.testing.assert_allclose(fast.s_rest, slow.s_rest, atol=1e-12)
+    np.testing.assert_array_equal(fast.x, slow.x)
+    np.testing.assert_array_equal(fast.u, slow.u)
+    np.testing.assert_array_equal(fast.s_rest, slow.s_rest)
+
+
+def test_one_step_matches_textbook_rk4():
+    """One step in a plane wave equals RK4 assembled from state_derivative."""
+    ds = 0.05
+    y = [MOVING.x, MOVING.u, MOVING.s_rest]
+
+    def rhs(x, u, s_rest):
+        # stages are off the mass shell, so they cannot be DynStates
+        return state_derivative(SimpleNamespace(x=x, u=u, s_rest=s_rest), WAVE)
+
+    def advance(scale, k):
+        return [a + scale * b for a, b in zip(y, k)]
+
+    k1 = rhs(*y)
+    k2 = rhs(*advance(0.5 * ds, k1))
+    k3 = rhs(*advance(0.5 * ds, k2))
+    k4 = rhs(*advance(ds, k3))
+    expected = [a + (ds / 6.0) * (b + 2.0 * c + 2.0 * d + e)
+                for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    traj = integrate(MOVING, WAVE, ds=ds, n_steps=1, renormalize_spin=False)
+    for got, want in zip((traj.x[1], traj.u[1], traj.s_rest[1]), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_plane_wave_orbit_converges_at_fourth_order():
+    """Step halving against a fine-step run: the error ratio is 2^4."""
+
+    def final(ds):
+        traj = integrate(MOVING, WAVE, ds=ds, s_max=6.0)
+        return np.concatenate([traj.x[-1], traj.u[-1], traj.s_rest[-1]])
+
+    reference = final(0.1 / 32)
+    errors = [np.max(np.abs(final(ds) - reference)) for ds in (0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
+
+
+def test_plane_wave_conserves_k_dot_u():
+    """k.u is a linear invariant of motion in a plane wave, kept by RK4 to roundoff."""
+    traj = integrate(MOVING, WAVE, ds=0.01, n_steps=3000)
+    k_lower = WAVE.wave_vector * np.array([1.0, -1.0, -1.0, -1.0])
+    k_dot_u = traj.u @ k_lower
+    assert np.max(np.abs(k_dot_u - k_dot_u[0])) < 1e-9
+    assert np.ptp(traj.u[:, 1]) > 1e-3  # the wave does push the particle
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_non_finite_field_sample_is_rejected(constant):
+    class Broken:
+        constant_field = constant
+
+        def sample(self, x):
+            return np.zeros(4), np.full((4, 4), np.nan)
+
+    with pytest.raises(ContractError, match="not finite"):
+        integrate(REST, Broken(), ds=0.01, n_steps=5)
 
 
 def test_energy_conserved_in_pure_B():

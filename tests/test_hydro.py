@@ -220,6 +220,15 @@ def test_quantum_potential_masks_vacuum():
         quantum_potential(spec, np.ones(7))
 
 
+def test_quantum_potential_mask_stops_at_grid_edge():
+    """A vacuum point on one edge masks its own halo, not the opposite edge."""
+    spec = GridSpec(active_axes=(1,), shape=(20,), spacing=(0.1,))
+    rho0 = np.ones(20)
+    rho0[0] = 0.0
+    q = quantum_potential(spec, rho0)
+    np.testing.assert_array_equal(np.flatnonzero(q.mask), [0, 1, 2, 3])
+
+
 def test_frozen_shape_coefficients():
     # calibrated against the bilinear evaluator; see the committed report
     assert THETA_TERM_COEFF == 0.25

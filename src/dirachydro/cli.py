@@ -15,7 +15,8 @@ Commands
 
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
 rejected (unreadable, malformed, schema violation, or a value a module
-refused), 3 a numerical failure (instability, fit, or step size).
+refused), 3 a numerical failure (instability, fit, step size, or a
+non-finite residual).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import jsonschema
 import numpy as np
 
 from .dynamics import DynState, fit_precession_frequency, integrate
-from .errors import ContractError, FitError, InstabilityError, StepSizeError
+from .errors import (ContractError, FitError, InstabilityError, NonFiniteResultError,
+                     StepSizeError)
 from .fields import ELECTRON, Particle, ZERO_FIELD, provider_from_config
 from .fisher import action_functional, fisher_information
 from .grids import GridSpec
@@ -42,10 +44,11 @@ from .hydro import (
     second_order_residuals_expanded,
 )
 from .io import (
-    format_float,
+    save_fit_csv,
     save_grid_fields,
     save_slice_csv,
     save_trajectory_csv,
+    save_trajectory_json,
     write_json_report,
 )
 from .kinematics import gamma_of_beta
@@ -182,7 +185,7 @@ def _cmd_simulate(config, seed, out_dir, fmt):
         save_trajectory_csv(out_dir / "trajectory.csv", trajectory)
         artifact = "trajectory.csv"
     else:
-        _save_trajectory_json(out_dir / "trajectory.json", trajectory)
+        save_trajectory_json(out_dir / "trajectory.json", trajectory)
         artifact = "trajectory.json"
 
     results = {
@@ -218,41 +221,12 @@ def _cmd_simulate(config, seed, out_dir, fmt):
             "total_angle": float(fit.total_angle),
         }
         if fmt == "csv":
-            _save_fit_csv(out_dir / "fit.csv", results["fit"])
+            save_fit_csv(out_dir / "fit.csv", fit)
         lines.append(
             f"simulate: fitted precession frequency {fit.omega:.9f}"
             f" (rms residual {fit.rms_residual:.3e})"
         )
     return 0, results, max_abs, lines
-
-
-def _save_trajectory_json(path, trajectory):
-    payload = {
-        "format": "dirachydro-trajectory-v1",
-        "data": {
-            "s": trajectory.s.tolist(),
-            "t": trajectory.x[:, 0].tolist(),
-            "x": trajectory.x[:, 1].tolist(),
-            "y": trajectory.x[:, 2].tolist(),
-            "z": trajectory.x[:, 3].tolist(),
-            "u0": trajectory.u[:, 0].tolist(),
-            "u1": trajectory.u[:, 1].tolist(),
-            "u2": trajectory.u[:, 2].tolist(),
-            "u3": trajectory.u[:, 3].tolist(),
-            "sx": trajectory.s_rest[:, 0].tolist(),
-            "sy": trajectory.s_rest[:, 1].tolist(),
-            "sz": trajectory.s_rest[:, 2].tolist(),
-        },
-    }
-    write_json_report(path, payload)
-
-
-def _save_fit_csv(path, fit):
-    header = "frequency,axis_x,axis_y,axis_z,rms_residual,total_angle"
-    values = [fit["frequency"], *fit["axis"], fit["rms_residual"], fit["total_angle"]]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.write(",".join(format_float(v) for v in values) + "\n")
 
 
 def _residual_grids(fields, provider, particle):
@@ -278,6 +252,11 @@ def _cmd_residuals(config, seed, out_dir, fmt):
 
     grids = _residual_grids(fields, provider, particle)
     max_abs = {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
+    broken = [name for name, value in max_abs.items() if not np.isfinite(value)]
+    if broken:
+        raise NonFiniteResultError(
+            "non-finite sup-norm in residual field " + ", ".join(broken)
+        )
 
     # 1D and 2D grids export cleanly as CSV tables; anything bigger keeps
     # the self-describing grid container regardless of the requested format
@@ -424,7 +403,7 @@ def main(argv=None):
         print(f"dirachydro: numerical instability: {exc}", file=sys.stderr)
         print(f"dirachydro: failing step index {exc.step_index}", file=sys.stderr)
         return 3
-    except (FitError, StepSizeError) as exc:
+    except (FitError, NonFiniteResultError, StepSizeError) as exc:
         print(f"dirachydro: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

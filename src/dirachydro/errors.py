@@ -25,5 +25,9 @@ class StepSizeError(RuntimeError):
     """Numerical functional derivative is dominated by roundoff at the requested step."""
 
 
+class NonFiniteResultError(RuntimeError):
+    """A computed result came out NaN or infinite."""
+
+
 class InsufficientInteriorError(ValueError):
     """Grid has no trusted interior left after masking boundary stencils."""

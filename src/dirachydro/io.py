@@ -1,4 +1,4 @@
-"""File formats: grid field containers, trajectory tables, JSON reports.
+"""File formats: grid field containers, CSV tables, trajectory JSON, reports.
 
 Everything here is deterministic: keys are sorted, floats are written with
 17 significant digits (enough to round-trip float64 exactly), and nothing
@@ -9,6 +9,11 @@ Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
 to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
+
+CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
+come from one writer: a header row, then one row per sample, CRLF row ends,
+17 significant digits, masked and non-finite samples as nan/inf.  Grids
+with three or more axes have no CSV form; they use the grid container.
 """
 
 from __future__ import annotations
@@ -28,16 +33,20 @@ __all__ = [
     "save_grid_fields",
     "load_grid_fields",
     "save_trajectory_csv",
+    "save_trajectory_json",
     "load_trajectory_csv",
+    "save_fit_csv",
     "save_slice_csv",
     "write_json_report",
     "format_float",
 ]
 
 GRID_FORMAT = "dirachydro-grid-v1"
+TRAJECTORY_FORMAT = "dirachydro-trajectory-v1"
 
 TRAJECTORY_COLUMNS = ("s", "t", "x", "y", "z", "u0", "u1", "u2", "u3",
                       "sx", "sy", "sz")
+FIT_COLUMNS = ("frequency", "axis_x", "axis_y", "axis_z", "rms_residual", "total_angle")
 
 
 def format_float(value):
@@ -103,112 +112,89 @@ def load_grid_fields(path):
     return spec, fields
 
 
-def save_trajectory_csv(path, trajectory, extra_columns=None):
-    """Trajectory table: s, event, four-velocity, rest-frame spin.
+def _write_csv(path, header, columns):
+    """Write one CSV table: a header row, then one row per sample.
 
-    ``extra_columns`` maps column name to a per-sample array (breakdown
-    terms and the like); extras are appended after the fixed columns in
-    the given order.
+    ``columns`` are stacked side by side with ``np.column_stack`` (1-D
+    arrays become one column each, 2-D blocks keep theirs). Rows end in
+    CRLF and values are ``format_float`` strings, which is the csv module's
+    default dialect; names that it would have to quote are refused.
     """
-    n = trajectory.s.shape[0]
-    columns = list(TRAJECTORY_COLUMNS)
-    data = [
-        trajectory.s,
-        trajectory.x[:, 0], trajectory.x[:, 1],
-        trajectory.x[:, 2], trajectory.x[:, 3],
-        trajectory.u[:, 0], trajectory.u[:, 1],
-        trajectory.u[:, 2], trajectory.u[:, 3],
-        trajectory.s_rest[:, 0], trajectory.s_rest[:, 1], trajectory.s_rest[:, 2],
-    ]
-    if extra_columns:
-        for name, values in extra_columns.items():
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != (n,):
-                raise ContractError(
-                    f"extra column {name!r} has shape {values.shape}, need ({n},)"
-                )
-            columns.append(name)
-            data.append(values)
+    for name in header:
+        if any(char in name for char in ',"\r\n'):
+            raise ContractError(f"column name {name!r} would need CSV quoting")
+    table = np.column_stack(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(n):
-            writer.writerow([format_float(col[i]) for col in data])
+        fh.write(",".join(header) + "\r\n")
+        # one row at a time keeps the formatted text out of memory
+        for row in table:
+            fh.write(",".join(map(format_float, row.tolist())) + "\r\n")
+
+
+def _trajectory_columns(trajectory):
+    return [trajectory.s, trajectory.x, trajectory.u, trajectory.s_rest]
+
+
+def save_trajectory_csv(path, trajectory):
+    """Trajectory table: s, event, four-velocity, rest-frame spin."""
+    _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_columns(trajectory))
+
+
+def save_trajectory_json(path, trajectory):
+    """The trajectory table as a JSON map from column name to samples."""
+    table = np.column_stack(_trajectory_columns(trajectory))
+    write_json_report(path, {
+        "format": TRAJECTORY_FORMAT,
+        "data": dict(zip(TRAJECTORY_COLUMNS, table.T.tolist())),
+    })
 
 
 def load_trajectory_csv(path):
-    """Read a trajectory table back into a Trajectory plus extras dict."""
+    """Read a trajectory table back into a Trajectory."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
-    if tuple(header[: len(TRAJECTORY_COLUMNS)]) != TRAJECTORY_COLUMNS:
+    if tuple(header) != TRAJECTORY_COLUMNS:
         raise ContractError(f"unexpected trajectory columns: {header}")
     table = np.array(rows, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ContractError("ragged trajectory table")
-    trajectory = Trajectory(
+    return Trajectory(
         s=table[:, 0],
         x=table[:, 1:5],
         u=table[:, 5:9],
         s_rest=table[:, 9:12],
     )
-    extras = {
-        name: table[:, 12 + k]
-        for k, name in enumerate(header[len(TRAJECTORY_COLUMNS):])
-    }
-    return trajectory, extras
 
 
-def save_slice_csv(path, spec, fields, fixed=None):
-    """Export a 1D or 2D slice of grid fields as CSV.
+def save_fit_csv(path, fit):
+    """One-row table of a PrecessionFit: frequency, axis, residual, angle."""
+    _write_csv(path, FIT_COLUMNS,
+               [[fit.omega], [fit.axis], [fit.rms_residual], [fit.total_angle]])
 
-    ``fixed`` maps grid-axis position (index into the active axes) to the
-    sample index held fixed there; the remaining one or two axes become
-    coordinate columns (named t/x/y/z by spacetime axis), followed by one
-    column per field in the given order.
+
+def save_slice_csv(path, spec, fields):
+    """Export the fields of a 1-D or 2-D grid as one CSV table.
+
+    Each grid point is a row in row-major order: coordinate columns named
+    t/x/y/z by spacetime axis, then one column per field in the given
+    order. Masked samples are written as nan.
     """
-    fixed = dict(fixed or {})
-    for ga in fixed:
-        if not 0 <= ga < spec.ndim:
-            raise ContractError(f"fixed axis {ga} outside grid of {spec.ndim} axes")
-    free = [ga for ga in range(spec.ndim) if ga not in fixed]
-    if len(free) not in (1, 2):
-        raise ContractError(f"slice must keep 1 or 2 axes free, got {len(free)}")
-
-    index = tuple(
-        slice(None) if ga in free else int(fixed[ga]) for ga in range(spec.ndim)
-    )
-    coords = spec.axis_coordinates()
-    names = [spec.axis_names[ga] for ga in free]
-    sliced = {}
+    if spec.ndim > 2:
+        raise ContractError(
+            f"a CSV table holds a 1-D or 2-D grid, this one has {spec.ndim} axes"
+        )
+    mesh = np.meshgrid(*spec.axis_coordinates(), indexing="ij")
+    columns = [axis.ravel() for axis in mesh]
     for name, values in fields.items():
         arr = np.asarray(np.ma.filled(values, np.nan), dtype=np.float64)
         if arr.shape != spec.shape:
             raise ContractError(
                 f"field {name!r} has shape {arr.shape}, grid is {spec.shape}"
             )
-        sliced[name] = arr[index]
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + list(sliced))
-        if len(free) == 1:
-            axis_values = coords[free[0]]
-            for i, c in enumerate(axis_values):
-                writer.writerow(
-                    [format_float(c)]
-                    + [format_float(sliced[name][i]) for name in sliced]
-                )
-        else:
-            a_values = coords[free[0]]
-            b_values = coords[free[1]]
-            for i, a in enumerate(a_values):
-                for j, b in enumerate(b_values):
-                    writer.writerow(
-                        [format_float(a), format_float(b)]
-                        + [format_float(sliced[name][i, j]) for name in sliced]
-                    )
+        columns.append(arr.ravel())
+    _write_csv(path, list(spec.axis_names) + list(fields), columns)
 
 
 def write_json_report(path, payload):

@@ -32,13 +32,16 @@ __all__ = [
 ]
 
 _ANGLE_TOL = 1e-9
+# arccosh of the largest float64: cosh(chi) overflows from here up
+_CHI_OVERFLOW = float(np.arccosh(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
 class KinematicParams:
     """Rapidity and orientation angles of a single-particle state.
 
-    chi may be any nonnegative value, theta_u and theta live in [0, pi].
+    chi is nonnegative and below arccosh of the largest float64 (about
+    710.48), theta_u and theta live in [0, pi].
     phi and eta0 are unrestricted so fields built from these parameters can
     track azimuths continuously instead of mod 2 pi.
     """
@@ -54,6 +57,10 @@ class KinematicParams:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.chi < -_ANGLE_TOL):
             raise ContractError("chi must be nonnegative")
+        if np.any(self.chi >= _CHI_OVERFLOW):
+            raise ContractError(
+                f"chi must be below {_CHI_OVERFLOW:.2f}, where cosh(chi) overflows"
+            )
         for name in ("theta_u", "theta"):
             value = getattr(self, name)
             if np.any(value < -_ANGLE_TOL) or np.any(value > np.pi + _ANGLE_TOL):

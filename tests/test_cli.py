@@ -1,6 +1,7 @@
 """Config validation, report determinism, exit-status contract of the CLI."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +116,9 @@ def test_simulate_writes_trajectory_and_fit(tmp_path, capsys):
 
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == ",".join(TRAJECTORY_COLUMNS)
-    fit_lines = (out / "fit.csv").read_text().splitlines()
+    fit_lines = (out / "fit.csv").read_bytes().decode().split("\r\n")
     assert fit_lines[0] == "frequency,axis_x,axis_y,axis_z,rms_residual,total_angle"
+    assert len(fit_lines) == 3 and fit_lines[2] == ""  # two rows, each ended by CRLF
 
     report = json.loads((out / "report.json").read_text())
     # resting electron in unit B precesses at exactly the Larmor rate
@@ -232,3 +234,29 @@ def test_exit_status_contract(tmp_path, capsys):
         tmp_path, _verify_config(tolerance_scale=1e-30), name="failing.json"
     )
     assert main(["--config", failing, "--out", out, "--quiet"]) == 1
+
+
+def test_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
+    # the bilinear evaluator divides by rho0**2, which underflows to zero
+    payload = json.loads((DEMO_CONFIGS / "plane_wave_residuals.json").read_text())
+    payload["configuration"]["rho_value"] = 1e-305
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "qhj_bilinear" in err
+    assert "config rejected" not in err
+    assert not any(out.iterdir())
+
+
+def test_overflowing_rapidity_is_rejected_by_name(tmp_path, capsys):
+    payload = _residuals_config()
+    payload["configuration"]["chi"] = 800
+    path = _write_config(tmp_path, payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config rejected" in err and "chi" in err
+    assert "Warning" not in err
+    assert caught == []

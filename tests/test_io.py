@@ -1,31 +1,59 @@
 """Deterministic file formats: grid containers, trajectory tables, reports."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from dirachydro.dynamics import DynState, integrate
+from dirachydro.dynamics import DynState, PrecessionFit, Trajectory, integrate
 from dirachydro.errors import ContractError
 from dirachydro.fields import UniformField
 from dirachydro.grids import GridSpec
 from dirachydro.io import (
+    FIT_COLUMNS,
     GRID_FORMAT,
     TRAJECTORY_COLUMNS,
     format_float,
     load_grid_fields,
     load_trajectory_csv,
+    save_fit_csv,
     save_grid_fields,
     save_slice_csv,
     save_trajectory_csv,
     write_json_report,
 )
 
+# awkward floats: every one must come out exactly as csv.writer wrote it
+EDGE_VALUES = np.array([
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17, 123456789.0,
+])
+
 
 def _spec2d():
     return GridSpec(
         active_axes=(0, 1), shape=(7, 9), spacing=(0.1, 0.2), origin=(0.0, -0.5, 0.0, 0.0)
     )
+
+
+def _spec1d():
+    return GridSpec(active_axes=(1,), shape=(9,), spacing=(0.2,), origin=(0.0, -0.5, 0.0, 0.0))
+
+
+def _reference_csv(header, rows):
+    """The csv.writer + format_float table the writers must reproduce."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_float(v) for v in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+def _edge_fill(shape, offset):
+    return np.resize(np.roll(EDGE_VALUES, offset), shape)
 
 
 def _trajectory():
@@ -87,44 +115,82 @@ def test_grid_container_rejections(tmp_path):
 
 def test_trajectory_round_trip(tmp_path):
     traj = _trajectory()
-    extras = {"gamma": traj.u[:, 0].copy()}
     path = tmp_path / "traj.csv"
-    save_trajectory_csv(path, traj, extra_columns=extras)
+    save_trajectory_csv(path, traj)
 
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(TRAJECTORY_COLUMNS) + ",gamma"
+    assert header == ",".join(TRAJECTORY_COLUMNS)
 
-    loaded, loaded_extras = load_trajectory_csv(path)
+    loaded = load_trajectory_csv(path)
     np.testing.assert_array_equal(loaded.s, traj.s)
     np.testing.assert_array_equal(loaded.x, traj.x)
     np.testing.assert_array_equal(loaded.u, traj.u)
     np.testing.assert_array_equal(loaded.s_rest, traj.s_rest)
-    np.testing.assert_array_equal(loaded_extras["gamma"], extras["gamma"])
 
 
 def test_trajectory_table_rejections(tmp_path):
-    traj = _trajectory()
-    with pytest.raises(ContractError):
-        save_trajectory_csv(
-            tmp_path / "t.csv", traj, extra_columns={"short": np.zeros(3)}
-        )
     bad = tmp_path / "bad.csv"
     bad.write_text("s,t,x\n0.0,0.0,0.0\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(bad)
+    extra = tmp_path / "extra.csv"
+    extra.write_text(",".join(TRAJECTORY_COLUMNS + ("gamma",)) + "\n" + ",".join(["0"] * 13) + "\n")
+    with pytest.raises(ContractError):
+        load_trajectory_csv(extra)
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    n = 30
+    traj = Trajectory(
+        s=_edge_fill((n,), 0),
+        x=_edge_fill((n, 4), 1),
+        u=_edge_fill((n, 4), 2),
+        s_rest=_edge_fill((n, 3), 3),
+    )
+    rows = [[traj.s[i], *traj.x[i], *traj.u[i], *traj.s_rest[i]] for i in range(n)]
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(path, traj)
+    assert path.read_bytes() == _reference_csv(TRAJECTORY_COLUMNS, rows)
+
+
+@pytest.mark.parametrize("spec", [_spec1d(), _spec2d()], ids=["1d", "2d"])
+def test_slice_csv_bytes_match_csv_writer(tmp_path, spec):
+    plain = _edge_fill(spec.shape, 0)
+    masked = np.ma.MaskedArray(_edge_fill(spec.shape, 5), mask=np.zeros(spec.shape, bool))
+    masked.mask.flat[4] = True
+    path = tmp_path / "slice.csv"
+    save_slice_csv(path, spec, {"plain": plain, "masked": masked})
+
+    coords = spec.axis_coordinates()
+    rows = []
+    for index in np.ndindex(*spec.shape):
+        filled = np.nan if masked.mask[index] else masked.data[index]
+        rows.append([c[i] for c, i in zip(coords, index)] + [plain[index], filled])
+    header = list(spec.axis_names) + ["plain", "masked"]
+    assert path.read_bytes() == _reference_csv(header, rows)
+
+
+def test_fit_csv_rows_end_in_crlf(tmp_path):
+    fit = PrecessionFit(omega=0.5, axis=np.array([0.0, -0.0, 1.0]),
+                        rms_residual=1e-15, total_angle=31.4)
+    path = tmp_path / "fit.csv"
+    save_fit_csv(path, fit)
+    written = path.read_bytes()
+    assert written == _reference_csv(FIT_COLUMNS, [[0.5, 0.0, -0.0, 1.0, 1e-15, 31.4]])
+    assert written.endswith(b"\r\n") and written.count(b"\r\n") == 2
 
 
 def test_slice_csv_one_free_axis(tmp_path):
-    spec = _spec2d()
-    values = np.arange(63, dtype=np.float64).reshape(spec.shape)
+    spec = _spec1d()
+    values = np.arange(9, dtype=np.float64)
     path = tmp_path / "slice.csv"
-    save_slice_csv(path, spec, {"f": values}, fixed={0: 3})
+    save_slice_csv(path, spec, {"f": values})
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f"
     assert len(lines) == 1 + 9
     first = lines[1].split(",")
     assert float(first[0]) == -0.5
-    assert float(first[1]) == values[3, 0]
+    assert float(first[1]) == values[0]
 
 
 def test_slice_csv_two_free_axes(tmp_path):
@@ -139,15 +205,21 @@ def test_slice_csv_two_free_axes(tmp_path):
 
 def test_slice_csv_rejections(tmp_path):
     spec = _spec2d()
-    values = np.zeros(spec.shape)
     with pytest.raises(ContractError):
-        save_slice_csv(tmp_path / "s.csv", spec, {"f": values}, fixed={5: 0})
-    with pytest.raises(ContractError):
-        save_slice_csv(
-            tmp_path / "s.csv", spec, {"f": values}, fixed={0: 1, 1: 1}
-        )
-    with pytest.raises(ContractError):
-        save_slice_csv(tmp_path / "s.csv", spec, {"f": np.zeros((2, 2))}, fixed={0: 0})
+        save_slice_csv(tmp_path / "s.csv", spec, {"f": np.zeros((2, 2))})
+    # three or more axes have no CSV form; they go to the grid container
+    cube = GridSpec(active_axes=(0, 1, 2), shape=(5, 5, 5), spacing=(0.1, 0.1, 0.1))
+    with pytest.raises(ContractError, match="3 axes"):
+        save_slice_csv(tmp_path / "s.csv", cube, {"f": np.zeros(cube.shape)})
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "cr\r", "lf\n"])
+def test_csv_rejects_names_that_need_quoting(tmp_path, name):
+    spec = _spec1d()
+    path = tmp_path / "s.csv"
+    with pytest.raises(ContractError, match="quoting"):
+        save_slice_csv(path, spec, {name: np.zeros(spec.shape)})
+    assert not path.exists()
 
 
 def test_json_report_is_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 """Spinor factory: parametrization, guiding relation, component table."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,18 @@ def test_params_validation():
         KinematicParams(theta=-0.2)
     # phi and eta0 are unrestricted so azimuths can unwind continuously
     KinematicParams(phi=17.0, eta0=-9.0)
+
+
+def test_params_reject_rapidity_whose_cosh_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="chi"):
+            KinematicParams(chi=800.0)
+        with pytest.raises(ContractError, match="chi"):
+            KinematicParams(chi=np.array([0.5, 711.0]))
+        # just below the threshold cosh(chi) is still finite
+        params = KinematicParams(chi=710.4)
+        assert np.isfinite(params.gamma)
 
 
 def test_derived_properties():

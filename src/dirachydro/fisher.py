@@ -11,10 +11,13 @@ with the density terms removed).  Varying A with respect to the phase
 action reproduces the continuity residual; varying with respect to rho0
 reproduces the quantum Hamilton-Jacobi residual including the density
 terms that emerge from the Fisher piece by parts.  Both functional
-derivatives here are numerical (perturb one sample, central difference):
-the point is to check the variational claim against independently coded
-residuals, so a symbolic derivation would share bugs with the thing under
-test.
+derivatives here are numerical (central differences of the action
+integrand): the point is to check the variational claim against
+independently coded residuals, so a symbolic derivation would share bugs
+with the thing under test.  Samples five apart along every axis do not
+share an integrand stencil, so the grid is coloured with stride 5 and all
+samples of a colour are perturbed at once: 5^d pairs of integrand grids
+per derivative, whatever the sample count.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -193,6 +196,70 @@ def _probe_indices(spec, count):
     return out
 
 
+# Reach of the integrand: the value at a sample reads samples at most this
+# many steps away along each axis (np.gradient's one-sided edge_order=2
+# formulas at the boundary; the central stencil inside reaches one step).
+_REACH = 2
+_STRIDE = 2 * _REACH + 1
+
+
+def _integrand(fields, provider, particle, wrt, depth):
+    """The varied field and the action integrand as a function of it.
+
+    The integrand drops every term that does not depend on the varied field
+    and leaves out the kind's sign; its trapezoid integral over the
+    trusted interior is the action up to that constant and sign.
+    """
+    spec = fields.spec
+    hbar = particle.hbar
+    core = _expanded_core(fields, provider, particle)
+    rho0_base = fields.rho0
+
+    if wrt == "S":
+        base_lower = core["bracket_lower"] - spec.gradient_lower(fields.S)
+
+        def integrand(field):
+            bracket_lower = base_lower + spec.gradient_lower(field)
+            bb = np.einsum(
+                "...m,...m->...", raise_index(bracket_lower), bracket_lower
+            )
+            return rho0_base * bb
+
+        return np.array(fields.S, copy=True), integrand
+
+    rest_density = core["coupling"] + core["shape_terms"] - particle.mass**2
+    density = core["bb"] + rest_density  # independent of rho0
+    interior = tuple(slice(depth, n - depth) for n in spec.shape)
+
+    def integrand(field):
+        if np.any(field[interior] <= 0.0):
+            raise ContractError("rho0 perturbation crossed zero on the interior")
+        return field * density + 0.25 * hbar**2 * _metric_square(spec, field) / field
+
+    return np.array(rho0_base, copy=True), integrand
+
+
+def _box_sums(values, offsets):
+    """Sum of values over the stride-wide box centred on each sample of a colour.
+
+    The colour holds the samples whose index along every axis is its offset
+    plus a multiple of the stride; their boxes are disjoint.  The sum is
+    separable: stride shifted adds per axis, each shrinking that axis to
+    the colour's sample count.
+    """
+    out = np.pad(values, _REACH)
+    for axis, (offset, n) in enumerate(zip(offsets, values.shape)):
+        count = len(range(offset, n, _STRIDE))
+        total = 0.0
+        for shift in range(_STRIDE):
+            index = [slice(None)] * out.ndim
+            start = offset + shift
+            index[axis] = slice(start, start + count * _STRIDE, _STRIDE)
+            total = total + out[tuple(index)]
+        out = total
+    return out
+
+
 def functional_derivative(
     fields,
     provider,
@@ -205,15 +272,26 @@ def functional_derivative(
     """Numerical dA/df(x) per grid point, f one of the phase action or rho0.
 
     Each sample is perturbed by +/- eps (eps = epsilon times the field's
-    scale) and the central difference of the total functional is divided by
-    eps times the volume element.  That normalization identifies the
-    derivative with the residual density at points whose trapezoid weight
-    is the plain volume element; the outermost samples carry edge weights
-    and are reported as computed.
+    scale), and the central difference of the trapezoid-weighted action
+    integrand is summed and divided by 2 eps times the volume element.
+    That normalization identifies the derivative with the residual density
+    at points whose trapezoid weight is the plain volume element; the
+    outermost samples carry edge weights and are reported as computed.
+
+    The integrand at a sample reads samples at most two steps away, so
+    samples five apart along every axis cannot see each other's changes.
+    The grid is coloured with stride 5 per active axis: each of the 5^d
+    colours is perturbed all at once, one pair of integrand grids per
+    colour, and the weighted change is summed over the 5^d box around
+    each of its samples.  The cost is 2 * 5^d integrand evaluations plus
+    the probe, independent of the sample count, and no difference is taken
+    between two large action totals.
 
     A Richardson probe repeats the difference with eps/2 at a few interior
     points; disagreement beyond ten percent (relative, with an absolute
     floor) means the step is roundoff-dominated and raises StepSizeError.
+    So does a probe point whose perturbation leaves the integrand around
+    it bitwise unchanged, which would report a derivative of zero.
 
     The derivative with respect to rho0 treats the rest density as the
     independent field at fixed spinor shape, matching the variational
@@ -222,73 +300,64 @@ def functional_derivative(
     if wrt not in ("S", "rho0"):
         raise ContractError(f"wrt must be 'S' or 'rho0', got {wrt!r}")
     spec = fields.spec
-    hbar = particle.hbar
     sign = 1.0 if fields.kind == "particle" else -1.0
     volume = float(np.prod(spec.spacing))
+    interior = tuple(slice(depth, n - depth) for n in spec.shape)
+    weights = spec.trapezoid_weights(depth)[interior]
+    base_field, integrand = _integrand(fields, provider, particle, wrt, depth)
 
-    core = _expanded_core(fields, provider, particle)
-    rho0_base = fields.rho0
-    rest_density = (
-        core["coupling"] + core["shape_terms"] - particle.mass**2
-    )
-
-    if wrt == "S":
-        base_lower = core["bracket_lower"] - spec.gradient_lower(fields.S)
-        lagr_rest = rho0_base * rest_density
-        fisher_integrand = 0.25 * hbar**2 * _metric_square(spec, rho0_base) / rho0_base
-
-        def evaluate(field):
-            bracket_lower = base_lower + spec.gradient_lower(field)
-            bb = np.einsum(
-                "...m,...m->...", raise_index(bracket_lower), bracket_lower
-            )
-            integrand = rho0_base * bb + lagr_rest + fisher_integrand
-            return sign * spec.integrate(integrand, depth=depth)
-
-        base_field = np.array(fields.S, copy=True)
-    else:
-        density = core["bb"] + rest_density  # independent of rho0
-
-        def evaluate(field):
-            if np.any(field[tuple(slice(depth, n - depth) for n in spec.shape)] <= 0.0):
-                raise ContractError("rho0 perturbation crossed zero on the interior")
-            integrand = field * density + 0.25 * hbar**2 * _metric_square(
-                spec, field
-            ) / field
-            return sign * spec.integrate(integrand, depth=depth)
-
-        base_field = np.array(rho0_base, copy=True)
-
-    scale = max(1.0, float(np.max(np.abs(base_field))))
-    eps = float(epsilon) * scale
     largest = float(np.max(np.abs(base_field)))
+    eps = float(epsilon) * max(1.0, largest)
     if largest + eps == largest:
         raise StepSizeError(
             f"epsilon={epsilon:g} perturbs below float64 resolution of the "
             "field; the difference would be identically zero"
         )
 
-    def central(index, step):
-        saved = base_field[index]
-        base_field[index] = saved + step
-        plus = evaluate(base_field)
-        base_field[index] = saved - step
-        minus = evaluate(base_field)
-        base_field[index] = saved
-        return (plus - minus) / (2.0 * step * volume)
+    probes = _probe_indices(spec, probe_points)
+
+    def weighted_change(where, step, windows):
+        # trapezoid-weighted integrand change under base_field[where] +/- step
+        saved = np.array(base_field[where], copy=True)
+        base_field[where] = saved + step
+        plus = integrand(base_field)
+        base_field[where] = saved - step
+        minus = integrand(base_field)
+        base_field[where] = saved
+        for window in windows:
+            if np.array_equal(plus[window], minus[window]):
+                raise StepSizeError(
+                    f"epsilon={epsilon:g} leaves the integrand unchanged around a "
+                    "probe point; the derivative there would be identically zero"
+                )
+        change = np.zeros(spec.shape)
+        change[interior] = weights * (plus - minus)[interior]
+        return change
+
+    def window(index):
+        return tuple(slice(max(i - _REACH, 0), i + _REACH + 1) for i in index)
 
     out = np.zeros(spec.shape)
-    for index in np.ndindex(*spec.shape):
-        out[index] = central(index, eps)
+    for offsets in np.ndindex(*(_STRIDE,) * spec.ndim):
+        colour = tuple(slice(c, None, _STRIDE) for c in offsets)
+        windows = [
+            window(p) for p in probes
+            if all(i % _STRIDE == c for i, c in zip(p, offsets))
+        ]
+        change = weighted_change(colour, eps, windows)
+        out[colour] = _box_sums(change, offsets)
+    out *= sign / (2.0 * eps * volume)
 
     # Absolute floor keeps stationary configurations (derivative is pure
     # noise) and zero crossings from tripping the check; a genuinely
     # roundoff-dominated step produces large mutually inconsistent values
     # and is still caught by the relative comparison.
     floor = max(1e-7, 1e-6 * float(np.max(np.abs(out))))
-    for index in _probe_indices(spec, probe_points):
+    for index in probes:
         d1 = out[index]
-        d2 = central(index, 0.5 * eps)
+        half = 0.5 * eps
+        d2 = sign * float(np.sum(weighted_change(index, half, [window(index)])))
+        d2 /= 2.0 * half * volume
         denom = max(abs(d1), abs(d2), floor)
         if abs(d1 - d2) > 0.1 * denom:
             raise StepSizeError(

@@ -208,12 +208,22 @@ class GridSpec:
             values = np.trapezoid(values, dx=self.spacing[ga], axis=ga)
         return values if values.ndim else float(values)
 
-    def trapezoid_weights(self):
-        """Tensor-product trapezoid weights including the volume element."""
+    def trapezoid_weights(self, depth=0):
+        """Tensor-product trapezoid weights including the volume element.
+
+        The weights are those of ``integrate(values, depth)``: the
+        trusted-interior rectangle carries the trapezoid weights and every
+        sample outside it weighs zero, so ``sum(w * f)`` is that integral.
+        """
+        depth = int(depth)
+        if depth:
+            self.trusted_mask(depth)  # raises if the interior is empty
         w = np.ones(self.shape)
         for ga, (n, h) in enumerate(zip(self.shape, self.spacing)):
-            line = np.full(n, h)
-            line[0] = line[-1] = 0.5 * h
+            line = np.zeros(n)
+            if n - 2 * depth > 1:  # a single sample spans no length
+                line[depth : n - depth] = h
+                line[depth] = line[n - depth - 1] = 0.5 * h
             shape = [1] * self.ndim
             shape[ga] = n
             w = w * line.reshape(shape)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dirachydro import fisher
 from dirachydro.errors import ContractError, StepSizeError
-from dirachydro.fields import UniformField
+from dirachydro.fields import ELECTRON, UniformField
 from dirachydro.fisher import (
     CONTINUITY_FACTOR,
     QHJ_FACTOR,
@@ -84,27 +85,40 @@ def test_functional_antisymmetry_is_exact():
         action_functional(fields, provider, kind="both")
 
 
-def test_functional_derivatives_reproduce_residual_grids():
-    """Sample-wise perturbation of the action lands on the residual fields.
-
-    dA/dS is the continuity residual times the frozen factor -2, dA/drho0
-    the quantum Hamilton-Jacobi residual times +1; the residual grids come
-    from the independently coded expanded evaluator.
-    """
-    spec = GridSpec(active_axes=(0, 1), shape=(13, 13), spacing=(0.02, 0.02))
+def _closure_config(n):
+    spec = GridSpec(active_axes=(0, 1), shape=(n, n), spacing=(0.02, 0.02))
     provider = UniformField(E0=np.array([0.0, 0.03, 0.0]), B0=np.array([0.0, 0.0, 0.1]))
-    fields = perturbed_plane_wave_fields(spec, seed=5, amplitude=1e-3)
+    return spec, provider, perturbed_plane_wave_fields(spec, seed=5, amplitude=1e-3)
+
+
+def _assert_closure(n, atol):
+    spec, provider, fields = _closure_config(n)
     residuals = second_order_residuals_expanded(fields, provider)
     interior = spec.trusted_mask(depth=3)
 
     dS = functional_derivative(fields, provider, wrt="S")
     np.testing.assert_allclose(
-        dS[interior], (CONTINUITY_FACTOR * residuals.continuity)[interior], atol=1e-6
+        dS[interior], (CONTINUITY_FACTOR * residuals.continuity)[interior], atol=atol
     )
     drho = functional_derivative(fields, provider, wrt="rho0")
     np.testing.assert_allclose(
-        drho[interior], (QHJ_FACTOR * residuals.qhj)[interior], atol=1e-6
+        drho[interior], (QHJ_FACTOR * residuals.qhj)[interior], atol=atol
     )
+
+
+def test_functional_derivatives_reproduce_residual_grids():
+    """Numerical functional derivatives land on the residual fields.
+
+    dA/dS is the continuity residual times the frozen factor -2, dA/drho0
+    the quantum Hamilton-Jacobi residual times +1; the residual grids come
+    from the independently coded expanded evaluator.
+    """
+    _assert_closure(13, atol=1e-6)
+
+
+def test_closure_at_129_squared():
+    """Criterion 11's tolerance on a grid the per-sample loop could not afford."""
+    _assert_closure(129, atol=1e-4)
 
 
 def test_functional_derivative_contract_checks():
@@ -116,6 +130,105 @@ def test_functional_derivative_contract_checks():
     # a sub-ulp step cannot move the functional and must be refused
     with pytest.raises(StepSizeError):
         functional_derivative(fields, provider, wrt="S", epsilon=1e-17)
+
+
+@pytest.mark.parametrize("wrt", ["S", "rho0"])
+@pytest.mark.parametrize("epsilon", [1e-13, 1e-14, 1e-15, 1e-16])
+def test_tiny_step_never_returns_a_zero_derivative(wrt, epsilon):
+    """A step too small to move the integrand is refused, not reported as 0."""
+    spec, provider, fields = _closure_config(13)
+    residuals = second_order_residuals_expanded(fields, provider)
+    target = {"S": CONTINUITY_FACTOR * residuals.continuity,
+              "rho0": QHJ_FACTOR * residuals.qhj}[wrt]
+    interior = spec.trusted_mask(depth=3)
+    try:
+        d = functional_derivative(fields, provider, wrt=wrt, epsilon=epsilon)
+    except StepSizeError:
+        return
+    assert np.any(d != 0.0)
+    np.testing.assert_allclose(d[interior], target[interior], atol=1e-2)
+
+
+def test_step_below_integrand_resolution_is_refused(monkeypatch):
+    """Both probe differences vanish when the integrand cannot see the step.
+
+    Quantising the integrand stands in for a step below its float64
+    resolution: every difference is exactly zero, which the relative
+    Richardson comparison alone would accept as a zero derivative.
+    """
+    real = fisher._integrand
+
+    def quantised(*args):
+        field, integrand = real(*args)
+        return field, lambda values: np.round(integrand(values), 3)
+
+    monkeypatch.setattr(fisher, "_integrand", quantised)
+    _, provider, fields = _closure_config(13)
+    for wrt in ("S", "rho0"):
+        with pytest.raises(StepSizeError, match="unchanged"):
+            functional_derivative(fields, provider, wrt=wrt)
+
+
+def _per_sample_reference(fields, provider, wrt, depth, epsilon=1e-6):
+    """The O(N^2) definition: perturb one sample, integrate the whole integrand."""
+    spec = fields.spec
+    field, integrand = fisher._integrand(fields, provider, ELECTRON, wrt, depth)
+    eps = epsilon * max(1.0, float(np.max(np.abs(field))))
+    norm = (1.0 if fields.kind == "particle" else -1.0) / (2.0 * eps * np.prod(spec.spacing))
+    out = np.zeros(spec.shape)
+    for index in np.ndindex(*spec.shape):
+        saved = field[index]
+        field[index] = saved + eps
+        plus = spec.integrate(integrand(field), depth=depth)
+        field[index] = saved - eps
+        minus = spec.integrate(integrand(field), depth=depth)
+        field[index] = saved
+        out[index] = norm * (plus - minus)
+    return out
+
+
+_ORACLE_GRIDS = {
+    "1d-41-depth0": ((1,), (41,), 0),
+    "1d-41-depth1": ((1,), (41,), 1),
+    "2d-13-depth0": ((0, 1), (13, 13), 0),
+    "2d-13-depth2": ((0, 1), (13, 13), 2),
+    "3d-9-depth1": ((0, 1, 2), (9, 9, 9), 1),
+    "2d-5-one-point-per-colour": ((0, 1), (5, 5), 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["particle", "antiparticle"])
+@pytest.mark.parametrize("wrt", ["S", "rho0"])
+@pytest.mark.parametrize("grid", list(_ORACLE_GRIDS))
+def test_coloured_derivative_matches_per_sample_loop(grid, wrt, kind):
+    axes, shape, depth = _ORACLE_GRIDS[grid]
+    spec = GridSpec(active_axes=axes, shape=shape, spacing=(0.02,) * len(axes))
+    provider = UniformField(E0=np.array([0.0, 0.03, 0.0]), B0=np.array([0.0, 0.0, 0.1]))
+    fields = perturbed_plane_wave_fields(spec, seed=5, amplitude=1e-3, kind=kind)
+    coloured = functional_derivative(fields, provider, wrt=wrt, depth=depth)
+    reference = _per_sample_reference(fields, provider, wrt, depth)
+    np.testing.assert_allclose(coloured, reference, rtol=0, atol=1e-7)
+
+
+def test_derivative_cost_does_not_grow_with_the_grid(monkeypatch):
+    """The number of integrand evaluations per derivative is fixed."""
+    calls = []
+    original = GridSpec.gradient_lower
+
+    def counting(self, values):
+        calls.append(self.shape)
+        return original(self, values)
+
+    monkeypatch.setattr(GridSpec, "gradient_lower", counting)
+    counts = {}
+    for n in (17, 33):
+        _, provider, fields = _closure_config(n)
+        for wrt in ("S", "rho0"):
+            calls.clear()
+            functional_derivative(fields, provider, wrt=wrt)
+            counts[n, wrt] = len(calls)
+    assert counts[17, "S"] == counts[33, "S"]
+    assert counts[17, "rho0"] == counts[33, "rho0"]
 
 
 def test_pauli_limit_tracks_full_density_at_small_boost():

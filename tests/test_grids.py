@@ -158,6 +158,37 @@ def test_trapezoid_weights_sum_to_volume():
     assert float(np.sum(w * f)) == pytest.approx(spec.integrate(f), abs=1e-12)
 
 
+_WEIGHT_GRIDS = [
+    ((1,), (9,)),
+    ((0, 2), (7, 11)),
+    ((0, 1, 3), (5, 8, 6)),
+    ((0, 1, 2, 3), (5, 6, 7, 5)),
+]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("axes,shape", _WEIGHT_GRIDS)
+def test_trapezoid_weights_reproduce_interior_integral(axes, shape, depth):
+    spec = GridSpec(active_axes=axes, shape=shape,
+                    spacing=tuple(0.05 + 0.01 * k for k in range(len(axes))))
+    f = np.random.default_rng(52).normal(size=shape) + 3.0
+    w = spec.trapezoid_weights(depth)
+    assert np.all(w[~spec.trusted_mask(depth)] == 0.0)
+    expected = spec.integrate(f, depth)
+    assert float(np.sum(w * f)) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+
+def test_trapezoid_weights_refuse_what_integrate_refuses():
+    spec = GridSpec(active_axes=(0, 1), shape=(5, 9), spacing=(0.1, 0.1))
+    for depth in (3, 4):
+        with pytest.raises(InsufficientInteriorError):
+            spec.integrate(np.ones(spec.shape), depth)
+        with pytest.raises(InsufficientInteriorError):
+            spec.trapezoid_weights(depth)
+    with pytest.raises(ContractError):
+        spec.trapezoid_weights(-1)
+
+
 def test_field_shape_mismatch_raises():
     spec = make_spec(n=9)
     with pytest.raises(ContractError):

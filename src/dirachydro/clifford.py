@@ -51,7 +51,13 @@ _GAMMA5 = _block(_ZERO2, _ID2, _ID2, _ZERO2)
 GAMMA = np.stack([_GAMMA0, _GAMMA1, _GAMMA2, _GAMMA3])
 GAMMA5 = _GAMMA5
 
-for _m in (GAMMA, GAMMA5, METRIC):
+# Product tables built once: gamma^mu gamma^nu [mu, nu, a, b], its commutator,
+# and gamma_mu gamma^5 (gamma_0 = gamma^0, gamma_i = -gamma^i).
+_GAMMA_PAIR = np.einsum("mab,nbc->mnac", GAMMA, GAMMA)
+_GAMMA_COMMUTATOR = _GAMMA_PAIR - _GAMMA_PAIR.swapaxes(0, 1)
+_GAMMA_LOWER_5 = np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
+
+for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR, _GAMMA_LOWER_5):
     _m.setflags(write=False)
 
 
@@ -160,18 +166,13 @@ def bilinears(e, gamma_factor=1.0):
     scalar = _take_real(np.einsum("...a,...a->...", ebar, e), "scalar")
     vector = _take_real(np.einsum("...a,mab,...b->...m", ebar, GAMMA, e), "vector")
 
-    # gamma_lower gamma^5, with gamma_0 = gamma^0 and gamma_i = -gamma^i.
-    gl5 = np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
     axial = _take_real(
-        np.einsum("...a,mab,...b->...m", ebar, gl5, e) * gamma_factor[..., np.newaxis],
+        np.einsum("...a,mab,...b->...m", ebar, _GAMMA_LOWER_5, e)
+        * gamma_factor[..., np.newaxis],
         "axial",
     )
-
-    comm = np.einsum("mab,nbc->mnac", GAMMA, GAMMA) - np.einsum(
-        "nab,mbc->mnac", GAMMA, GAMMA
-    )
     tensor = _take_real(
-        np.einsum("...a,mnab,...b->...mn", ebar, comm, e)
+        np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_COMMUTATOR, e)
         * (-0.5j)
         * gamma_factor[..., np.newaxis, np.newaxis],
         "tensor",

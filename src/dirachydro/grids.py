@@ -144,12 +144,6 @@ class GridSpec:
         values = self._check_field(values)
         return np.stack([self.partial(values, a) for a in range(4)], axis=-1)
 
-    def gradient_upper(self, values):
-        """d^mu f, the lower-index gradient with spatial signs flipped."""
-        grad = self.gradient_lower(values)
-        grad[..., 1:4] *= -1.0
-        return grad
-
     def divergence(self, vec_upper):
         """d_mu V^mu for a field of contravariant four-vectors (..., 4)."""
         vec_upper = np.asarray(vec_upper, dtype=np.float64)

@@ -26,15 +26,19 @@ the field equations:
 :func:`squared_dirac_residual` applies the squared operator directly to the
 reconstructed ``psi`` and serves as the oracle the formula evaluators are
 tested against.
+
+The first-order and bilinear evaluators share the spinor data cached on the
+field set; their formulas stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .clifford import GAMMA, bilinears, minkowski_dot, raise_index, _adjoint
+from .clifford import GAMMA, _GAMMA_PAIR, _adjoint, bilinears, minkowski_dot, raise_index
 from .errors import ContractError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
 from .grids import GridSpec
@@ -80,10 +84,6 @@ BPRIME_TERM_COEFF = 1.0     # x hbar e B'.s'
 DENSITY_FLOOR = 1e-300
 
 _KINDS = ("particle", "antiparticle")
-
-# gamma^mu gamma^nu products, indexed [mu, nu, a, b]; used by the
-# field-strength coupling term of the squared operator.
-_GAMMA_PAIR = np.einsum("mab,nbc->mnac", GAMMA, GAMMA)
 
 
 def _lower_both(F):
@@ -149,6 +149,12 @@ class HydroFieldSet:
             return make_particle_spinor(self.params)
         return make_antiparticle_spinor(self.params)
 
+    @cached_property
+    def _spinor_data(self):
+        """(e, ebar, d_mu e, bilinears(e)), computed once: params must not change."""
+        e = self.spinors()
+        return e, _adjoint(e), _spinor_partials(self.spec, e), bilinears(e)
+
     def psi(self, hbar=1.0):
         """Reconstructed wave function sqrt(rho) exp(iS/hbar) e."""
         amplitude = np.sqrt(self.rho) * np.exp(1j * self.S / float(hbar))
@@ -206,8 +212,7 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     antiparticle plane wave carries S = + m u.x).
     """
     spec = fields.spec
-    e = fields.spinors()
-    bil = bilinears(e)
+    _, ebar, de_lower, bil = fields._spinor_data
     scalar = bil.scalar
     current = bil.vector
 
@@ -220,8 +225,6 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     _, A_lower, _ = _sample_potential(provider, spec.points())
     coupling = particle.charge * np.einsum("...m,...m->...", ratio, A_lower)
 
-    de_lower = _spinor_partials(spec, e)
-    ebar = _adjoint(e)
     slashed = np.einsum("...a,mab,...mb->...", ebar, GAMMA, de_lower)
     spinor_term = particle.hbar * np.imag(slashed) / scalar
 
@@ -278,15 +281,12 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     q = particle.charge
     m = particle.mass
 
-    e = fields.spinors()
-    bil = bilinears(e)
+    e, ebar, de_lower, bil = fields._spinor_data
     scalar = bil.scalar
     rho0 = fields.rho0
 
     A, A_lower, F = _sample_potential(provider, spec.points())
 
-    de_lower = _spinor_partials(spec, e)
-    ebar = _adjoint(e)
     debar_lower = _adjoint(de_lower)
 
     # momentum bracket B_mu = d_mu S + q A_mu + hbar Im{ebar d_mu e}/(ebar e)
@@ -304,11 +304,13 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     pair = np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_PAIR, e)
     cterm = (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, F_lower) / scalar
 
-    # density terms in the displayed quarter/half form
+    # density terms in the displayed quarter/half form, vacuum masked as in Q
+    vacuum = ~(rho0 > DENSITY_FLOOR)
+    safe = np.where(vacuum, 1.0, rho0)
     drho_lower = spec.gradient_lower(rho0)
     drho_sq = np.einsum("...m,...m->...", raise_index(drho_lower), drho_lower)
     box_rho = spec.dalembertian(rho0)
-    rho_terms = hbar**2 * (0.25 * drho_sq / rho0**2 - 0.5 * box_rho / rho0)
+    rho_terms = hbar**2 * (0.25 * drho_sq / safe**2 - 0.5 * box_rho / safe)
 
     # spinor-gradient correction d^mu ebar d_mu e / ebar e
     #   - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2
@@ -320,6 +322,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     combo = grad_sq / scalar - cross / scalar**2
 
     qhj = bb - m**2 + np.real(cterm) + rho_terms + hbar**2 * np.real(combo)
+    qhj[_dilate_mask(vacuum, radius=3)] = np.nan
     qhj_imag = np.imag(cterm) + hbar**2 * np.imag(combo)
     return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
 
@@ -378,7 +381,6 @@ def _expanded_core(fields, provider, particle):
         "bb": bb,
         "coupling": coupling,
         "shape_terms": shape_terms,
-        "sigma12": sigma12,
     }
 
 

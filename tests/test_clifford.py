@@ -13,6 +13,9 @@ from dirachydro.clifford import (
     GAMMA5,
     LEVI_CIVITA,
     METRIC,
+    _GAMMA_COMMUTATOR,
+    _GAMMA_LOWER_5,
+    _GAMMA_PAIR,
     bilinears,
     gamma,
     lower_index,
@@ -31,6 +34,15 @@ def test_anticommutator_is_twice_metric():
             anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
             expected = 2.0 * METRIC[mu, nu] * np.eye(4)
             assert np.array_equal(anti, expected)
+    # the module's product tables equal their einsum definitions exactly
+    pair = np.einsum("mab,nbc->mnac", GAMMA, GAMMA)
+    assert np.array_equal(_GAMMA_PAIR, pair)
+    assert np.array_equal(
+        _GAMMA_COMMUTATOR, pair - np.einsum("nab,mbc->mnac", GAMMA, GAMMA)
+    )
+    assert np.array_equal(
+        _GAMMA_LOWER_5, np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
+    )
 
 
 def test_gamma5_product_and_square():

@@ -74,11 +74,8 @@ def test_gradient_index_placement():
     x = spec.points()[..., 1]
     f = 2.0 * t + 5.0 * x
     lower = spec.gradient_lower(f)
-    upper = spec.gradient_upper(f)
     np.testing.assert_allclose(lower[..., 0], 2.0, atol=1e-11)
     np.testing.assert_allclose(lower[..., 1], 5.0, atol=1e-11)
-    np.testing.assert_allclose(upper[..., 0], 2.0, atol=1e-11)
-    np.testing.assert_allclose(upper[..., 1], -5.0, atol=1e-11)
 
 
 def test_divergence_of_linear_vector_field():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dirachydro import hydro
 from dirachydro.errors import ContractError
 from dirachydro.fields import (
     ELECTRON,
@@ -227,6 +228,76 @@ def test_quantum_potential_mask_stops_at_grid_edge():
     rho0[0] = 0.0
     q = quantum_potential(spec, rho0)
     np.testing.assert_array_equal(np.flatnonzero(q.mask), [0, 1, 2, 3])
+
+
+_EVALUATORS = (
+    first_order_residuals,
+    second_order_residuals_bilinear,
+    second_order_residuals_expanded,
+)
+
+
+_SMOOTH_PROVIDER = UniformField(
+    E0=np.array([0.02, 0.0, 0.01]), B0=np.array([0.0, 0.0, 0.6])
+)
+
+
+def _smooth_fields():
+    spec = GridSpec(active_axes=(0, 1), shape=(21, 21), spacing=(0.01, 0.01))
+    return seeded_manufactured_fields(spec, seed=5)
+
+
+def test_evaluators_build_spinor_data_once_per_field_set(monkeypatch):
+    """The three evaluators share one spinor field and one bilinear set."""
+    calls = {"spinors": 0, "bilinears": 0}
+    spinors, bilinears = HydroFieldSet.spinors, hydro.bilinears
+
+    def counted_spinors(self):
+        calls["spinors"] += 1
+        return spinors(self)
+
+    def counted_bilinears(*args, **kwargs):
+        calls["bilinears"] += 1
+        return bilinears(*args, **kwargs)
+
+    monkeypatch.setattr(HydroFieldSet, "spinors", counted_spinors)
+    monkeypatch.setattr(hydro, "bilinears", counted_bilinears)
+    fields = _smooth_fields()
+    for evaluator in _EVALUATORS:
+        evaluator(fields, _SMOOTH_PROVIDER)
+    assert calls == {"spinors": 1, "bilinears": 1}
+
+
+def test_warm_field_set_reproduces_fresh_results_bitwise():
+    """Cached spinor data gives the same bits in any evaluator order."""
+    fresh = [
+        vars(evaluator(_smooth_fields(), _SMOOTH_PROVIDER)) for evaluator in _EVALUATORS
+    ]
+    warm = _smooth_fields()
+    order = list(zip(_EVALUATORS, fresh))
+    for evaluator, expected in order + order[::-1]:
+        got = vars(evaluator(warm, _SMOOTH_PROVIDER))
+        for name, grid in expected.items():
+            np.testing.assert_array_equal(got[name], grid, err_msg=name)
+
+
+def test_bilinear_evaluator_masks_vacuum_like_expanded():
+    """A vacuum patch is NaN in both qhj grids, on the same points."""
+    spec = _plane_spec(25)
+    plane = plane_wave_fields(spec)
+    rho = np.array(plane.rho, copy=True)
+    rho[10:14, 8:12] = 0.0
+    fields = HydroFieldSet(
+        spec=spec, rho=rho, S=plane.S, params=plane.params, kind=plane.kind
+    )
+    bil = second_order_residuals_bilinear(fields, ZERO_FIELD)
+    exp = second_order_residuals_expanded(fields, ZERO_FIELD)
+    vacuum = np.isnan(bil.qhj)
+    np.testing.assert_array_equal(vacuum, np.isnan(exp.qhj))
+    # the halo reaches three points along each axis from the patch
+    assert vacuum[7, 8] and vacuum[13, 14]
+    assert not vacuum[6, 10] and not vacuum[7, 7]
+    assert np.all(np.isfinite(bil.qhj[~vacuum]))
 
 
 def test_frozen_shape_coefficients():

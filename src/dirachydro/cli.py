@@ -244,6 +244,21 @@ def _residual_grids(fields, provider, particle):
     }
 
 
+def _sup_norms(grids):
+    """Max |value| of each named residual grid; a non-finite one is a numerical failure.
+
+    Checked before anything is written, so a NaN surfaces as
+    NonFiniteResultError (exit 3) rather than as a JSON encoding error.
+    """
+    max_abs = {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
+    broken = [name for name, value in max_abs.items() if not np.isfinite(value)]
+    if broken:
+        raise NonFiniteResultError(
+            "non-finite sup-norm in residual field " + ", ".join(broken)
+        )
+    return max_abs
+
+
 def _cmd_residuals(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
@@ -251,12 +266,7 @@ def _cmd_residuals(config, seed, out_dir, fmt):
     fields = _configured_fields(spec, config, seed, kind, particle)
 
     grids = _residual_grids(fields, provider, particle)
-    max_abs = {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
-    broken = [name for name, value in max_abs.items() if not np.isfinite(value)]
-    if broken:
-        raise NonFiniteResultError(
-            "non-finite sup-norm in residual field " + ", ".join(broken)
-        )
+    max_abs = _sup_norms(grids)
 
     # 1D and 2D grids export cleanly as CSV tables; anything bigger keeps
     # the self-describing grid container regardless of the requested format
@@ -301,10 +311,9 @@ def _cmd_fisher(config, seed, out_dir, fmt):
             "volume_element": float(report.volume_element),
         },
     }
-    max_abs = {
-        "continuity_expanded": float(np.max(np.abs(expanded.continuity))),
-        "qhj_expanded": float(np.max(np.abs(expanded.qhj))),
-    }
+    max_abs = _sup_norms(
+        {"continuity_expanded": expanded.continuity, "qhj_expanded": expanded.qhj}
+    )
     lines = [
         f"fisher: action total {report.total:.9e}"
         f" (fisher term {report.fisher_term:.9e})"

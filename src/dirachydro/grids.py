@@ -16,26 +16,8 @@ import numpy as np
 
 from .errors import ContractError, InsufficientInteriorError
 
-__all__ = ["GridSpec", "measured_order"]
+__all__ = ["GridSpec"]
 
-
-def measured_order(coarse, mid, fine):
-    """Convergence order from three refinements sampled at shared points.
-
-    The arrays must be aligned (same physical points, h halved twice);
-    the order is log2 of the ratio of successive max differences, which
-    needs no knowledge of the continuum limit.
-    """
-    coarse = np.asarray(coarse, dtype=np.float64)
-    mid = np.asarray(mid, dtype=np.float64)
-    fine = np.asarray(fine, dtype=np.float64)
-    if not (coarse.shape == mid.shape == fine.shape):
-        raise ContractError("refinement samples must be aligned to shared points")
-    first = float(np.max(np.abs(coarse - mid)))
-    second = float(np.max(np.abs(mid - fine)))
-    if second < 1e-300:
-        raise ContractError("refinement differences vanish; order undefined")
-    return float(np.log2(first / second))
 
 _AXIS_NAMES = ("t", "x", "y", "z")
 

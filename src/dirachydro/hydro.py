@@ -307,10 +307,12 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     # density terms in the displayed quarter/half form, vacuum masked as in Q
     vacuum = ~(rho0 > DENSITY_FLOOR)
     safe = np.where(vacuum, 1.0, rho0)
-    drho_lower = spec.gradient_lower(rho0)
-    drho_sq = np.einsum("...m,...m->...", raise_index(drho_lower), drho_lower)
+    # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
+    # density is ever squared (rho0**2 flushes to zero below about 1e-162)
+    drho_norm = spec.gradient_lower(rho0) / safe[..., np.newaxis]
+    drho_sq = np.einsum("...m,...m->...", raise_index(drho_norm), drho_norm)
     box_rho = spec.dalembertian(rho0)
-    rho_terms = hbar**2 * (0.25 * drho_sq / safe**2 - 0.5 * box_rho / safe)
+    rho_terms = hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe)
 
     # spinor-gradient correction d^mu ebar d_mu e / ebar e
     #   - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2

@@ -117,18 +117,21 @@ def _write_csv(path, header, columns):
 
     ``columns`` are stacked side by side with ``np.column_stack`` (1-D
     arrays become one column each, 2-D blocks keep theirs). Rows end in
-    CRLF and values are ``format_float`` strings, which is the csv module's
-    default dialect; names that it would have to quote are refused.
+    CRLF and values are written as ``format_float`` writes them, which is
+    the csv module's default dialect; names that it would have to quote are
+    refused.
     """
     for name in header:
         if any(char in name for char in ',"\r\n'):
             raise ContractError(f"column name {name!r} would need CSV quoting")
     table = np.column_stack(columns)
+    # format_float's "%.17g" applied to a whole row at once
+    template = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         # one row at a time keeps the formatted text out of memory
         for row in table:
-            fh.write(",".join(map(format_float, row.tolist())) + "\r\n")
+            fh.write(template % tuple(row.tolist()))
 
 
 def _trajectory_columns(trajectory):

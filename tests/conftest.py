@@ -4,9 +4,20 @@ Tests in test_acceptance.py are marked with their criterion number and
 register a one-line detail string while they run; a terminal-summary hook
 prints the collected lines in order, so every full test run ends with an
 explicit pass/fail verdict per acceptance criterion.
+
+Also shared by the test modules: the hypothesis settings profile and
+``measured_order`` (import it with ``from conftest import measured_order``).
 """
 
+import numpy as np
 import pytest
+from hypothesis import settings
+
+from dirachydro.errors import ContractError
+
+# property tests draw the same examples on every run and write no database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 _TITLES = {}
 _DETAILS = {}
@@ -22,6 +33,25 @@ def register_criterion(number, title, detail):
     number = int(number)
     _TITLES[number] = title
     _DETAILS[number] = detail
+
+
+def measured_order(coarse, mid, fine):
+    """Convergence order from three refinements sampled at shared points.
+
+    The arrays must be aligned (same physical points, h halved twice);
+    the order is log2 of the ratio of successive max differences, which
+    needs no knowledge of the continuum limit.
+    """
+    coarse = np.asarray(coarse, dtype=np.float64)
+    mid = np.asarray(mid, dtype=np.float64)
+    fine = np.asarray(fine, dtype=np.float64)
+    if not (coarse.shape == mid.shape == fine.shape):
+        raise ContractError("refinement samples must be aligned to shared points")
+    first = float(np.max(np.abs(coarse - mid)))
+    second = float(np.max(np.abs(mid - fine)))
+    if second < 1e-300:
+        raise ContractError("refinement differences vanish; order undefined")
+    return float(np.log2(first / second))
 
 
 def pytest_configure(config):

@@ -253,6 +253,40 @@ def test_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_fisher_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
+    # the vacuum-masked qhj is NaN; it used to surface as a JSON encoding
+    # error reported as "config rejected" (exit 2)
+    payload = json.loads((DEMO_CONFIGS / "plane_wave_residuals.json").read_text())
+    payload["command"] = "fisher"
+    payload["configuration"]["rho_value"] = 1e-305
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "qhj_expanded" in err
+    assert "config rejected" not in err and "Warning" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("rho_value", [1e-150, 1e-200, 1e-250, 1e-299])
+def test_tiny_density_above_the_floor_stays_finite(tmp_path, rho_value):
+    # rho0**2 is subnormal or zero below about 1e-154; the bilinear evaluator
+    # divides the gradient by rho0 instead of squaring rho0
+    payload = _residuals_config()
+    payload["configuration"]["rho_value"] = rho_value
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(out), "--quiet"]) == 0
+    assert caught == []
+    max_abs = json.loads((out / "report.json").read_text())["max_abs_residuals"]
+    assert max_abs["qhj_bilinear"] < 1e-6
+
+
 def test_overflowing_rapidity_is_rejected_by_name(tmp_path, capsys):
     payload = _residuals_config()
     payload["configuration"]["chi"] = 800

@@ -1,9 +1,13 @@
 """Point dynamics: Lorentz force, spin precession, RK4 integrator, fits."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from conftest import measured_order
 
 from dirachydro.dynamics import (
     DynState,
@@ -15,7 +19,8 @@ from dirachydro.dynamics import (
     state_derivative,
 )
 from dirachydro.errors import ContractError, FitError, InstabilityError
-from dirachydro.fields import ELECTRON, PlaneWaveField, UniformField, tensor_from_EB
+from dirachydro.fields import (ELECTRON, CrossedField, PlaneWaveField, UniformField,
+                               tensor_from_EB)
 
 B_UNIT = UniformField(B0=np.array([0.0, 0.0, 1.0]))
 REST = DynState(x=np.zeros(4), u=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -79,28 +84,62 @@ def test_rest_spin_precession_in_B():
     np.testing.assert_allclose(traj.s_rest, expected, atol=5e-9)
 
 
-def test_fast_path_matches_generic_integrator():
-    """A cached constant field and the same field sampled at every stage give the same orbit."""
+class _Sampled:
+    """The same samples as the wrapped field, but no constant_field: RK4 runs."""
 
-    class Wrapped:
-        # identical samples, but no constant_field attribute
-        def __init__(self, inner):
-            self.inner = inner
+    def __init__(self, inner):
+        self.inner = inner
 
-        def sample(self, x):
-            return self.inner.sample(x)
+    def sample(self, x):
+        return self.inner.sample(x)
 
-    provider = UniformField(E0=np.array([0.02, 0.0, 0.01]), B0=np.array([0.0, 0.4, 0.9]))
-    state = DynState(
-        x=np.zeros(4),
-        u=np.array([np.cosh(0.5), np.sinh(0.5), 0.0, 0.0]),
-        s_rest=np.array([0.0, 1.0, 0.0]),
-    )
-    fast = integrate(state, provider, ds=1e-3, n_steps=500)
-    slow = integrate(state, Wrapped(provider), ds=1e-3, n_steps=500)
-    np.testing.assert_array_equal(fast.x, slow.x)
-    np.testing.assert_array_equal(fast.u, slow.u)
-    np.testing.assert_array_equal(fast.s_rest, slow.s_rest)
+
+ORACLE_FIELDS = {
+    "uniform": UniformField(E0=np.array([0.02, 0.0, 0.01]), B0=np.array([0.0, 0.4, 0.9])),
+    "crossed": CrossedField(E0=np.array([0.3, 0.0, 0.0]), B0=np.array([0.0, 0.0, 0.7])),
+    # |E| = |B| with E perpendicular to B: the generator M is nilpotent
+    "null-crossed": CrossedField(E0=np.array([0.5, 0.0, 0.0]), B0=np.array([0.0, 0.5, 0.0])),
+}
+BOOSTED = DynState(
+    x=np.zeros(4),
+    u=np.array([np.cosh(0.5), np.sinh(0.5), 0.0, 0.0]),
+    s_rest=np.array([0.0, 0.6, 0.8]),
+)
+
+
+def _final(traj):
+    return np.concatenate([traj.x[-1], traj.u[-1], traj.s_rest[-1]])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_rk4_converges_at_fourth_order_to_exact_propagator(name):
+    """Step halving: RK4 converges at 4th order, and its limit is the exact orbit."""
+    provider = ORACLE_FIELDS[name]
+    exact = _final(integrate(BOOSTED, provider, ds=0.1, s_max=4.0))
+    finals = [_final(integrate(BOOSTED, _Sampled(provider), ds=ds, s_max=4.0))
+              for ds in (0.1, 0.05, 0.025)]
+    assert measured_order(*finals) == pytest.approx(4.0, abs=0.3)
+    errors = [np.max(np.abs(final - exact)) for final in finals]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
+
+
+def test_null_crossed_orbit_is_a_polynomial():
+    """M^3 = 0 in a null crossed field, so exp(M s) is a quadratic in s."""
+    provider = ORACLE_FIELDS["null-crossed"]
+    _, F = provider.sample(np.zeros(4))
+    M = -F @ np.diag([1.0, -1.0, -1.0, -1.0])  # (q/m) F g for the electron
+    assert np.max(np.abs(M @ M)) > 0.1
+    np.testing.assert_array_equal(M @ M @ M, 0.0)
+
+    traj = integrate(BOOSTED, provider, ds=0.01, n_steps=600)
+    s = traj.s[:, np.newaxis]
+    Mu, MMu = M @ BOOSTED.u, M @ M @ BOOSTED.u
+    np.testing.assert_allclose(
+        traj.u, BOOSTED.u + s * Mu + s**2 / 2 * MMu, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(
+        traj.x, s * BOOSTED.u + s**2 / 2 * Mu + s**3 / 6 * MMu, rtol=1e-13, atol=1e-13)
+    assert traj.gamma[-1] > 4.0 * traj.gamma[0]  # the orbit is far from rest
 
 
 def test_one_step_matches_textbook_rk4():
@@ -253,3 +292,42 @@ def test_state_derivative_composition():
     np.testing.assert_array_equal(
         dspin, np.cross(precession_rate(REST.u, F), REST.s_rest)
     )
+
+
+def _unit(draw):
+    vector = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    assume(np.linalg.norm(vector) > 0.1)
+    return vector / np.linalg.norm(vector)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_exact_orbit_invariants(data):
+    """Random uniform B and E, beta <= 0.6 and spin: invariants of the exact path."""
+    draw = data.draw
+    B0 = draw(st.floats(0.1, 2.0)) * _unit(draw)
+    E0 = draw(st.floats(0.0, 0.5)) * _unit(draw)
+    beta = draw(st.floats(0.05, 0.6)) * _unit(draw)
+    gamma = 1.0 / np.sqrt(1.0 - beta @ beta)
+    state = DynState(x=np.zeros(4), u=gamma * np.concatenate([[1.0], beta]),
+                     s_rest=_unit(draw))
+
+    # nothing renormalises the spin here, so |s_rest| = 1 is the propagator's
+    traj = integrate(state, UniformField(E0=E0, B0=B0), ds=0.01, n_steps=300,
+                     renormalize_spin=False)
+    assert traj.mass_shell_error() < 1e-12
+    assert np.max(np.abs(np.linalg.norm(traj.s_rest, axis=1) - 1.0)) < 1e-12
+
+    # g = 2 in pure B: spin and velocity turn together
+    traj = integrate(state, UniformField(B0=B0), ds=0.01, n_steps=300)
+    beta_hat = traj.beta / np.linalg.norm(traj.beta, axis=1, keepdims=True)
+    angle = np.arctan2(np.linalg.norm(np.cross(traj.s_rest, beta_hat), axis=1),
+                       np.einsum("ni,ni->n", traj.s_rest, beta_hat))
+    assert np.max(np.abs(angle - angle[0])) < 1e-9
+
+    violent = UniformField(E0=draw(st.floats(1e3, 1e8)) * _unit(draw), B0=B0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError) as info:
+            integrate(state, violent, ds=10.0, n_steps=50)
+    assert info.value.step_index >= 1

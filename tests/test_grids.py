@@ -8,9 +8,10 @@ measured convergence order.
 
 import numpy as np
 import pytest
+from conftest import measured_order
 
 from dirachydro.errors import ContractError, InsufficientInteriorError
-from dirachydro.grids import GridSpec, measured_order
+from dirachydro.grids import GridSpec
 
 
 def make_spec(n=33, h=0.05):

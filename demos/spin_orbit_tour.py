@@ -28,13 +28,13 @@ def larmor():
     state = DynState(x=np.zeros(4), u=np.array([1.0, 0.0, 0.0, 0.0]),
                      s_rest=np.array([1.0, 0.0, 0.0]))
     traj = integrate(state, provider, ds=0.01, s_max=20.0 * np.pi)
-    fit = fit_precession_frequency(traj, axis=np.array([0.0, 0.0, 1.0]))
+    fit = fit_precession_frequency(traj.s, traj.s_rest, axis=np.array([0.0, 0.0, 1.0]))
     print(f"   fitted frequency over 10 periods: {fit.omega:.12f}")
     print(f"   fit rms residual: {fit.rms_residual:.3e}")
 
     doubled = UniformField(B0=np.array([0.0, 0.0, 2.0]))
     traj2 = integrate(state, doubled, ds=0.005, s_max=10.0 * np.pi)
-    fit2 = fit_precession_frequency(traj2, axis=np.array([0.0, 0.0, 1.0]))
+    fit2 = fit_precession_frequency(traj2.s, traj2.s_rest, axis=np.array([0.0, 0.0, 1.0]))
     print(f"   doubling B:  {fit2.omega:.12f}  (ratio {fit2.omega / fit.omega:.9f})")
     print()
 

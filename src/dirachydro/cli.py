@@ -212,7 +212,9 @@ def _cmd_simulate(config, seed, out_dir, fmt):
     if evolution.get("fit_frequency"):
         axis = evolution.get("fit_axis")
         fit = fit_precession_frequency(
-            trajectory, axis=None if axis is None else np.asarray(axis, dtype=np.float64)
+            trajectory.s,
+            trajectory.s_rest,
+            axis=None if axis is None else np.asarray(axis, dtype=np.float64),
         )
         results["fit"] = {
             "frequency": float(fit.omega),

@@ -20,7 +20,6 @@ __all__ = [
     "GAMMA",
     "GAMMA5",
     "LEVI_CIVITA",
-    "gamma",
     "BilinearSet",
     "bilinears",
     "sigma_from_u_s",
@@ -59,15 +58,6 @@ _GAMMA_LOWER_5 = np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
 
 for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR, _GAMMA_LOWER_5):
     _m.setflags(write=False)
-
-
-def gamma(index):
-    """Return gamma^index for index in 0..3, or gamma^5 for index 5."""
-    if index == 5:
-        return GAMMA5
-    if index in (0, 1, 2, 3):
-        return GAMMA[index]
-    raise ContractError(f"gamma index must be 0..3 or 5, got {index!r}")
 
 
 def _build_levi_civita():
@@ -123,10 +113,10 @@ class BilinearSet:
 
     scalar : e-bar e
     vector : current direction, e-bar gamma^mu e (contravariant)
-    axial  : spin components e'-bar gamma_tau gamma^5 e' (covariant, as built)
-    tensor : spin tensor -i e'-bar [gamma^mu, gamma^nu] e' / 2 (contravariant)
+    axial  : spin components e-bar gamma_tau gamma^5 e (covariant, as built)
+    tensor : spin tensor -i e-bar [gamma^mu, gamma^nu] e / 2 (contravariant)
 
-    where e' = sqrt(gamma_factor) e. Leading axes follow the input spinor field.
+    Leading axes follow the input spinor field.
     """
 
     scalar: np.ndarray
@@ -146,36 +136,21 @@ def _take_real(value, what):
     return value.real
 
 
-def bilinears(e, gamma_factor=1.0):
-    """Compute all four bilinear densities of a spinor (field).
-
-    The primed spinor entering the axial and tensor parts is
-    e' = sqrt(gamma_factor) e; gamma_factor is the Lorentz factor of the
-    state so that the spin bilinears come out unit normalized.
-    """
+def bilinears(e):
+    """Compute all four bilinear densities of a spinor (field)."""
     e = np.asarray(e, dtype=np.complex128)
     if e.shape[-1] != 4:
         raise ContractError("spinor must have 4 components along the last axis")
     if not np.all(np.isfinite(e)):
         raise ContractError("spinor has non-finite components")
-    gamma_factor = np.asarray(gamma_factor, dtype=np.float64)
-    if np.any(gamma_factor < 1.0 - 1e-12):
-        raise ContractError("gamma_factor must be >= 1")
 
     ebar = _adjoint(e)
     scalar = _take_real(np.einsum("...a,...a->...", ebar, e), "scalar")
     vector = _take_real(np.einsum("...a,mab,...b->...m", ebar, GAMMA, e), "vector")
 
-    axial = _take_real(
-        np.einsum("...a,mab,...b->...m", ebar, _GAMMA_LOWER_5, e)
-        * gamma_factor[..., np.newaxis],
-        "axial",
-    )
+    axial = _take_real(np.einsum("...a,mab,...b->...m", ebar, _GAMMA_LOWER_5, e), "axial")
     tensor = _take_real(
-        np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_COMMUTATOR, e)
-        * (-0.5j)
-        * gamma_factor[..., np.newaxis, np.newaxis],
-        "tensor",
+        np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_COMMUTATOR, e) * (-0.5j), "tensor"
     )
     return BilinearSet(scalar=scalar, vector=vector, axial=axial, tensor=tensor)
 

@@ -25,10 +25,9 @@ Sampled fields use fixed-step classical RK4, not an adaptive scheme:
 acceptance runs need bitwise-reproducible trajectories and the systems
 exercised are non-stiff. One scalar loop reads the field as plain floats
 (M, (q/m) E and (q/m) B) at each stage's own position. Spin is
-renormalized to unit length every step; mass-shell drift is reported, with
-projection to the shell opt-in. On the exact path the same two options
-normalise the returned rows and feed nothing back. ``state_derivative``
-stays the NumPy reference for one right-hand side.
+renormalized to unit length every step, so its norm drifts by at most an
+ulp; u is never projected, and its mass-shell drift is reported.
+``state_derivative`` stays the NumPy reference for one right-hand side.
 """
 
 from __future__ import annotations
@@ -146,14 +145,6 @@ class Trajectory:
         uu = self.u[:, 0] ** 2 - np.sum(self.u[:, 1:4] ** 2, axis=1)
         return float(np.max(np.abs(uu - 1.0)))
 
-    def state(self, index):
-        return DynState(
-            x=self.x[index],
-            u=self.u[index],
-            s_rest=self.s_rest[index],
-            s_proper=float(self.s[index]),
-        )
-
 
 def _steps_from(ds, s_max, n_steps):
     ds = float(ds)
@@ -180,10 +171,11 @@ def _coefficients(F, qm):
     return (*M.ravel().tolist(), *E.tolist(), *B.tolist())
 
 
-def _rk4(y, field_at, ds, n_steps, renormalize_spin, project_mass_shell, out):
+def _rk4(y, field_at, ds, n_steps, out):
     """Classical RK4 on the flat state y = (x^mu, u^mu, s_rest), one row of out per step.
 
-    field_at(y) returns the _coefficients at the position y[:4].
+    field_at(y) returns the _coefficients at the position y[:4]. The spin is
+    renormalised after every step.
     """
 
     def rhs(stage):
@@ -213,21 +205,11 @@ def _rk4(y, field_at, ds, n_steps, renormalize_spin, project_mass_shell, out):
         k3 = rhs([a + half * b for a, b in zip(y, k2)])
         k4 = rhs([a + ds * b for a, b in zip(y, k3)])
         y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-        if renormalize_spin:
-            norm = sqrt(y[8] * y[8] + y[9] * y[9] + y[10] * y[10])
-            if norm > 1e-300:
-                y[8] /= norm
-                y[9] /= norm
-                y[10] /= norm
-        if project_mass_shell:
-            uu = y[4] * y[4] - y[5] * y[5] - y[6] * y[6] - y[7] * y[7]
-            if uu <= 0:
-                raise InstabilityError(step)
-            root = sqrt(uu)
-            y[4] /= root
-            y[5] /= root
-            y[6] /= root
-            y[7] /= root
+        norm = sqrt(y[8] * y[8] + y[9] * y[9] + y[10] * y[10])
+        if norm > 1e-300:
+            y[8] /= norm
+            y[9] /= norm
+            y[10] /= norm
         if not all(abs(v) < _BLOWUP_LIMIT for v in y):  # also catches nan
             raise InstabilityError(step)
         out[step] = y
@@ -253,13 +235,14 @@ def _expm(A):
     return result
 
 
-def _propagate(M, ds, n_steps, renormalize_spin, project_mass_shell, out):
+def _propagate(M, ds, n_steps, out):
     """Exact orbit in a constant field, one row of out per step after row 0.
 
     The state z = (x, u, S) with the lab spin S evolves under
     G = [[0, I, 0], [0, M, 0], [0, 0, M]], so row k is P^k z0 with
     P = exp(G ds). Each block of _BLOCK rows is P^0 ... P^(B-1) applied to
     the block's first state, and the next block starts P^B further on.
+    The rows are written as the propagator gives them, unrescaled.
     """
     generator = np.zeros((12, 12))
     generator[0:4, 4:8] = np.eye(4)
@@ -284,16 +267,9 @@ def _propagate(M, ds, n_steps, renormalize_spin, project_mass_shell, out):
         z = leap @ z
         u, S = block[4:8], block[8:]
         # rest spin s = S_vec - S^0 u_vec / (u^0 + 1), the inverse of spin_to_lab
-        spin = S[1:] - (S[0] / (u[0] + 1.0)) * u[1:]
-        if renormalize_spin:
-            spin /= np.sqrt(np.einsum("ik,ik->k", spin, spin))
         view = out[first:first + rows]
         view[:, :8] = block[:8].T
-        view[:, 8:] = spin.T
-        if project_mass_shell:
-            # u.u <= 0 leaves a non-finite row, which the check below reports
-            uu = u[0] ** 2 - np.einsum("ik,ik->k", u[1:], u[1:])
-            view[:, 4:8] /= np.sqrt(uu)[:, np.newaxis]
+        view[:, 8:] = (S[1:] - (S[0] / (u[0] + 1.0)) * u[1:]).T
         if not np.abs(view).max() < _BLOWUP_LIMIT:  # also catches nan
             bad = ~np.all(np.abs(view) < _BLOWUP_LIMIT, axis=1)
             raise InstabilityError(first + int(np.argmax(bad)))
@@ -307,21 +283,15 @@ def integrate(
     n_steps=None,
     particle=ELECTRON,
     charge_sign=1,
-    renormalize_spin=True,
-    project_mass_shell=False,
 ):
     """Orbit over proper time in fixed steps ds; give s_max or n_steps, not both.
 
     A provider with ``constant_field`` set is sampled once and its orbit is
     the exact propagator exp(G ds) applied step after step: no RK4 runs,
-    and the rows carry only roundoff. Any other provider is sampled at
-    every stage of a classical RK4 step.
-
-    renormalize_spin rescales s_rest to unit length; project_mass_shell
-    rescales u to u.u = 1 (u.u <= 0 is an instability). Under RK4 both act
-    on the state after every step and so steer the steps that follow. On
-    the exact path, which keeps both norms to roundoff, they only rescale
-    the returned rows.
+    and the rows are returned as computed, so the drift of u.u and of
+    |s_rest| from 1 is the propagator's roundoff. Any other provider is
+    sampled at every stage of a classical RK4 step, and s_rest is
+    renormalised to unit length after every step; u is never projected.
 
     Returns a Trajectory including the initial sample. A non-finite field
     sample raises ContractError. Any state component exceeding 1e12 in
@@ -346,10 +316,10 @@ def integrate(
     out[0, :4], out[0, 4:8], out[0, 8:] = initial.x, initial.u, initial.s_rest
     if getattr(provider, "constant_field", False):
         M = np.reshape(sampled(initial.x)[:16], (4, 4))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _propagate(M, ds, n_steps, renormalize_spin, project_mass_shell, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _propagate(M, ds, n_steps, out)
     else:
-        _rk4(out[0].tolist(), sampled, ds, n_steps, renormalize_spin, project_mass_shell, out)
+        _rk4(out[0].tolist(), sampled, ds, n_steps, out)
 
     return Trajectory(
         s=initial.s_proper + ds * np.arange(n_steps + 1),
@@ -369,23 +339,16 @@ class PrecessionFit:
     total_angle: float
 
 
-def fit_precession_frequency(trajectory_or_s, vectors=None, axis=None):
+def fit_precession_frequency(s, vectors, axis=None):
     """Fit the uniform rotation rate of a vector series about a fixed axis.
 
-    Accepts either a Trajectory (fits the rest-spin series) or explicit
-    (s, vectors) arrays. With axis=None the axis is estimated from
+    s holds the n sample times and vectors the (n, 3) series, for instance
+    a Trajectory's s and s_rest. With axis=None the axis is estimated from
     consecutive cross products and the returned omega is nonnegative; with
     a given axis the sign follows the right-hand rule about it. The series
     must resolve the rotation (tens of samples per period; phases are
     unwrapped) and cover at least one full period, otherwise FitError.
     """
-    if isinstance(trajectory_or_s, Trajectory):
-        if vectors is not None:
-            raise ContractError("pass either a Trajectory or (s, vectors), not both")
-        s = trajectory_or_s.s
-        vectors = trajectory_or_s.s_rest
-    else:
-        s = np.asarray(trajectory_or_s, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != 3 or s.shape != (vectors.shape[0],):

@@ -37,7 +37,7 @@ import numpy as np
 from .clifford import raise_index
 from .errors import ContractError, StepSizeError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
-from .hydro import HydroFieldSet, _expanded_core, _sample_potential
+from .hydro import _expanded_core, _metric_square, _sample_potential
 from .spinors import rest_spin
 
 __all__ = [
@@ -67,11 +67,6 @@ class FunctionalReport:
     lagrangian_term: float
     total: float
     volume_element: float
-
-
-def _metric_square(spec, field):
-    g_lower = spec.gradient_lower(np.asarray(field, dtype=np.float64))
-    return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
 
 
 def fisher_information(spec, rho, depth=1):
@@ -178,7 +173,11 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     )
 
 
-def _probe_indices(spec, count):
+# interior points at which the Richardson probe repeats the difference
+_PROBE_POINTS = 8
+
+
+def _probe_indices(spec):
     # deterministic spread of interior points for the step-size check
     depth = 3
     interior = [slice(depth, n - depth) for n in spec.shape]
@@ -188,7 +187,7 @@ def _probe_indices(spec, count):
         interior = [slice(depth, n - depth) for n in spec.shape]
         sizes = [s.stop - s.start for s in interior]
     total = int(np.prod(sizes))
-    picks = np.linspace(0, total - 1, min(count, total)).astype(int)
+    picks = np.linspace(0, total - 1, min(_PROBE_POINTS, total)).astype(int)
     out = []
     for flat in picks:
         idx = np.unravel_index(flat, sizes)
@@ -267,7 +266,6 @@ def functional_derivative(
     wrt="S",
     epsilon=1e-6,
     depth=1,
-    probe_points=8,
 ):
     """Numerical dA/df(x) per grid point, f one of the phase action or rho0.
 
@@ -287,9 +285,10 @@ def functional_derivative(
     the probe, independent of the sample count, and no difference is taken
     between two large action totals.
 
-    A Richardson probe repeats the difference with eps/2 at a few interior
-    points; disagreement beyond ten percent (relative, with an absolute
-    floor) means the step is roundoff-dominated and raises StepSizeError.
+    A Richardson probe repeats the difference with eps/2 at up to eight
+    interior points; disagreement beyond ten percent (relative, with an
+    absolute floor) means the step is roundoff-dominated and raises
+    StepSizeError.
     So does a probe point whose perturbation leaves the integrand around
     it bitwise unchanged, which would report a derivative of zero.
 
@@ -314,7 +313,7 @@ def functional_derivative(
             "field; the difference would be identically zero"
         )
 
-    probes = _probe_indices(spec, probe_points)
+    probes = _probe_indices(spec)
 
     def weighted_change(where, step, windows):
         # trapezoid-weighted integrand change under base_field[where] +/- step

@@ -247,17 +247,17 @@ def _dilate_mask(mask, radius):
     return out
 
 
-def quantum_potential(spec, rho0, hbar=1.0, floor=DENSITY_FLOOR):
+def quantum_potential(spec, rho0, hbar=1.0):
     """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), masked where vacuous.
 
-    Points with rho0 <= floor (and any point whose finite-difference
+    Points with rho0 <= DENSITY_FLOOR (and any point whose finite-difference
     stencil reaches one) are returned masked rather than raising: vanishing
     density is a legitimate state of the fluid, not an input error.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if rho0.shape != spec.shape:
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
-    invalid = ~(rho0 > float(floor))
+    invalid = ~(rho0 > DENSITY_FLOOR)
     safe = np.where(invalid, 1.0, rho0)
     root = np.sqrt(safe)
     q = -(0.5 * float(hbar) ** 2) * spec.dalembertian(root) / root
@@ -329,6 +329,12 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
 
 
+def _metric_square(spec, field):
+    """d^mu f d_mu f of a grid field, contracted with the Minkowski metric."""
+    g_lower = spec.gradient_lower(np.asarray(field, dtype=np.float64))
+    return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
+
+
 def _expanded_core(fields, provider, particle):
     """Shared closed-form pieces of the expanded evaluator.
 
@@ -366,15 +372,11 @@ def _expanded_core(fields, provider, particle):
         "...i,...i->...", b_prime, s_prime
     )
 
-    def grad_sq(field):
-        g_lower = spec.gradient_lower(np.asarray(field, dtype=np.float64))
-        return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
-
     shape_terms = hbar**2 * (
-        THETA_TERM_COEFF * 0.5 * (gamma + 1.0) * grad_sq(params.theta)
-        + KAPPA_TERM_COEFF * 0.5 * (gamma - 1.0) * grad_sq(params.kappa)
-        + CHI_TERM_COEFF * grad_sq(params.chi)
-        + PHI_TERM_COEFF * (1.0 - sigma12**2) * grad_sq(params.phi)
+        THETA_TERM_COEFF * 0.5 * (gamma + 1.0) * _metric_square(spec, params.theta)
+        + KAPPA_TERM_COEFF * 0.5 * (gamma - 1.0) * _metric_square(spec, params.kappa)
+        + CHI_TERM_COEFF * _metric_square(spec, params.chi)
+        + PHI_TERM_COEFF * (1.0 - sigma12**2) * _metric_square(spec, params.phi)
     )
 
     return {

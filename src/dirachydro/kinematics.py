@@ -24,7 +24,6 @@ __all__ = [
     "vorticity_to_rest",
     "AccelTensor",
     "acceleration_tensor",
-    "proper_acceleration",
     "beta_from_u",
     "beta_hat_rate",
 ]
@@ -146,30 +145,6 @@ def acceleration_tensor(u_field, x, h=1e-4):
     d_upper = d_lower.copy()
     d_upper[1:4] *= -1.0
     return AccelTensor(omega=d_upper - d_upper.T)
-
-
-def proper_acceleration(u, accel_tensor):
-    """du^nu/ds = u_mu Omega^{mu nu} for a state on the mass shell.
-
-    Also evaluates the three-vector form -gamma (a + beta x omega) and insists
-    the spatial parts agree to 1e-10, which ties the tensor decomposition to
-    the boost conventions.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    norm = u[0] ** 2 - u[1] ** 2 - u[2] ** 2 - u[3] ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ContractError("u must satisfy u.u = 1 within 1e-9")
-    omega = accel_tensor.omega
-    u_lower = u.copy()
-    u_lower[1:] *= -1.0
-    rate = u_lower @ omega
-
-    gamma = u[0]
-    beta = u[1:] / gamma
-    cross_form = -gamma * (accel_tensor.accel + np.cross(beta, accel_tensor.vorticity))
-    if np.max(np.abs(rate[1:] - cross_form)) > 1e-10 * (1.0 + np.max(np.abs(rate))):
-        raise ContractError("tensor and three-vector forms of du/ds disagree")
-    return rate
 
 
 def beta_from_u(u):

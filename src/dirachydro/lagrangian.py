@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import minkowski_dot, sigma_from_u_s
-from .dynamics import precession_rate
 from .errors import ContractError
 from .fields import ELECTRON, ZERO_FIELD
 from .kinematics import (
@@ -32,8 +31,6 @@ __all__ = [
     "lagrangian_terms",
     "alternative_spin_terms",
     "spin_azimuth_rate",
-    "breakdown_along",
-    "action_integral",
     "identity_residuals",
 ]
 
@@ -152,57 +149,6 @@ def spin_azimuth_rate(s, s_rest, u=None):
     if rate is None:
         rate = np.zeros(s.shape[0])
     return rate
-
-
-def breakdown_along(
-    traj,
-    provider=ZERO_FIELD,
-    particle=ELECTRON,
-    kind="particle",
-    eta_rate=None,
-    omega_prime=None,
-):
-    """Term-by-term Lagrangian along a trajectory.
-
-    The spin azimuth and its rate come from the rest-spin components,
-    falling back to the velocity azimuth when the spin is polar; eta_rate
-    defaults to zero and omega_prime to the local precession rate, the
-    vorticity actually felt by a comoving spin.
-    """
-    n = len(traj)
-    if n < 2:
-        raise ContractError("need at least 2 trajectory samples")
-    if eta_rate is None:
-        eta_rate = np.zeros(n)
-    else:
-        eta_rate = np.broadcast_to(np.asarray(eta_rate, dtype=np.float64), (n,))
-    if omega_prime is None:
-        _, F = provider.sample(traj.x)
-        omega_prime = precession_rate(traj.u, F, particle)
-    else:
-        omega_prime = np.asarray(omega_prime, dtype=np.float64).reshape(n, 3)
-
-    phi_rate = spin_azimuth_rate(traj.s, traj.s_rest, traj.u)
-    return lagrangian_terms(
-        traj.x,
-        traj.u,
-        traj.s_rest,
-        phi_rate,
-        eta_rate,
-        omega_prime,
-        provider=provider,
-        particle=particle,
-        kind=kind,
-    )
-
-
-def action_integral(s, values):
-    """Trapezoid integral of a sampled integrand over proper time."""
-    s = np.asarray(s, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] < 2 or values.shape != s.shape:
-        raise ContractError("need matching 1-d arrays with at least 2 samples")
-    return float(np.trapezoid(values, s))
 
 
 def identity_residuals(params_of, x, h=1e-3):

@@ -24,7 +24,6 @@ __all__ = [
     "make_particle_spinor",
     "make_antiparticle_spinor",
     "particle_spinor_u_form",
-    "antiparticle_spinor_u_form",
     "recover_velocity",
     "sigma_component_table",
     "four_velocity",
@@ -155,12 +154,6 @@ def particle_spinor_u_form(params):
     )
 
 
-def antiparticle_spinor_u_form(params):
-    """Velocity-component form of the antiparticle spinor (blocks swapped)."""
-    e = particle_spinor_u_form(params)
-    return np.concatenate([e[..., 2:4], e[..., 0:2]], axis=-1)
-
-
 def recover_velocity(e, kind="particle"):
     """Four-velocity from the guiding relation Gamma^mu / (e-bar e).
 
@@ -220,26 +213,3 @@ def sigma_component_table(params):
         table[..., m, n] = value
         table[..., n, m] = -value
     return table
-
-
-# Convenience used by several modules: the derived gamma and spin make a
-# KinematicParams the single source of truth for a parametrized state.
-def params_from_velocity_spin(u, s_rest):
-    """Angles from a four-velocity and a unit rest spin with a common azimuth.
-
-    Inverse of (four_velocity, rest_spin) on the shared-azimuth family. The
-    azimuth is taken from the spin when the velocity is axial (u_perp ~ 0).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    s_rest = np.asarray(s_rest, dtype=np.float64)
-    gamma = u[..., 0]
-    chi = np.arccosh(np.clip(gamma, 1.0, None))
-    space = np.sqrt(u[..., 1] ** 2 + u[..., 2] ** 2 + u[..., 3] ** 2)
-    theta_u = np.where(space > 1e-14, np.arctan2(np.hypot(u[..., 1], u[..., 2]), u[..., 3]), 0.0)
-    phi_u = np.arctan2(u[..., 2], u[..., 1])
-    phi_s = np.arctan2(s_rest[..., 1], s_rest[..., 0])
-    uperp = np.hypot(u[..., 1], u[..., 2])
-    sperp = np.hypot(s_rest[..., 1], s_rest[..., 0])
-    phi = np.where(uperp > 1e-12, phi_u, np.where(sperp > 1e-12, phi_s, 0.0))
-    theta = np.arccos(np.clip(s_rest[..., 2], -1.0, 1.0))
-    return KinematicParams(chi=chi, theta_u=theta_u, phi=phi, theta=theta)

@@ -173,13 +173,13 @@ def test_criterion_05_larmor_frequency():
         rest, UniformField(B0=np.array([0.0, 0.0, 1.0])), ds=0.01,
         s_max=20.0 * np.pi,
     )
-    fit = fit_precession_frequency(traj, axis=axis)
+    fit = fit_precession_frequency(traj.s, traj.s_rest, axis=axis)
 
     doubled_traj = integrate(
         rest, UniformField(B0=np.array([0.0, 0.0, 2.0])), ds=0.005,
         s_max=10.0 * np.pi,
     )
-    doubled = fit_precession_frequency(doubled_traj, axis=axis)
+    doubled = fit_precession_frequency(doubled_traj.s, doubled_traj.s_rest, axis=axis)
 
     register_criterion(
         5, "Larmor frequency",

@@ -126,6 +126,16 @@ def test_simulate_writes_trajectory_and_fit(tmp_path, capsys):
     assert report["max_abs_residuals"]["mass_shell_drift"] < 1e-9
 
 
+def test_spin_norm_drift_measures_the_exact_propagator(tmp_path):
+    """Constant-field rows are returned unrescaled: the drift is the propagator's roundoff."""
+    out = tmp_path / "out"
+    assert main(["--config", str(DEMO_CONFIGS / "rest_in_B.json"), "--out", str(out),
+                 "--quiet"]) == 0
+    drift = json.loads((out / "report.json").read_text())["max_abs_residuals"]["spin_norm_drift"]
+    # a renormalised row would read at most 1 ulp, np.finfo(float).eps
+    assert np.finfo(float).eps < drift < 1e-12
+
+
 def test_format_flag_switches_trajectory_artifact(tmp_path):
     path = _write_config(tmp_path, _simulate_config(n_steps=50, fit_frequency=False))
     out = tmp_path / "out"

@@ -17,7 +17,6 @@ from dirachydro.clifford import (
     _GAMMA_LOWER_5,
     _GAMMA_PAIR,
     bilinears,
-    gamma,
     lower_index,
     minkowski_dot,
     raise_index,
@@ -62,14 +61,6 @@ def test_gamma_hermiticity_pattern():
         assert np.array_equal(GAMMA[i].conj().T, -GAMMA[i])
 
 
-def test_gamma_accessor():
-    for index in range(4):
-        assert np.array_equal(gamma(index), GAMMA[index])
-    assert np.array_equal(gamma(5), GAMMA5)
-    with pytest.raises(ContractError):
-        gamma(4)
-
-
 def test_levi_civita_orientation():
     assert LEVI_CIVITA[0, 1, 2, 3] == 1
     assert LEVI_CIVITA[1, 0, 2, 3] == -1
@@ -112,25 +103,11 @@ def test_bilinears_are_real_and_tensor_antisymmetric():
     )
 
 
-def test_bilinears_gamma_factor_scales_primed_parts():
-    """e' = sqrt(gamma_factor) e multiplies axial and tensor, not the rest."""
-    params = KinematicParams(chi=0.7, theta_u=0.9, phi=0.4, theta=1.2, eta0=0.1)
-    e = make_particle_spinor(params)
-    base = bilinears(e)
-    scaled = bilinears(e, gamma_factor=3.0)
-    np.testing.assert_allclose(scaled.scalar, base.scalar, rtol=1e-15)
-    np.testing.assert_allclose(scaled.vector, base.vector, rtol=1e-15)
-    np.testing.assert_allclose(scaled.axial, 3.0 * base.axial, rtol=1e-14)
-    np.testing.assert_allclose(scaled.tensor, 3.0 * base.tensor, rtol=1e-14, atol=1e-15)
-
-
 def test_bilinears_rejects_bad_input():
     with pytest.raises(ContractError):
         bilinears(np.ones(3))
     with pytest.raises(ContractError):
         bilinears(np.array([1.0, np.nan, 0.0, 0.0]))
-    with pytest.raises(ContractError):
-        bilinears(np.ones(4), gamma_factor=0.5)
 
 
 def test_sigma_from_u_s_rest_state():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirachydro import fisher
 from dirachydro.errors import ContractError, StepSizeError
@@ -83,6 +85,35 @@ def test_functional_antisymmetry_is_exact():
     assert p.volume_element == pytest.approx(0.02 * 0.02)
     with pytest.raises(ContractError):
         action_functional(fields, provider, kind="both")
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_antiparticle_functional_negates_particle_functional(data):
+    """On random perturbed plane waves the antiparticle action is -1 times the particle's."""
+    draw = data.draw
+    n = draw(st.integers(9, 17))
+    spec = GridSpec(active_axes=(0, 1), shape=(n, n), spacing=(draw(st.floats(0.01, 0.05)),) * 2)
+    fields = perturbed_plane_wave_fields(
+        spec,
+        seed=draw(st.integers(0, 2**31 - 1)),
+        amplitude=draw(st.floats(0.0, 1e-3)),
+        kind=draw(st.sampled_from(["particle", "antiparticle"])),
+        chi=draw(st.floats(0.0, 3.0)),
+        # a (t, x) grid resolves only velocities along x
+        phi=draw(st.sampled_from([0.0, np.pi])),
+        theta=draw(st.floats(0.0, np.pi)),
+        eta0=draw(st.floats(0.0, 2.0 * np.pi)),
+        rho_value=draw(st.floats(0.1, 10.0)),
+    )
+    field_strength = st.tuples(*[st.floats(-0.3, 0.3)] * 3)
+    provider = UniformField(E0=np.array(draw(field_strength)), B0=np.array(draw(field_strength)))
+    depth = draw(st.integers(0, 2))
+    p = action_functional(fields, provider, kind="particle", depth=depth)
+    ap = action_functional(fields, provider, kind="antiparticle", depth=depth)
+    assert ap.fisher_term == -p.fisher_term
+    assert ap.lagrangian_term == -p.lagrangian_term
+    assert ap.total == -p.total
 
 
 def _closure_config(n):

@@ -4,8 +4,14 @@ import csv
 import io
 import json
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dirachydro.dynamics import DynState, PrecessionFit, Trajectory, integrate
 from dirachydro.errors import ContractError
@@ -126,6 +132,45 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.x, traj.x)
     np.testing.assert_array_equal(loaded.u, traj.u)
     np.testing.assert_array_equal(loaded.s_rest, traj.s_rest)
+
+
+# any float64, with the awkward ones drawn often
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.nan, np.inf, -np.inf]),
+)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except that a NaN may come back with another payload."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda rows: arrays(np.float64, (rows, 12), elements=_ANY_FLOAT)))
+def test_trajectory_csv_round_trips_any_float64(table):
+    traj = Trajectory(s=table[:, 0], x=table[:, 1:5], u=table[:, 5:9], s_rest=table[:, 9:12])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        save_trajectory_csv(path, traj)
+        loaded = load_trajectory_csv(path)
+    got = np.column_stack([loaded.s, loaded.x, loaded.u, loaded.s_rest])
+    assert _same_bits(got, table)
+
+
+@settings(max_examples=60)
+@given(st.tuples(st.integers(5, 8), st.integers(5, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_ANY_FLOAT)))
+def test_grid_container_round_trips_finite_values_and_nulls_the_rest(values):
+    spec = GridSpec(active_axes=(0, 1), shape=values.shape, spacing=(0.1, 0.2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fields.json"
+        save_grid_fields(path, spec, {"f": values})
+        _, fields = load_grid_fields(path)
+    assert _same_bits(fields["f"], np.where(np.isfinite(values), values, np.nan))
 
 
 def test_trajectory_table_rejections(tmp_path):

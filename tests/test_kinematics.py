@@ -11,7 +11,6 @@ from dirachydro.kinematics import (
     beta_hat_rate,
     boost_matrix,
     gamma_of_beta,
-    proper_acceleration,
     spin_to_lab,
     vorticity_to_rest,
 )
@@ -142,9 +141,14 @@ def test_proper_acceleration_rigid_rotation():
     x0 = np.array([0.0, 0.4, 0.2, 0.0])
     u0 = u_field(x0)
     tensor = acceleration_tensor(u_field, x0, h=1e-4)
-    rate = proper_acceleration(u0, tensor)
-    # steady flow: du/ds = gamma (v . grad) u, circular at angular speed w
+    u_lower = u0 * np.array([1.0, -1.0, -1.0, -1.0])
+    rate = u_lower @ tensor.omega
+    # the three-vector form -gamma (a + beta x omega) ties the tensor's
+    # split into accel and vorticity to the boost conventions
     gamma = u0[0]
+    cross_form = -gamma * (tensor.accel + np.cross(u0[1:] / gamma, tensor.vorticity))
+    np.testing.assert_allclose(rate[1:], cross_form, atol=1e-10)
+    # steady flow: du/ds = gamma (v . grad) u, circular at angular speed w
     expected_space = gamma**2 * w * np.array([-u0[2] / u0[0], u0[1] / u0[0], 0.0])
     np.testing.assert_allclose(rate[1:3], expected_space[:2], rtol=1e-6)
 

@@ -14,9 +14,7 @@ from dirachydro.fields import (
 )
 from dirachydro.kinematics import beta_hat_rate
 from dirachydro.lagrangian import (
-    action_integral,
     alternative_spin_terms,
-    breakdown_along,
     identity_residuals,
     lagrangian_terms,
     sigma12_of,
@@ -71,6 +69,19 @@ def test_free_particle_lagrangian_is_minus_mass():
         rng.normal(size=(50, 4)), u, s, zeros, zeros, np.zeros((50, 3))
     )
     np.testing.assert_allclose(terms.total, -ELECTRON.mass, atol=1e-15)
+
+    # along a free orbit, with the azimuth rate measured from the orbit itself
+    state = DynState(
+        x=np.zeros(4),
+        u=np.array([np.cosh(0.3), 0.0, 0.0, np.sinh(0.3)]),
+        s_rest=np.array([0.0, 1.0, 0.0]),
+    )
+    traj = integrate(state, ZERO_FIELD, ds=0.01, n_steps=100)
+    phi_rate = spin_azimuth_rate(traj.s, traj.s_rest, traj.u)
+    terms = lagrangian_terms(
+        traj.x, traj.u, traj.s_rest, phi_rate, np.zeros(len(traj)), np.zeros((len(traj), 3))
+    )
+    np.testing.assert_allclose(terms.total, -ELECTRON.mass, atol=1e-10)
 
 
 def test_spin_terms_linear_in_hbar():
@@ -140,24 +151,6 @@ def test_spin_azimuth_rate_polar_fallback():
     # with neither azimuth defined the rate is zero
     u_axial = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1))
     np.testing.assert_array_equal(spin_azimuth_rate(s, s_rest, u_axial), np.zeros(n))
-
-
-def test_breakdown_along_free_motion():
-    state = DynState(
-        x=np.zeros(4),
-        u=np.array([np.cosh(0.3), 0.0, 0.0, np.sinh(0.3)]),
-        s_rest=np.array([0.0, 1.0, 0.0]),
-    )
-    traj = integrate(state, ZERO_FIELD, ds=0.01, n_steps=100)
-    terms = breakdown_along(traj)
-    np.testing.assert_allclose(terms.total, -ELECTRON.mass, atol=1e-10)
-    assert action_integral(traj.s, terms.total) == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_action_integral_contract():
-    with pytest.raises(ContractError):
-        action_integral(np.zeros((3, 3)), np.zeros((3, 3)))
-    assert action_integral(np.array([0.0, 1.0]), np.array([2.0, 4.0])) == 3.0
 
 
 def test_identity_residuals_converge_at_second_order():

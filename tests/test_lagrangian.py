@@ -70,7 +70,9 @@ def test_free_particle_lagrangian_is_minus_mass():
     )
     np.testing.assert_allclose(terms.total, -ELECTRON.mass, atol=1e-15)
 
-    # along a free orbit, with the azimuth rate measured from the orbit itself
+
+def test_breakdown_along_free_motion():
+    """Along a free orbit, with the azimuth rate measured from the orbit itself."""
     state = DynState(
         x=np.zeros(4),
         u=np.array([np.cosh(0.3), 0.0, 0.0, np.sinh(0.3)]),
@@ -82,6 +84,7 @@ def test_free_particle_lagrangian_is_minus_mass():
         traj.x, traj.u, traj.s_rest, phi_rate, np.zeros(len(traj)), np.zeros((len(traj), 3))
     )
     np.testing.assert_allclose(terms.total, -ELECTRON.mass, atol=1e-10)
+    assert np.trapezoid(terms.total, traj.s) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_spin_terms_linear_in_hbar():

@@ -22,6 +22,7 @@ non-finite residual).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import importlib.resources
 import json
@@ -58,6 +59,7 @@ from .manufactured import (
     plane_wave_fields,
     seeded_manufactured_fields,
 )
+from .spinors import species_sign
 from .verification import run_all
 
 __all__ = ["load_schema", "validate_config", "run", "main"]
@@ -155,6 +157,8 @@ def _cmd_verify(config, seed, out_dir, fmt):
 
 def _cmd_simulate(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
+    # an antiparticle moves as the particle with the opposite charge
+    particle = dataclasses.replace(particle, charge=species_sign(kind) * particle.charge)
     provider = _provider_from(config)
 
     init = config["initial_state"]
@@ -178,7 +182,6 @@ def _cmd_simulate(config, seed, out_dir, fmt):
         s_max=evolution.get("s_max"),
         n_steps=evolution.get("n_steps"),
         particle=particle,
-        charge_sign=-1 if kind == "antiparticle" else 1,
     )
 
     if fmt == "csv":

@@ -1,9 +1,11 @@
 """Dirac-basis gamma matrices and the bilinear densities built from a spinor.
 
-Metric signature is (+, -, -, -). The matrices are built from exact integer
-and unit-imaginary entries, so algebraic identities among them hold without
-floating error. Bilinears accept a single spinor (shape (4,)) or a whole
-field of spinors (shape (..., 4)) and broadcast over the leading axes.
+Metric signature is (+, -, -, -), fixed here for the whole package: code
+moves an index with lower_index, raise_index or lower_both, and only the
+oracles that check that code flip signs by hand. The matrices are built from
+exact integer and unit-imaginary entries, so algebraic identities among them
+hold without floating error. Bilinears accept a single spinor (shape (4,)) or
+a whole field of spinors (shape (..., 4)) and broadcast over the leading axes.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ __all__ = [
     "LEVI_CIVITA",
     "BilinearSet",
     "bilinears",
+    "spin_tensor",
     "sigma_from_u_s",
     "minkowski_dot",
     "lower_index",
     "raise_index",
+    "lower_both",
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -50,13 +54,11 @@ _GAMMA5 = _block(_ZERO2, _ID2, _ID2, _ZERO2)
 GAMMA = np.stack([_GAMMA0, _GAMMA1, _GAMMA2, _GAMMA3])
 GAMMA5 = _GAMMA5
 
-# Product tables built once: gamma^mu gamma^nu [mu, nu, a, b], its commutator,
-# and gamma_mu gamma^5 (gamma_0 = gamma^0, gamma_i = -gamma^i).
+# Product tables built once: gamma^mu gamma^nu [mu, nu, a, b] and its commutator.
 _GAMMA_PAIR = np.einsum("mab,nbc->mnac", GAMMA, GAMMA)
 _GAMMA_COMMUTATOR = _GAMMA_PAIR - _GAMMA_PAIR.swapaxes(0, 1)
-_GAMMA_LOWER_5 = np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
 
-for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR, _GAMMA_LOWER_5):
+for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR):
     _m.setflags(write=False)
 
 
@@ -91,7 +93,7 @@ def minkowski_dot(a, b):
 
 
 def lower_index(v):
-    """Contravariant -> covariant components."""
+    """Contravariant -> covariant components of the last axis."""
     v = np.asarray(v)
     out = v.copy()
     out[..., 1:] = -out[..., 1:]
@@ -100,6 +102,14 @@ def lower_index(v):
 
 # Raising is the same sign flip in this signature.
 raise_index = lower_index
+
+
+def lower_both(T):
+    """T^{mu nu} -> T_{mu nu} on the last two axes: one sign flip per spatial index."""
+    out = np.array(T, dtype=np.float64, copy=True)
+    out[..., 0, 1:] = -out[..., 0, 1:]
+    out[..., 1:, 0] = -out[..., 1:, 0]
+    return out
 
 
 def _adjoint(e):
@@ -113,16 +123,12 @@ class BilinearSet:
 
     scalar : e-bar e
     vector : current direction, e-bar gamma^mu e (contravariant)
-    axial  : spin components e-bar gamma_tau gamma^5 e (covariant, as built)
-    tensor : spin tensor -i e-bar [gamma^mu, gamma^nu] e / 2 (contravariant)
 
     Leading axes follow the input spinor field.
     """
 
     scalar: np.ndarray
     vector: np.ndarray
-    axial: np.ndarray
-    tensor: np.ndarray
 
 
 _IMAG_TOL = 1e-11
@@ -136,23 +142,30 @@ def _take_real(value, what):
     return value.real
 
 
-def bilinears(e):
-    """Compute all four bilinear densities of a spinor (field)."""
+def _spinor_field(e):
     e = np.asarray(e, dtype=np.complex128)
     if e.shape[-1] != 4:
         raise ContractError("spinor must have 4 components along the last axis")
     if not np.all(np.isfinite(e)):
         raise ContractError("spinor has non-finite components")
+    return e
 
+
+def bilinears(e):
+    """Scalar and vector densities of a spinor (field)."""
+    e = _spinor_field(e)
     ebar = _adjoint(e)
     scalar = _take_real(np.einsum("...a,...a->...", ebar, e), "scalar")
     vector = _take_real(np.einsum("...a,mab,...b->...m", ebar, GAMMA, e), "vector")
+    return BilinearSet(scalar=scalar, vector=vector)
 
-    axial = _take_real(np.einsum("...a,mab,...b->...m", ebar, _GAMMA_LOWER_5, e), "axial")
-    tensor = _take_real(
-        np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_COMMUTATOR, e) * (-0.5j), "tensor"
+
+def spin_tensor(e):
+    """Spin tensor -i e-bar [gamma^mu, gamma^nu] e / 2 (contravariant) of a spinor (field)."""
+    e = _spinor_field(e)
+    return _take_real(
+        np.einsum("...a,mnab,...b->...mn", _adjoint(e), _GAMMA_COMMUTATOR, e) * (-0.5j), "tensor"
     )
-    return BilinearSet(scalar=scalar, vector=vector, axial=axial, tensor=tensor)
 
 
 def sigma_from_u_s(u, s):

@@ -24,19 +24,22 @@ its remaining drift is roundoff.
 Sampled fields use fixed-step classical RK4, not an adaptive scheme:
 acceptance runs need bitwise-reproducible trajectories and the systems
 exercised are non-stiff. One scalar loop reads the field as plain floats
-(M, (q/m) E and (q/m) B) at each stage's own position. Spin is
-renormalized to unit length every step, so its norm drifts by at most an
-ulp; u is never projected, and its mass-shell drift is reported.
-``state_derivative`` stays the NumPy reference for one right-hand side.
+(M, (q/m) E and (q/m) B) at each stage's own position. Neither u nor the
+spin is projected back: the drift of u.u and of |s_rest| from 1 is RK4's
+own error, and both are reported. ``state_derivative`` stays the NumPy
+reference for one right-hand side.
+
+An antiparticle is the particle with the opposite charge: callers pass a
+``Particle`` whose charge is negated, and nothing here takes a species.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
+from .clifford import lower_index
 from .errors import ContractError, FitError, InstabilityError
 from .fields import ELECTRON, electric_field, magnetic_field
 from .kinematics import spin_to_lab
@@ -84,18 +87,15 @@ class DynState:
         object.__setattr__(self, "s_proper", float(self.s_proper))
 
 
-def lorentz_force(u, F, particle=ELECTRON, charge_sign=1):
-    """du/ds = (q/m) F^{mu nu} u_nu; charge_sign=-1 flips particle.charge."""
-    u = np.asarray(u, dtype=np.float64)
-    u_lower = u.copy()
-    u_lower[..., 1:4] *= -1.0
-    q = charge_sign * particle.charge
-    return (q / particle.mass) * np.einsum(
+def lorentz_force(u, F, particle=ELECTRON):
+    """du/ds = (q/m) F^{mu nu} u_nu."""
+    u_lower = lower_index(np.asarray(u, dtype=np.float64))
+    return (particle.charge / particle.mass) * np.einsum(
         "...mn,...n->...m", np.asarray(F, dtype=np.float64), u_lower
     )
 
 
-def precession_rate(u, F, particle=ELECTRON, charge_sign=1):
+def precession_rate(u, F, particle=ELECTRON):
     """Rest-spin angular velocity for a gyromagnetic ratio of exactly two.
 
     Omega = -(q/m) [B - (gamma/(gamma+1)) beta x E]; ds'/ds = Omega x s'.
@@ -106,17 +106,16 @@ def precession_rate(u, F, particle=ELECTRON, charge_sign=1):
     gamma = u[..., 0]
     beta = u[..., 1:4] / gamma[..., np.newaxis]
     factor = (gamma / (gamma + 1.0))[..., np.newaxis]
-    q = charge_sign * particle.charge
-    return -(q / particle.mass) * (B - factor * np.cross(beta, E))
+    return -(particle.charge / particle.mass) * (B - factor * np.cross(beta, E))
 
 
-def state_derivative(state, provider, particle=ELECTRON, charge_sign=1):
+def state_derivative(state, provider, particle=ELECTRON):
     """Right-hand side (dx/ds, du/ds, ds'/ds) with fields sampled at x."""
     _, F = provider.sample(state.x)
     if not np.all(np.isfinite(F)):
         raise ContractError("field sample is not finite")
-    du = lorentz_force(state.u, F, particle, charge_sign)
-    ds_rest = np.cross(precession_rate(state.u, F, particle, charge_sign), state.s_rest)
+    du = lorentz_force(state.u, F, particle)
+    ds_rest = np.cross(precession_rate(state.u, F, particle), state.s_rest)
     return state.u, du, ds_rest
 
 
@@ -165,8 +164,7 @@ def _steps_from(ds, s_max, n_steps):
 
 def _coefficients(F, qm):
     """M = (q/m) F^{mu nu} g_nu row by row, then (q/m) E and (q/m) B, as floats."""
-    M = qm * np.asarray(F, dtype=np.float64)
-    M[:, 1:4] *= -1.0
+    M = lower_index(qm * np.asarray(F, dtype=np.float64))
     E, B = qm * electric_field(F), qm * magnetic_field(F)
     return (*M.ravel().tolist(), *E.tolist(), *B.tolist())
 
@@ -174,8 +172,7 @@ def _coefficients(F, qm):
 def _rk4(y, field_at, ds, n_steps, out):
     """Classical RK4 on the flat state y = (x^mu, u^mu, s_rest), one row of out per step.
 
-    field_at(y) returns the _coefficients at the position y[:4]. The spin is
-    renormalised after every step.
+    field_at(y) returns the _coefficients at the position y[:4].
     """
 
     def rhs(stage):
@@ -205,11 +202,6 @@ def _rk4(y, field_at, ds, n_steps, out):
         k3 = rhs([a + half * b for a, b in zip(y, k2)])
         k4 = rhs([a + ds * b for a, b in zip(y, k3)])
         y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-        norm = sqrt(y[8] * y[8] + y[9] * y[9] + y[10] * y[10])
-        if norm > 1e-300:
-            y[8] /= norm
-            y[9] /= norm
-            y[10] /= norm
         if not all(abs(v) < _BLOWUP_LIMIT for v in y):  # also catches nan
             raise InstabilityError(step)
         out[step] = y
@@ -282,7 +274,6 @@ def integrate(
     s_max=None,
     n_steps=None,
     particle=ELECTRON,
-    charge_sign=1,
 ):
     """Orbit over proper time in fixed steps ds; give s_max or n_steps, not both.
 
@@ -290,8 +281,9 @@ def integrate(
     the exact propagator exp(G ds) applied step after step: no RK4 runs,
     and the rows are returned as computed, so the drift of u.u and of
     |s_rest| from 1 is the propagator's roundoff. Any other provider is
-    sampled at every stage of a classical RK4 step, and s_rest is
-    renormalised to unit length after every step; u is never projected.
+    sampled at every stage of a classical RK4 step; neither u nor s_rest
+    is projected, so their drifts are RK4's error. An antiparticle orbit is
+    the orbit of ``particle`` with its charge negated.
 
     Returns a Trajectory including the initial sample. A non-finite field
     sample raises ContractError. Any state component exceeding 1e12 in
@@ -300,11 +292,9 @@ def integrate(
     """
     if not isinstance(initial, DynState):
         raise ContractError("initial must be a DynState")
-    if charge_sign not in (1, -1):
-        raise ContractError("charge_sign must be +1 or -1")
     ds, n_steps = _steps_from(ds, s_max, n_steps)
 
-    qm = charge_sign * particle.charge / particle.mass
+    qm = particle.charge / particle.mass
 
     def sampled(y):
         _, F = provider.sample(np.array(y[:4]))

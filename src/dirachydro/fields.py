@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import minkowski_dot
+from .clifford import minkowski_dot, raise_index
 from .errors import ContractError
 from .kinematics import boost_matrix, gamma_of_beta
 
@@ -189,70 +189,22 @@ class PlaneWaveField:
         return A, F
 
 
-@dataclass(frozen=True)
-class PolynomialField:
-    """Potential with polynomial components, for manufactured configurations.
-
-    terms maps a component index mu to a list of (coefficient, powers) pairs
-    where powers = (pt, px, py, pz) with total degree at most 3. The tensor
-    is obtained by exact monomial differentiation.
-    """
-
-    terms: dict = field(default_factory=dict)
-    gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
-        cleaned = {}
-        for mu, entries in self.terms.items():
-            mu = int(mu)
-            if mu not in (0, 1, 2, 3):
-                raise ContractError("potential component index must be 0..3")
-            rows = []
-            for coeff, powers in entries:
-                powers = tuple(int(p) for p in powers)
-                if len(powers) != 4 or any(p < 0 for p in powers):
-                    raise ContractError("powers must be four nonnegative integers")
-                if sum(powers) > 3:
-                    raise ContractError("polynomial degree is limited to 3")
-                rows.append((float(coeff), powers))
-            cleaned[mu] = tuple(rows)
-        object.__setattr__(self, "terms", cleaned)
-
-    @staticmethod
-    def _monomial(x, powers):
-        out = np.ones(x.shape[:-1])
-        for axis, p in enumerate(powers):
-            if p:
-                out = out * x[..., axis] ** p
-        return out
-
-    def sample(self, x):
-        x = _as_points(x)
-        batch = x.shape[:-1]
-        A = np.zeros(batch + (4,))
-        d_lower = np.zeros(batch + (4, 4))  # d_alpha A^nu
-        for mu, entries in self.terms.items():
-            for coeff, powers in entries:
-                A[..., mu] += coeff * self._monomial(x, powers)
-                for alpha in range(4):
-                    if powers[alpha]:
-                        dp = list(powers)
-                        dp[alpha] -= 1
-                        d_lower[..., alpha, mu] += coeff * powers[alpha] * self._monomial(x, tuple(dp))
-        A += self.gauge_offset
-        d_upper = d_lower.copy()
-        d_upper[..., 1:4, :] *= -1.0
-        F = d_upper - np.swapaxes(d_upper, -1, -2)
-        return A, F
+def _monomial(x, powers):
+    out = np.ones(x.shape[:-1])
+    for axis, p in enumerate(powers):
+        if p:
+            out = out * x[..., axis] ** p
+    return out
 
 
 @dataclass(frozen=True)
 class ScalarPolynomial:
-    """Polynomial gauge function with exact gradient, degree capped at 3.
+    """Polynomial in (t, x, y, z) with exact gradient, degree capped at 3.
 
-    The cap keeps central differences of the shifted phase exact, so gauge
-    covariance can be checked to roundoff rather than to stencil error.
+    terms lists (coefficient, powers) pairs with powers = (pt, px, py, pz).
+    As a gauge function the cap keeps central differences of the shifted
+    phase exact, so gauge covariance can be checked to roundoff rather than
+    to stencil error.
     """
 
     terms: tuple = ()
@@ -264,7 +216,7 @@ class ScalarPolynomial:
             if len(powers) != 4 or any(p < 0 for p in powers):
                 raise ContractError("powers must be four nonnegative integers")
             if sum(powers) > 3:
-                raise ContractError("gauge polynomial degree is limited to 3")
+                raise ContractError("polynomial degree is limited to 3")
             rows.append((float(coeff), powers))
         object.__setattr__(self, "terms", tuple(rows))
 
@@ -272,7 +224,7 @@ class ScalarPolynomial:
         x = _as_points(x)
         out = np.zeros(x.shape[:-1])
         for coeff, powers in self.terms:
-            out += coeff * PolynomialField._monomial(x, powers)
+            out += coeff * _monomial(x, powers)
         return out
 
     def gradient_lower(self, x):
@@ -283,8 +235,44 @@ class ScalarPolynomial:
                 if powers[alpha]:
                     dp = list(powers)
                     dp[alpha] -= 1
-                    out[..., alpha] += coeff * powers[alpha] * PolynomialField._monomial(x, tuple(dp))
+                    out[..., alpha] += coeff * powers[alpha] * _monomial(x, tuple(dp))
         return out
+
+
+@dataclass(frozen=True)
+class PolynomialField:
+    """Potential with polynomial components, for manufactured configurations.
+
+    terms maps a component index mu to a list of (coefficient, powers) pairs
+    where powers = (pt, px, py, pz) with total degree at most 3; each
+    component is a ScalarPolynomial, and the tensor comes from its exact
+    gradient.
+    """
+
+    terms: dict = field(default_factory=dict)
+    gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
+        components = {}
+        for mu, entries in self.terms.items():
+            mu = int(mu)
+            if mu not in (0, 1, 2, 3):
+                raise ContractError("potential component index must be 0..3")
+            components[mu] = ScalarPolynomial(tuple(entries))
+        object.__setattr__(self, "terms", components)
+
+    def sample(self, x):
+        x = _as_points(x)
+        A = np.zeros(x.shape)
+        d_lower = np.zeros(x.shape + (4,))  # d_alpha A^mu as [..., mu, alpha]
+        for mu, component in self.terms.items():
+            A[..., mu] = component.value(x)
+            d_lower[..., mu, :] = component.gradient_lower(x)
+        A += self.gauge_offset
+        d_upper = raise_index(d_lower)  # d^alpha A^mu
+        F = np.swapaxes(d_upper, -1, -2) - d_upper
+        return A, F
 
 
 @dataclass(frozen=True)
@@ -296,9 +284,7 @@ class GaugeShiftedProvider:
 
     def sample(self, x):
         A, F = self.base.sample(x)
-        shift = self.gauge_function.gradient_lower(x).copy()
-        shift[..., 1:4] *= -1.0
-        return A + shift, F
+        return A + raise_index(self.gauge_function.gradient_lower(x)), F
 
 
 def rest_frame_B(E, B, beta):
@@ -350,14 +336,8 @@ def provider_from_config(config):
     if kind not in _PROVIDER_KINDS:
         raise ContractError(f"unknown field kind {kind!r}")
     gauge = tuple(config.get("gauge", (0.0, 0.0, 0.0, 0.0)))
-    if kind == "uniform":
-        return UniformField(
-            E0=tuple(config.get("E0", (0.0, 0.0, 0.0))),
-            B0=tuple(config.get("B0", (0.0, 0.0, 0.0))),
-            gauge_offset=gauge,
-        )
-    if kind == "crossed":
-        return CrossedField(
+    if kind in ("uniform", "crossed"):
+        return (UniformField if kind == "uniform" else CrossedField)(
             E0=tuple(config.get("E0", (0.0, 0.0, 0.0))),
             B0=tuple(config.get("B0", (0.0, 0.0, 0.0))),
             gauge_offset=gauge,

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import raise_index
-from .errors import ContractError, StepSizeError
+from .errors import ContractError, InsufficientInteriorError, StepSizeError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
 from .hydro import _expanded_core, _metric_square, _sample_potential
-from .spinors import rest_spin
+from .spinors import rest_spin, species_sign
 
 __all__ = [
     "FunctionalReport",
@@ -79,8 +79,7 @@ def fisher_information(spec, rho, depth=1):
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != spec.shape:
         raise ContractError(f"rho must have grid shape {spec.shape}, got {rho.shape}")
-    interior = tuple(slice(depth, n - depth) for n in spec.shape) if depth else ()
-    if np.any(rho[interior] <= 0.0):
+    if np.any(rho[spec.interior(depth)] <= 0.0):
         raise ContractError("rho must be positive on the trusted interior")
     integrand = 0.25 * _metric_square(spec, rho) / rho
     return spec.integrate(integrand, depth=depth)
@@ -146,16 +145,10 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     evaluates the other species' functional on the same field data, which
     is how the antisymmetry A_ap = -A_p is exercised.
     """
-    if kind is None:
-        kind = fields.kind
-    if kind not in ("particle", "antiparticle"):
-        raise ContractError(f"kind must be particle or antiparticle, got {kind!r}")
-    sign = 1.0 if kind == "particle" else -1.0
-
+    sign = species_sign(fields.kind if kind is None else kind)
     spec = fields.spec
     rho0 = fields.rho0
-    interior = tuple(slice(depth, n - depth) for n in spec.shape) if depth else ()
-    if np.any(rho0[interior] <= 0.0):
+    if np.any(rho0[spec.interior(depth)] <= 0.0):
         raise ContractError("rho0 must be positive on the trusted interior")
 
     hbar = particle.hbar
@@ -179,20 +172,17 @@ _PROBE_POINTS = 8
 
 def _probe_indices(spec):
     # deterministic spread of interior points for the step-size check
-    depth = 3
-    interior = [slice(depth, n - depth) for n in spec.shape]
+    try:
+        interior = spec.interior(3)
+    except InsufficientInteriorError:
+        interior = spec.interior(1)
     sizes = [s.stop - s.start for s in interior]
-    if any(size <= 0 for size in sizes):
-        depth = 1
-        interior = [slice(depth, n - depth) for n in spec.shape]
-        sizes = [s.stop - s.start for s in interior]
     total = int(np.prod(sizes))
     picks = np.linspace(0, total - 1, min(_PROBE_POINTS, total)).astype(int)
-    out = []
-    for flat in picks:
-        idx = np.unravel_index(flat, sizes)
-        out.append(tuple(int(i) + depth for i in idx))
-    return out
+    return [
+        tuple(int(i) + s.start for i, s in zip(np.unravel_index(flat, sizes), interior))
+        for flat in picks
+    ]
 
 
 # Reach of the integrand: the value at a sample reads samples at most this
@@ -228,7 +218,7 @@ def _integrand(fields, provider, particle, wrt, depth):
 
     rest_density = core["coupling"] + core["shape_terms"] - particle.mass**2
     density = core["bb"] + rest_density  # independent of rho0
-    interior = tuple(slice(depth, n - depth) for n in spec.shape)
+    interior = spec.interior(depth)
 
     def integrand(field):
         if np.any(field[interior] <= 0.0):
@@ -299,9 +289,9 @@ def functional_derivative(
     if wrt not in ("S", "rho0"):
         raise ContractError(f"wrt must be 'S' or 'rho0', got {wrt!r}")
     spec = fields.spec
-    sign = 1.0 if fields.kind == "particle" else -1.0
+    sign = species_sign(fields.kind)
     volume = float(np.prod(spec.spacing))
-    interior = tuple(slice(depth, n - depth) for n in spec.shape)
+    interior = spec.interior(depth)
     weights = spec.trapezoid_weights(depth)[interior]
     base_field, integrand = _integrand(fields, provider, particle, wrt, depth)
 

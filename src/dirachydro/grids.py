@@ -145,29 +145,28 @@ class GridSpec:
             out += term if a == 0 else -term
         return out
 
-    def trusted_mask(self, depth=1):
-        """True where every active axis is at least depth points from its edge."""
+    def interior(self, depth=1):
+        """Slices of the trusted interior: depth samples dropped from every edge."""
         depth = int(depth)
         if depth < 0:
             raise ContractError("depth must be nonnegative")
-        mask = np.ones(self.shape, dtype=bool)
-        for ga, n in enumerate(self.shape):
+        for n in self.shape:
             if 2 * depth >= n:
                 raise InsufficientInteriorError(
                     f"depth {depth} leaves no interior on an axis of {n} samples"
                 )
-            idx = [slice(None)] * self.ndim
-            edge = np.zeros(n, dtype=bool)
-            edge[depth : n - depth] = True
-            idx[ga] = ~edge
-            mask[tuple(idx)] = False
+        return tuple(slice(depth, n - depth) for n in self.shape)
+
+    def trusted_mask(self, depth=1):
+        """True where every active axis is at least depth points from its edge."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.interior(depth)] = True
         return mask
 
     def sup_norm(self, values, depth=1):
         """Max |values| over the trusted interior."""
         values = self._check_field(values)
-        mask = self.trusted_mask(depth)
-        return float(np.max(np.abs(values[mask])))
+        return float(np.max(np.abs(values[self.interior(depth)])))
 
     def integrate(self, values, depth=0):
         """Trapezoid integral over the active coordinate volume.
@@ -175,11 +174,7 @@ class GridSpec:
         With depth > 0 the integral runs over the trusted-interior
         rectangle only, dropping depth samples from every edge.
         """
-        values = self._check_field(values)
-        depth = int(depth)
-        if depth:
-            self.trusted_mask(depth)  # raises if the interior is empty
-            values = values[tuple(slice(depth, n - depth) for n in self.shape)]
+        values = self._check_field(values)[self.interior(depth)]
         for ga in reversed(range(self.ndim)):
             values = np.trapezoid(values, dx=self.spacing[ga], axis=ga)
         return values if values.ndim else float(values)
@@ -191,15 +186,12 @@ class GridSpec:
         trusted-interior rectangle carries the trapezoid weights and every
         sample outside it weighs zero, so ``sum(w * f)`` is that integral.
         """
-        depth = int(depth)
-        if depth:
-            self.trusted_mask(depth)  # raises if the interior is empty
         w = np.ones(self.shape)
-        for ga, (n, h) in enumerate(zip(self.shape, self.spacing)):
+        for ga, (n, h, keep) in enumerate(zip(self.shape, self.spacing, self.interior(depth))):
             line = np.zeros(n)
-            if n - 2 * depth > 1:  # a single sample spans no length
-                line[depth : n - depth] = h
-                line[depth] = line[n - depth - 1] = 0.5 * h
+            if keep.stop - keep.start > 1:  # a single sample spans no length
+                line[keep] = h
+                line[keep.start] = line[keep.stop - 1] = 0.5 * h
             shape = [1] * self.ndim
             shape[ga] = n
             w = w * line.reshape(shape)

@@ -38,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import GAMMA, _GAMMA_PAIR, _adjoint, bilinears, minkowski_dot, raise_index
+from .clifford import (GAMMA, _GAMMA_PAIR, _adjoint, bilinears, lower_both, lower_index,
+                       minkowski_dot, raise_index)
 from .errors import ContractError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
 from .grids import GridSpec
@@ -49,6 +50,7 @@ from .spinors import (
     make_particle_spinor,
     rest_spin,
     sigma_component_table,
+    species_sign,
 )
 
 __all__ = [
@@ -83,16 +85,6 @@ BPRIME_TERM_COEFF = 1.0     # x hbar e B'.s'
 # divides by sqrt(rho0) and is reported masked there instead of raising.
 DENSITY_FLOOR = 1e-300
 
-_KINDS = ("particle", "antiparticle")
-
-
-def _lower_both(F):
-    """F^{mu nu} -> F_{mu nu}: flip sign once per spatial index."""
-    out = np.array(F, dtype=np.float64, copy=True)
-    out[..., 0, 1:4] *= -1.0
-    out[..., 1:4, 0] *= -1.0
-    return out
-
 
 @dataclass(frozen=True)
 class HydroFieldSet:
@@ -110,8 +102,7 @@ class HydroFieldSet:
     kind: str = "particle"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ContractError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        species_sign(self.kind)  # refuses an unknown kind
         rho = np.asarray(self.rho, dtype=np.float64)
         S = np.asarray(self.S, dtype=np.float64)
         if rho.shape != self.spec.shape or S.shape != self.spec.shape:
@@ -191,9 +182,7 @@ def _spinor_partials(spec, e):
 
 def _sample_potential(provider, points):
     A, F = provider.sample(points)
-    A_lower = np.array(A, dtype=np.float64, copy=True)
-    A_lower[..., 1:4] *= -1.0
-    return A, A_lower, F
+    return A, lower_index(A), F
 
 
 def first_order_residuals(fields, provider, particle=ELECTRON):
@@ -300,7 +289,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
     # field-strength coupling -(i hbar q / 2)(ebar g^mu g^nu e) F_{mu nu}/(ebar e)
-    F_lower = _lower_both(F)
+    F_lower = lower_both(F)
     pair = np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_PAIR, e)
     cterm = (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, F_lower) / scalar
 
@@ -452,7 +441,7 @@ def squared_dirac_residual(fields, provider, particle=ELECTRON):
         - (q / hbar) ** 2 * A_sq[..., np.newaxis] * psi
     )
 
-    F_lower = _lower_both(F)
+    F_lower = lower_both(F)
     matrix = np.einsum("mnab,...mn->...ab", _GAMMA_PAIR, F_lower)
     op_psi = (
         hbar**2 * covariant

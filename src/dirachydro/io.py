@@ -54,23 +54,28 @@ def format_float(value):
     return f"{float(value):.17g}"
 
 
-def _jsonable_samples(values):
-    flat = np.asarray(np.ma.filled(values, np.nan), dtype=np.float64).ravel()
-    return [None if not math.isfinite(v) else v for v in flat.tolist()]
+def _real_field(spec, name, values):
+    """A named grid field as float64 with masked samples as NaN.
+
+    Both grid writers read their fields through here, so a complex field or
+    one off the grid shape is refused before anything is written.
+    """
+    arr = np.asarray(np.ma.filled(values, np.nan))
+    if np.iscomplexobj(arr):
+        raise ContractError(f"field {name!r} is complex; export parts separately")
+    if arr.shape != spec.shape:
+        raise ContractError(
+            f"field {name!r} has shape {arr.shape}, grid is {spec.shape}"
+        )
+    return arr.astype(np.float64, copy=False)
 
 
 def save_grid_fields(path, spec, fields):
     """Write named real grid fields with their grid header as JSON."""
     payload_fields = {}
     for name, values in fields.items():
-        arr = np.asarray(np.ma.filled(values, np.nan))
-        if np.iscomplexobj(arr):
-            raise ContractError(f"field {name!r} is complex; export parts separately")
-        if arr.shape != spec.shape:
-            raise ContractError(
-                f"field {name!r} has shape {arr.shape}, grid is {spec.shape}"
-            )
-        payload_fields[name] = _jsonable_samples(arr)
+        flat = _real_field(spec, name, values).ravel().tolist()
+        payload_fields[name] = [None if not math.isfinite(v) else v for v in flat]
     payload = {
         "format": GRID_FORMAT,
         "grid": {
@@ -191,12 +196,7 @@ def save_slice_csv(path, spec, fields):
     mesh = np.meshgrid(*spec.axis_coordinates(), indexing="ij")
     columns = [axis.ravel() for axis in mesh]
     for name, values in fields.items():
-        arr = np.asarray(np.ma.filled(values, np.nan), dtype=np.float64)
-        if arr.shape != spec.shape:
-            raise ContractError(
-                f"field {name!r} has shape {arr.shape}, grid is {spec.shape}"
-            )
-        columns.append(arr.ravel())
+        columns.append(_real_field(spec, name, values).ravel())
     _write_csv(path, list(spec.axis_names) + list(fields), columns)
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import minkowski_dot, sigma_from_u_s
-from .errors import ContractError
+from .clifford import lower_both, minkowski_dot, sigma_from_u_s
 from .fields import ELECTRON, ZERO_FIELD
 from .kinematics import (
     acceleration_tensor,
@@ -23,7 +22,7 @@ from .kinematics import (
     spin_to_lab,
     vorticity_to_rest,
 )
-from .spinors import four_velocity, rest_spin, sigma_component_table
+from .spinors import four_velocity, rest_spin, sigma_component_table, species_sign
 
 __all__ = [
     "LagrangianBreakdown",
@@ -33,8 +32,6 @@ __all__ = [
     "spin_azimuth_rate",
     "identity_residuals",
 ]
-
-_KINDS = ("particle", "antiparticle")
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,7 @@ def lagrangian_terms(
     and of the global phase; omega_prime is the rest-frame vorticity felt
     by the spin. kind selects the particle or antiparticle sign pattern.
     """
-    if kind not in _KINDS:
-        raise ContractError(f"kind must be one of {_KINDS}")
+    sign = species_sign(kind)
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     s_rest = np.asarray(s_rest, dtype=np.float64)
@@ -87,7 +83,6 @@ def lagrangian_terms(
 
     A, _ = provider.sample(x)
     hbar = particle.hbar
-    sign = 1.0 if kind == "particle" else -1.0
 
     coupling = -particle.charge * minkowski_dot(A, u)
     phase = -hbar * eta_rate
@@ -181,9 +176,7 @@ def identity_residuals(params_of, x, h=1e-3):
     lhs = float(minkowski_dot(u0, div))
 
     accel = acceleration_tensor(u_field, x, h=h)
-    omega_lower = accel.omega.copy()
-    omega_lower[0, 1:4] *= -1.0
-    omega_lower[1:4, 0] *= -1.0
+    omega_lower = lower_both(accel.omega)
     sigma0 = sigma_component_table(params0)
     contraction = -0.5 * float(np.einsum("mt,mt->", sigma0, omega_lower))
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clifford import lower_index
 from .errors import ContractError
 from .fields import ELECTRON
 from .hydro import HydroFieldSet
-from .spinors import KinematicParams, four_velocity
+from .spinors import KinematicParams, four_velocity, species_sign
 
 __all__ = [
     "plane_wave_fields",
@@ -36,8 +37,6 @@ __all__ = [
     "smooth_angle_params",
     "DEFAULT_BASE_PARAMS",
 ]
-
-_LOWER_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 # Base point for the seeded families; chosen well inside the validity
 # domain (chi > 0, both polar angles away from 0 and pi).
@@ -61,7 +60,7 @@ def _grid_params(spec, values):
 
 def _phase_dot(points, u):
     """u_mu x^mu on the grid points, with u given upper-index."""
-    return np.einsum("...m,m->...", points, u * _LOWER_SIGNS)
+    return np.einsum("...m,m->...", points, lower_index(u))
 
 
 def plane_wave_fields(
@@ -95,8 +94,7 @@ def plane_wave_fields(
                 f"plane-wave velocity has u[{axis}] = {u[axis]:.3e} along an "
                 "inactive grid axis; choose theta_u/phi in the active plane"
             )
-    sign = -1.0 if kind == "particle" else +1.0
-    S = sign * particle.mass * _phase_dot(spec.points(), u)
+    S = -species_sign(kind) * particle.mass * _phase_dot(spec.points(), u)
     params = _grid_params(spec, {
         "chi": chi, "theta_u": theta_u, "phi": phi, "theta": theta, "eta0": eta0,
     })
@@ -166,8 +164,7 @@ def seeded_manufactured_fields(
         **{name: float(base[name]) + bumps[name] for name in _PARAM_NAMES}
     )
     u_base = four_velocity(KinematicParams(**{k: float(v) for k, v in base.items()}))
-    sign = -1.0 if kind == "particle" else +1.0
-    S = sign * particle.mass * _phase_dot(spec.points(), u_base) + bumps["S"]
+    S = -species_sign(kind) * particle.mass * _phase_dot(spec.points(), u_base) + bumps["S"]
     rho = float(rho_base) + bumps["rho"]
     if np.any(rho <= 0.0):
         raise ContractError("amplitude too large: manufactured rho crossed zero")

@@ -20,6 +20,7 @@ from . import clifford
 from .errors import ContractError, DegenerateSpinorError
 
 __all__ = [
+    "species_sign",
     "KinematicParams",
     "make_particle_spinor",
     "make_antiparticle_spinor",
@@ -30,9 +31,17 @@ __all__ = [
     "rest_spin",
 ]
 
+_KINDS = ("particle", "antiparticle")
 _ANGLE_TOL = 1e-9
 # arccosh of the largest float64: cosh(chi) overflows from here up
 _CHI_OVERFLOW = float(np.arccosh(np.finfo(np.float64).max))
+
+
+def species_sign(kind):
+    """+1.0 for "particle", -1.0 for "antiparticle"; any other kind is refused."""
+    if kind not in _KINDS:
+        raise ContractError(f"kind must be one of {_KINDS}, got {kind!r}")
+    return 1.0 if kind == "particle" else -1.0
 
 
 @dataclass(frozen=True)
@@ -161,16 +170,12 @@ def recover_velocity(e, kind="particle"):
     -u^mu, so the sign is folded in and both kinds return the forward
     timelike velocity. Raises DegenerateSpinorError when |e-bar e| < 1e-12.
     """
-    if kind not in ("particle", "antiparticle"):
-        raise ContractError(f"kind must be 'particle' or 'antiparticle', got {kind!r}")
+    sign = species_sign(kind)
     b = clifford.bilinears(e)
     scalar = np.asarray(b.scalar)
     if np.any(np.abs(scalar) < 1e-12):
         raise DegenerateSpinorError("e-bar e vanishes; direction is lightlike")
-    u = b.vector / scalar[..., np.newaxis]
-    if kind == "antiparticle":
-        u = -u
-    return u
+    return sign * b.vector / scalar[..., np.newaxis]
 
 
 def sigma_component_table(params):

@@ -21,6 +21,7 @@ from .clifford import (
     bilinears,
     minkowski_dot,
     sigma_from_u_s,
+    spin_tensor,
 )
 from .dynamics import DynState, integrate, precession_rate
 from .errors import ContractError
@@ -148,7 +149,7 @@ def _suite_spinor_factory(rng, samples, scale):
     )
 
     table = sigma_component_table(params)
-    from_bilinear = bil_p.tensor / bil_p.scalar[:, None, None]
+    from_bilinear = spin_tensor(e_p) / bil_p.scalar[:, None, None]
     checks["sigma_table_vs_bilinear"] = _entry(
         np.max(np.abs(table - from_bilinear)), 1e-12 * scale
     )
@@ -216,13 +217,10 @@ def _suite_lagrangian(rng, samples, scale):
         E0=np.array([0.03, -0.01, 0.02]), B0=np.array([0.01, 0.02, -0.03])
     )
 
-    both = {}
-    for kind in ("particle", "antiparticle"):
-        both[kind] = lagrangian_terms(
-            x, u, s_rest, phi_rate, eta_rate, omega_prime,
-            provider=provider, kind=kind,
-        )
-    mass_sum = both["particle"].total + both["antiparticle"].total
+    rates = (x, u, s_rest, phi_rate, eta_rate, omega_prime)
+    lp = lagrangian_terms(*rates, provider=provider)
+    lap = lagrangian_terms(*rates, provider=provider, kind="antiparticle")
+    mass_sum = lp.total + lap.total
     checks["kind_flip_leaves_twice_mass"] = _entry(
         np.max(np.abs(mass_sum + 2.0 * ELECTRON.mass)), 1e-12 * scale
     )
@@ -235,11 +233,7 @@ def _suite_lagrangian(rng, samples, scale):
     doubled = Particle(
         mass=ELECTRON.mass, charge=ELECTRON.charge, hbar=2.0 * ELECTRON.hbar
     )
-    lp = both["particle"]
-    lp2 = lagrangian_terms(
-        x, u, s_rest, phi_rate, eta_rate, omega_prime,
-        provider=provider, particle=doubled, kind="particle",
-    )
+    lp2 = lagrangian_terms(*rates, provider=provider, particle=doubled)
     hbar_linear = np.concatenate([
         lp2.phase - 2.0 * lp.phase,
         lp2.sigma12 - 2.0 * lp.sigma12,

@@ -18,7 +18,7 @@ import pytest
 from conftest import register_criterion
 
 import dirachydro.cli
-from dirachydro.clifford import GAMMA, METRIC, bilinears, sigma_from_u_s
+from dirachydro.clifford import GAMMA, METRIC, bilinears, sigma_from_u_s, spin_tensor
 from dirachydro.dynamics import DynState, fit_precession_frequency, integrate, precession_rate
 from dirachydro.fields import CrossedField, UniformField, ZERO_FIELD, rest_frame_B, tensor_from_EB
 from dirachydro.fisher import (
@@ -120,10 +120,10 @@ def test_criterion_02_guiding_relation():
 def test_criterion_03_sigma_three_way():
     params = _draw_samples()
     u = four_velocity(params)
-    bil = bilinears(make_particle_spinor(params))
+    e = make_particle_spinor(params)
 
     table = sigma_component_table(params)
-    from_bilinear = bil.tensor / bil.scalar[:, None, None]
+    from_bilinear = spin_tensor(e) / bilinears(e).scalar[:, None, None]
     from_axial = sigma_from_u_s(u, spin_to_lab(rest_spin(params), beta_from_u(u)))
 
     pair_ab = np.max(np.abs(table - from_bilinear))

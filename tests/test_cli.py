@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from dirachydro.cli import load_schema, main, run, validate_config
+from dirachydro.dynamics import DynState, integrate
+from dirachydro.fields import ELECTRON, Particle, provider_from_config
 from dirachydro.io import TRAJECTORY_COLUMNS, load_grid_fields
+from dirachydro.kinematics import gamma_of_beta
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -45,6 +48,15 @@ def _simulate_config(**evolution):
                       "fit_axis": [0.0, 0.0, 1.0]},
     }
     payload["evolution"].update(evolution)
+    return payload
+
+
+def _plane_wave_simulate_config(kind="particle"):
+    payload = _simulate_config(ds=0.05, n_steps=200, fit_frequency=False)
+    payload["fields"] = {"kind": "plane-wave", "wave_vector": [1.0, 0.0, 0.0, 1.0],
+                         "polarization": [1.0, 0.0, 0.0], "amplitude": 0.8}
+    payload["initial_state"]["beta"] = [0.0, 0.3, 0.0]
+    payload["particle"] = {"kind": kind}
     return payload
 
 
@@ -134,6 +146,40 @@ def test_spin_norm_drift_measures_the_exact_propagator(tmp_path):
     drift = json.loads((out / "report.json").read_text())["max_abs_residuals"]["spin_norm_drift"]
     # a renormalised row would read at most 1 ulp, np.finfo(float).eps
     assert np.finfo(float).eps < drift < 1e-12
+
+
+def test_spin_norm_drift_measures_rk4(tmp_path):
+    """Sampled-field rows are not rescaled either: the drift is RK4's spin error."""
+    path = _write_config(tmp_path, _plane_wave_simulate_config())
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 0
+    drift = json.loads((out / "report.json").read_text())["max_abs_residuals"]["spin_norm_drift"]
+    # a renormalised row would read at most 1 ulp, np.finfo(float).eps = 2.2e-16
+    assert 2.3e-16 < drift < 1e-6
+
+
+def test_antiparticle_orbit_is_the_opposite_charge_orbit(tmp_path):
+    """simulate moves an antiparticle as the particle with its charge negated, bit for bit."""
+    config = _plane_wave_simulate_config(kind="antiparticle")
+    out = tmp_path / "out"
+    assert run(config, out_dir=str(out), fmt="json", quiet=True) == 0
+    data = json.loads((out / "trajectory.json").read_text())["data"]
+    written = np.column_stack([data[name] for name in TRAJECTORY_COLUMNS])
+
+    beta = np.array(config["initial_state"]["beta"])
+    gamma = gamma_of_beta(beta)
+    state = DynState(x=np.zeros(4), u=np.concatenate([[gamma], gamma * beta]),
+                     s_rest=np.array(config["initial_state"]["spin"]))
+    provider = provider_from_config(config["fields"])
+    evolution = config["evolution"]
+
+    def orbit(particle):
+        traj = integrate(state, provider, ds=evolution["ds"], n_steps=evolution["n_steps"],
+                         particle=particle)
+        return np.column_stack([traj.s, traj.x, traj.u, traj.s_rest])
+
+    np.testing.assert_array_equal(written, orbit(Particle(charge=-ELECTRON.charge)))
+    assert not np.array_equal(written, orbit(ELECTRON))
 
 
 def test_format_flag_switches_trajectory_artifact(tmp_path):

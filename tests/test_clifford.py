@@ -14,13 +14,14 @@ from dirachydro.clifford import (
     LEVI_CIVITA,
     METRIC,
     _GAMMA_COMMUTATOR,
-    _GAMMA_LOWER_5,
     _GAMMA_PAIR,
     bilinears,
+    lower_both,
     lower_index,
     minkowski_dot,
     raise_index,
     sigma_from_u_s,
+    spin_tensor,
 )
 from dirachydro.errors import ContractError
 from dirachydro.spinors import KinematicParams, make_particle_spinor
@@ -38,9 +39,6 @@ def test_anticommutator_is_twice_metric():
     assert np.array_equal(_GAMMA_PAIR, pair)
     assert np.array_equal(
         _GAMMA_COMMUTATOR, pair - np.einsum("nab,mbc->mnac", GAMMA, GAMMA)
-    )
-    assert np.array_equal(
-        _GAMMA_LOWER_5, np.einsum("mn,nab,bc->mac", METRIC, GAMMA, GAMMA5)
     )
 
 
@@ -83,6 +81,9 @@ def test_index_raising_and_lowering_round_trip():
     low = lower_index(v)
     assert np.array_equal(low[:, 0], v[:, 0])
     assert np.array_equal(low[:, 1:], -v[:, 1:])
+    # both indices of a tensor field: g T g, exactly
+    T = rng.normal(size=(50, 4, 4))
+    np.testing.assert_array_equal(lower_both(T), METRIC @ T @ METRIC)
 
 
 def test_bilinears_are_real_and_tensor_antisymmetric():
@@ -96,18 +97,18 @@ def test_bilinears_are_real_and_tensor_antisymmetric():
     )
     e = make_particle_spinor(params)
     bil = bilinears(e)
-    for arr in (bil.scalar, bil.vector, bil.axial, bil.tensor):
+    tensor = spin_tensor(e)
+    for arr in (bil.scalar, bil.vector, tensor):
         assert arr.dtype == np.float64
-    np.testing.assert_allclose(
-        bil.tensor + np.swapaxes(bil.tensor, -1, -2), 0.0, atol=1e-14
-    )
+    np.testing.assert_allclose(tensor + np.swapaxes(tensor, -1, -2), 0.0, atol=1e-14)
 
 
 def test_bilinears_rejects_bad_input():
-    with pytest.raises(ContractError):
-        bilinears(np.ones(3))
-    with pytest.raises(ContractError):
-        bilinears(np.array([1.0, np.nan, 0.0, 0.0]))
+    for density in (bilinears, spin_tensor):
+        with pytest.raises(ContractError):
+            density(np.ones(3))
+        with pytest.raises(ContractError):
+            density(np.array([1.0, np.nan, 0.0, 0.0]))
 
 
 def test_sigma_from_u_s_rest_state():

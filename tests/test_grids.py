@@ -133,6 +133,21 @@ def test_trusted_mask_and_sup_norm():
         spec.trusted_mask(4)
 
 
+def test_interior_slices_build_the_trusted_mask():
+    spec = GridSpec(active_axes=(0, 1, 3), shape=(9, 7, 6), spacing=(0.1, 0.1, 0.1))
+    assert spec.interior(0) == (slice(0, 9), slice(0, 7), slice(0, 6))
+    assert spec.interior(2) == (slice(2, 7), slice(2, 5), slice(2, 4))
+    for depth in (0, 1, 2):
+        mask = np.zeros(spec.shape, dtype=bool)
+        mask[spec.interior(depth)] = True
+        np.testing.assert_array_equal(spec.trusted_mask(depth), mask)
+    # the shortest axis decides: 6 samples leave none at depth 3
+    with pytest.raises(InsufficientInteriorError):
+        spec.interior(3)
+    with pytest.raises(ContractError):
+        spec.interior(-1)
+
+
 def test_integrate_matches_analytic_value():
     spec = GridSpec(active_axes=(0, 1), shape=(101, 101), spacing=(0.01, 0.01))
     t = spec.points()[..., 0]

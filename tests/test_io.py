@@ -258,6 +258,16 @@ def test_slice_csv_rejections(tmp_path):
         save_slice_csv(tmp_path / "s.csv", cube, {"f": np.zeros(cube.shape)})
 
 
+def test_grid_writers_refuse_a_complex_field(tmp_path):
+    """Neither writer drops an imaginary part; both refuse before writing."""
+    spec = _spec2d()
+    fields = {"f": np.zeros(spec.shape), "cplx": np.full(spec.shape, 1.0 + 2.0j)}
+    for writer, name in ((save_grid_fields, "g.json"), (save_slice_csv, "s.csv")):
+        with pytest.raises(ContractError, match="complex"):
+            writer(tmp_path / name, spec, fields)
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "cr\r", "lf\n"])
 def test_csv_rejects_names_that_need_quoting(tmp_path, name):
     spec = _spec1d()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dirachydro.clifford import bilinears
+from dirachydro.clifford import bilinears, spin_tensor
 from dirachydro.errors import ContractError, DegenerateSpinorError
 from dirachydro.spinors import (
     KinematicParams,
@@ -16,6 +16,7 @@ from dirachydro.spinors import (
     recover_velocity,
     rest_spin,
     sigma_component_table,
+    species_sign,
 )
 
 
@@ -141,6 +142,14 @@ def test_recover_velocity_round_trip():
         recover_velocity(make_particle_spinor(params), kind="neither")
 
 
+def test_species_sign():
+    assert species_sign("particle") == 1.0
+    assert species_sign("antiparticle") == -1.0
+    for kind in ("positron", "Particle", None, 1):
+        with pytest.raises(ContractError):
+            species_sign(kind)
+
+
 def test_recover_velocity_degenerate_spinor():
     # equal-weight mix of the two blocks has e-bar e = 0 (lightlike direction)
     e = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
@@ -158,8 +167,8 @@ def test_sigma_table_antisymmetric_with_zero_03():
 def test_sigma_table_matches_bilinear_tensor():
     """The closed-form table equals the gamma-normalized tensor bilinear."""
     params = _seeded_params(12, 1000)
-    bil = bilinears(make_particle_spinor(params))
-    from_bilinear = bil.tensor / bil.scalar[:, None, None]
+    e = make_particle_spinor(params)
+    from_bilinear = spin_tensor(e) / bilinears(e).scalar[:, None, None]
     np.testing.assert_allclose(sigma_component_table(params), from_bilinear, atol=1e-12)
 
 

@@ -13,9 +13,10 @@ sign is additionally cross-checked against the directly discretized
 second-order wave operator, which is independent of both formula
 evaluators.
 
-The resolved values are the constants frozen in the hydro module; running
-this script regenerates demos/calibration_report.json, the committed
-record of that measurement.
+The resolved values are the constants frozen in the hydro module, and
+demos/calibration_report.json is the committed record of that measurement.
+The script writes its report to demos/out/calibration_report.json unless
+--out names another path, so a run never overwrites the record.
 """
 
 import argparse
@@ -254,8 +255,8 @@ def main(argv=None):
                         help="manufactured perturbation amplitude (default 2e-4)")
     parser.add_argument("--seeds", type=int, default=12,
                         help="number of seeded configurations (default 12)")
-    parser.add_argument("--out", default=str(Path(__file__).parent / "calibration_report.json"),
-                        help="report path (default demos/calibration_report.json)")
+    parser.add_argument("--out", default=str(Path(__file__).parent / "out" / "calibration_report.json"),
+                        help="report path (default demos/out/calibration_report.json)")
     args = parser.parse_args(argv)
 
     report = calibrate(n=args.points, amplitude=args.amplitude, n_seeds=args.seeds)
@@ -273,6 +274,7 @@ def main(argv=None):
     print(f"  magnetic via direct operator: {mag['direct_operator_cross_check']:+.6f}")
     print(f"  relative fit rms: {report['method']['relative_fit_rms']:.3e}")
 
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_json_report(args.out, report)
     print(f"report: {args.out}")
     return 0

@@ -158,6 +158,10 @@ class PlaneWaveField:
     polarization: np.ndarray = (1.0, 0.0, 0.0)
     amplitude: float = 1.0
     gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
+    # the polarization as a four-vector and k^mu eps^nu - eps^mu k^nu, built
+    # once in __post_init__ from the normalised polarization
+    _eps4: np.ndarray = field(init=False, repr=False, compare=False)
+    _antisym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _check_finite("wave_vector", self.wave_vector)
@@ -176,16 +180,17 @@ class PlaneWaveField:
         if norm < 1e-300:
             raise ContractError("polarization must be nonzero")
         object.__setattr__(self, "polarization", pol / norm)
+        eps4 = np.zeros(4)
+        eps4[1:4] = self.polarization
+        antisym = np.einsum("m,n->mn", k, eps4) - np.einsum("m,n->mn", eps4, k)
+        object.__setattr__(self, "_eps4", eps4)
+        object.__setattr__(self, "_antisym", antisym)
 
     def sample(self, x):
         x = _as_points(x)
         phase = minkowski_dot(self.wave_vector, x)
-        eps4 = np.zeros(4)
-        eps4[1:4] = self.polarization
-        A = self.amplitude * np.cos(phase)[..., np.newaxis] * eps4 + self.gauge_offset
-        k_up = self.wave_vector
-        antisym = np.einsum("m,n->mn", k_up, eps4) - np.einsum("m,n->mn", eps4, k_up)
-        F = -self.amplitude * np.sin(phase)[..., np.newaxis, np.newaxis] * antisym
+        A = self.amplitude * np.cos(phase)[..., np.newaxis] * self._eps4 + self.gauge_offset
+        F = -self.amplitude * np.sin(phase)[..., np.newaxis, np.newaxis] * self._antisym
         return A, F
 
 

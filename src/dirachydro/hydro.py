@@ -176,8 +176,10 @@ class SecondOrderResiduals:
 
 def _spinor_partials(spec, e):
     """Lower-index gradient of a spinor field: shape grid + (4 mu, 4 comp)."""
-    parts = [spec.partial(e, axis) for axis in range(4)]
-    return np.stack(parts, axis=-2)
+    out = np.empty(e.shape[:-1] + (4,) + e.shape[-1:], dtype=np.complex128)
+    for axis in range(4):
+        out[..., axis, :] = spec.partial(e, axis)
+    return out
 
 
 def _sample_potential(provider, points):
@@ -201,6 +203,9 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     antiparticle plane wave carries S = + m u.x).
     """
     spec = fields.spec
+    # sampled before the spinor data is built, so their temporaries never overlap
+    A_lower = _sample_potential(provider, spec.points())[1]
+
     _, ebar, de_lower, bil = fields._spinor_data
     scalar = bil.scalar
     current = bil.vector
@@ -211,7 +216,6 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     dS_lower = spec.gradient_lower(fields.S)
     convective = np.einsum("...m,...m->...", ratio, dS_lower)
 
-    _, A_lower, _ = _sample_potential(provider, spec.points())
     coupling = particle.charge * np.einsum("...m,...m->...", ratio, A_lower)
 
     slashed = np.einsum("...a,mab,...mb->...", ebar, GAMMA, de_lower)
@@ -264,6 +268,9 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     correction) is evaluated by differencing the spinor field itself, with
     no use of the closed-form parameter expressions.  This is the reference
     the expanded evaluator is calibrated against.
+
+    Each term with a (grid, 4, 4) temporary is built in a helper of its own,
+    so those temporaries are freed as soon as the term is formed.
     """
     spec = fields.spec
     hbar = particle.hbar
@@ -274,12 +281,15 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     scalar = bil.scalar
     rho0 = fields.rho0
 
-    A, A_lower, F = _sample_potential(provider, spec.points())
+    # ebar d_mu e, read by the momentum bracket and the gradient correction
+    e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
+    combo = _spinor_gradient_correction(e, de_lower, e_de, scalar)
+    rho_terms, vacuum = _density_terms(spec, rho0, hbar)
 
-    debar_lower = _adjoint(de_lower)
+    A_lower, F = _sample_potential(provider, spec.points())[1:]
+    cterm = _field_coupling(e, ebar, scalar, F, hbar, q)
 
     # momentum bracket B_mu = d_mu S + q A_mu + hbar Im{ebar d_mu e}/(ebar e)
-    e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
     internal = np.imag(e_de) / scalar[..., np.newaxis]
     bracket_lower = spec.gradient_lower(fields.S) + q * A_lower + hbar * internal
     bracket_upper = raise_index(bracket_lower)
@@ -288,12 +298,24 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
 
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
-    # field-strength coupling -(i hbar q / 2)(ebar g^mu g^nu e) F_{mu nu}/(ebar e)
+    qhj = bb - m**2 + np.real(cterm) + rho_terms + hbar**2 * np.real(combo)
+    qhj[_dilate_mask(vacuum, radius=3)] = np.nan
+    qhj_imag = np.imag(cterm) + hbar**2 * np.imag(combo)
+    return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
+
+
+def _field_coupling(e, ebar, scalar, F, hbar, q):
+    """Field-strength coupling -(i hbar q / 2)(ebar g^mu g^nu e) F_{mu nu}/(ebar e)."""
     F_lower = lower_both(F)
     pair = np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_PAIR, e)
-    cterm = (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, F_lower) / scalar
+    return (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, F_lower) / scalar
 
-    # density terms in the displayed quarter/half form, vacuum masked as in Q
+
+def _density_terms(spec, rho0, hbar):
+    """Density terms in the displayed quarter/half form, and the vacuum points.
+
+    Vacuum is where rho0 <= DENSITY_FLOOR; the caller masks it as in Q.
+    """
     vacuum = ~(rho0 > DENSITY_FLOOR)
     safe = np.where(vacuum, 1.0, rho0)
     # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
@@ -301,21 +323,22 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     drho_norm = spec.gradient_lower(rho0) / safe[..., np.newaxis]
     drho_sq = np.einsum("...m,...m->...", raise_index(drho_norm), drho_norm)
     box_rho = spec.dalembertian(rho0)
-    rho_terms = hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe)
+    return hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe), vacuum
 
-    # spinor-gradient correction d^mu ebar d_mu e / ebar e
-    #   - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2
-    debar_upper = np.array(debar_lower, copy=True)
-    debar_upper[..., 1:4, :] *= -1.0
-    grad_sq = np.einsum("...ma,...ma->...", debar_upper, de_lower)
+
+def _spinor_gradient_correction(e, de_lower, e_de, scalar):
+    """Spinor-gradient correction, complex, from the differenced spinor field:
+
+    d^mu ebar d_mu e / ebar e - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2
+    """
+    debar_lower = _adjoint(de_lower)
     de_bar_e = np.einsum("...ma,...a->...m", debar_lower, e)
     cross = np.einsum("...m,...m->...", raise_index(de_bar_e), e_de)
-    combo = grad_sq / scalar - cross / scalar**2
-
-    qhj = bb - m**2 + np.real(cterm) + rho_terms + hbar**2 * np.real(combo)
-    qhj[_dilate_mask(vacuum, radius=3)] = np.nan
-    qhj_imag = np.imag(cterm) + hbar**2 * np.imag(combo)
-    return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
+    # raised in place: debar_lower has no reader left
+    debar_upper = debar_lower
+    debar_upper[..., 1:4, :] *= -1.0
+    grad_sq = np.einsum("...ma,...ma->...", debar_upper, de_lower)
+    return grad_sq / scalar - cross / scalar**2
 
 
 def _metric_square(spec, field):
@@ -339,27 +362,17 @@ def _expanded_core(fields, provider, particle):
     params = fields.params
     gamma = np.asarray(fields.gamma, dtype=np.float64)
 
-    A, A_lower, F = _sample_potential(provider, spec.points())
+    A_lower, F = _sample_potential(provider, spec.points())[1:]
 
-    sigma12 = sigma_component_table(params)[..., 1, 2]
-    weight = 0.5 * (1.0 + sigma12)
+    # a copy, so the (grid, 4, 4) table is freed at once
+    sigma12 = sigma_component_table(params)[..., 1, 2].copy()
 
-    dS_lower = spec.gradient_lower(fields.S)
-    dphi_lower = spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))
-    deta0_lower = spec.gradient_lower(np.asarray(params.eta0, dtype=np.float64))
-    internal = deta0_lower + weight[..., np.newaxis] * dphi_lower
-    bracket_lower = dS_lower + q * A_lower + hbar * internal
+    bracket_lower = _expanded_bracket(fields, A_lower, sigma12, hbar, q)
     bracket_upper = raise_index(bracket_lower)
 
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
-    u = four_velocity(params)
-    beta = u[..., 1:4] / gamma[..., np.newaxis]
-    b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
-    s_prime = rest_spin(params)
-    coupling = BPRIME_TERM_COEFF * hbar * q * np.einsum(
-        "...i,...i->...", b_prime, s_prime
-    )
+    coupling = _rest_frame_coupling(params, gamma, F, hbar, q)
 
     shape_terms = hbar**2 * (
         THETA_TERM_COEFF * 0.5 * (gamma + 1.0) * _metric_square(spec, params.theta)
@@ -375,6 +388,29 @@ def _expanded_core(fields, provider, particle):
         "coupling": coupling,
         "shape_terms": shape_terms,
     }
+
+
+def _expanded_bracket(fields, A_lower, sigma12, hbar, q):
+    """Momentum bracket d_mu S + q A_mu + hbar (d_mu eta0 + W d_mu phi), lower index."""
+    spec = fields.spec
+    params = fields.params
+    weight = 0.5 * (1.0 + sigma12)
+    dS_lower = spec.gradient_lower(fields.S)
+    dphi_lower = spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))
+    deta0_lower = spec.gradient_lower(np.asarray(params.eta0, dtype=np.float64))
+    internal = deta0_lower + weight[..., np.newaxis] * dphi_lower
+    return dS_lower + q * A_lower + hbar * internal
+
+
+def _rest_frame_coupling(params, gamma, F, hbar, q):
+    """Field coupling hbar q B'.s' in the instantaneous rest frame."""
+    u = four_velocity(params)
+    beta = u[..., 1:4] / gamma[..., np.newaxis]
+    b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
+    s_prime = rest_spin(params)
+    return BPRIME_TERM_COEFF * hbar * q * np.einsum(
+        "...i,...i->...", b_prime, s_prime
+    )
 
 
 def second_order_residuals_expanded(fields, provider, particle=ELECTRON):

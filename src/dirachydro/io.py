@@ -9,6 +9,9 @@ Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
 to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
+Every JSON file (reports, grid containers, trajectory JSON) comes from one
+writer that streams the document as it encodes it, so no file is ever held
+in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from pathlib import Path
 
 import numpy as np
 
@@ -74,8 +77,11 @@ def save_grid_fields(path, spec, fields):
     """Write named real grid fields with their grid header as JSON."""
     payload_fields = {}
     for name, values in fields.items():
-        flat = _real_field(spec, name, values).ravel().tolist()
-        payload_fields[name] = [None if not math.isfinite(v) else v for v in flat]
+        flat = _real_field(spec, name, values).ravel()
+        samples = flat.tolist()
+        for index in np.flatnonzero(~np.isfinite(flat)).tolist():
+            samples[index] = None
+        payload_fields[name] = samples
     payload = {
         "format": GRID_FORMAT,
         "grid": {
@@ -201,7 +207,59 @@ def save_slice_csv(path, spec, fields):
 
 
 def write_json_report(path, payload):
-    """Sorted-keys, indented JSON with a trailing newline; NaN-free."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    """Sorted-keys JSON indented by 2, with a trailing newline; NaN-free.
+
+    The bytes are exactly ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\n"``, but each piece is written as soon as it is
+    encoded. A payload that ``json.dumps`` refuses (NaN, infinity, an
+    object with no JSON form) raises as it would there, and so does a dict
+    key that is not a str, which ``json.dumps`` would turn into one. A
+    refused payload leaves no file behind.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_json(fh.write, payload, "\n")
+            fh.write("\n")
+    except (TypeError, ValueError):
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _write_json(write, value, newline):
+    """Write one JSON value; ``newline`` is a line break plus the current indent.
+
+    Dicts and lists are walked here. A list of scalars alone goes to the C
+    encoder in one call: with indent set, ``json.dumps`` would fall back to
+    its pure-Python encoder for the whole document.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        if not value:
+            write("{}")
+            return
+        opener = "{"
+        for key in sorted(value):
+            write(opener + inner + json.dumps(key) + ": ")
+            _write_json(write, value[key], inner)
+            opener = ","
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        if any(isinstance(item, (dict, list, tuple)) for item in value):
+            opener = "["
+            for item in value:
+                write(opener + inner)
+                _write_json(write, item, inner)
+                opener = ","
+        else:
+            text = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)
+            write("[" + inner)
+            write(text[1:-1])
+        write(newline + "]")
+    else:
+        write(json.dumps(value, allow_nan=False))

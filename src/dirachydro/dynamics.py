@@ -9,25 +9,33 @@ With a gyromagnetic ratio of exactly two, spin and velocity precess at the
 same proper-time rate in a pure magnetic field, so the angle between them
 is an invariant of the motion.
 
-``integrate`` takes one of two paths, chosen by the provider's
-``constant_field`` attribute.
+``integrate`` takes one of three paths, chosen by the provider.
 
-Constant fields are propagated exactly. For g = 2 the lab-frame spin
-four-vector S obeys dS/ds = M S with the generator M = (q/m) F g of
-du/ds = M u (Bargmann, Michel & Telegdi 1959), so (x, u, S) evolves under
-one constant 12 x 12 generator and every step is the same matrix
-P = exp(G ds), computed by scaling and squaring. The orbit is built from
-blocks of powers of P, and S is mapped back to the rest frame row by row.
-There is no step error: this path suits million-step drift studies, and
-its remaining drift is roundoff.
+Constant fields (a true ``constant_field`` attribute) are propagated
+exactly. For g = 2 the lab-frame spin four-vector S obeys dS/ds = M S with
+the generator M = (q/m) F g of du/ds = M u (Bargmann, Michel & Telegdi
+1959), so (x, u, S) evolves under one constant 12 x 12 generator and every
+step is the same matrix P = exp(G ds), computed by scaling and squaring.
+The orbit is built from blocks of powers of P, and S is mapped back to the
+rest frame row by row.
 
-Sampled fields use fixed-step classical RK4, not an adaptive scheme:
-acceptance runs need bitwise-reproducible trajectories and the systems
-exercised are non-stiff. One scalar loop reads the field as plain floats
-(M, (q/m) E and (q/m) B) at each stage's own position. Neither u nor the
-spin is projected back: the drift of u.u and of |s_rest| from 1 is RK4's
-own error, and both are reported. ``state_derivative`` stays the NumPy
-reference for one right-hand side.
+Plane waves (``PlaneWaveField``) are solved in closed form. M is a
+nilpotent matrix times sin(k.x), and k.x advances linearly in proper time,
+so u and S are quadratic in a, the integral of the sine, and x is linear
+in s and in the integrals of a and a^2 (Landau & Lifshitz, Classical
+Theory of Fields, sec. 48). Every row comes from one vectorised pass.
+
+Neither exact path has a step error: the drift of u.u and of |s_rest|
+from 1 is roundoff, which suits million-step drift studies.
+
+Any other provider is integrated by fixed-step classical RK4, not an
+adaptive scheme: acceptance runs need bitwise-reproducible trajectories
+and the systems exercised are non-stiff. One scalar loop reads the field
+as plain floats (M, (q/m) E and (q/m) B) at each stage's own position.
+Neither u nor the spin is projected back: the drift of u.u and of
+|s_rest| from 1 is RK4's own error, and both are reported. RK4 is the
+oracle of both exact paths, run on the same field behind a wrapper.
+``state_derivative`` stays the NumPy reference for one right-hand side.
 
 An antiparticle is the particle with the opposite charge: callers pass a
 ``Particle`` whose charge is negated, and nothing here takes a species.
@@ -35,13 +43,14 @@ An antiparticle is the particle with the opposite charge: callers pass a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import lower_index
 from .errors import ContractError, FitError, InstabilityError
-from .fields import ELECTRON, electric_field, magnetic_field
+from .fields import ELECTRON, PlaneWaveField, electric_field, magnetic_field
 from .kinematics import spin_to_lab
 
 __all__ = [
@@ -227,6 +236,21 @@ def _expm(A):
     return result
 
 
+def _write_rows(view, first, x, u, S):
+    """Fill rows first, first + 1, ... of the orbit from (4, rows) series of x, u and S.
+
+    S is the lab spin; it is written as the rest spin. Any component at or
+    above the blow-up limit, or nan, raises InstabilityError with its row.
+    """
+    view[:, :4] = x.T
+    view[:, 4:8] = u.T
+    # rest spin s = S_vec - S^0 u_vec / (u^0 + 1), the inverse of spin_to_lab
+    view[:, 8:] = (S[1:] - (S[0] / (u[0] + 1.0)) * u[1:]).T
+    if not np.abs(view).max() < _BLOWUP_LIMIT:  # also catches nan
+        bad = ~np.all(np.abs(view) < _BLOWUP_LIMIT, axis=1)
+        raise InstabilityError(first + int(np.argmax(bad)))
+
+
 def _propagate(M, ds, n_steps, out):
     """Exact orbit in a constant field, one row of out per step after row 0.
 
@@ -257,14 +281,80 @@ def _propagate(M, ds, n_steps, out):
         rows = min(_BLOCK, n_steps + 1 - first)
         block = (powers @ z).reshape(12, _BLOCK)[:, :rows]
         z = leap @ z
-        u, S = block[4:8], block[8:]
-        # rest spin s = S_vec - S^0 u_vec / (u^0 + 1), the inverse of spin_to_lab
-        view = out[first:first + rows]
-        view[:, :8] = block[:8].T
-        view[:, 8:] = (S[1:] - (S[0] / (u[0] + 1.0)) * u[1:]).T
-        if not np.abs(view).max() < _BLOWUP_LIMIT:  # also catches nan
-            bad = ~np.all(np.abs(view) < _BLOWUP_LIMIT, axis=1)
-            raise InstabilityError(first + int(np.argmax(bad)))
+        _write_rows(out[first:first + rows], first, block[:4], block[4:8], block[8:])
+
+
+# Taylor coefficients in y^2 of (y - sin y) / y^3 and of
+# (3y/2 - 2 sin y + sin(2y)/4) / y^5. Both direct forms lose digits to
+# cancellation as y -> 0; below |y| = 2 sixteen terms reach roundoff.
+_CUBIC_SERIES = tuple((-1) ** m / math.factorial(2 * m + 3) for m in range(16))
+_QUINTIC_SERIES = tuple((-1) ** m * (2 ** (2 * m + 3) - 2) / math.factorial(2 * m + 5)
+                        for m in range(16))
+
+
+def _even(y, direct, series):
+    """An even function of y: direct(y) where |y| >= 2, its Taylor series in y^2 below."""
+    out = np.empty_like(y)
+    small = np.abs(y) < 2.0
+    z = y[small] ** 2
+    total = np.zeros_like(z)
+    for coefficient in reversed(series):
+        total = total * z + coefficient
+    out[small] = total
+    large = y[~small]
+    out[~small] = direct(large)
+    return out
+
+
+def _cubic(y):
+    return _even(y, lambda y: (y - np.sin(y)) / y**3, _CUBIC_SERIES)
+
+
+def _quintic(y):
+    return _even(y, lambda y: (1.5 * y - 2.0 * np.sin(y) + 0.25 * np.sin(2.0 * y)) / y**5,
+                 _QUINTIC_SERIES)
+
+
+def _plane_wave_orbit(wave, qm, ds, n_steps, out):
+    """Exact orbit in a plane wave, every row of out after row 0 in one pass.
+
+    In the wave, du/ds = sin(k.x) G u with G = -(q/m) A (k eps - eps k) g,
+    the field's generator where its sine is 1. G v = -(q/m) A [k (eps.v) -
+    eps (k.v)], so G^2 v is along k and G^3 = 0, and k.u = kappa stays
+    constant: the phase is phi0 + kappa s (Landau & Lifshitz, Classical
+    Theory of Fields, sec. 48). Hence u = u0 + a G u0 + a^2/2 G^2 u0 with
+    a(s) = int_0^s sin(phi0 + kappa t) dt, the lab spin S follows the same
+    map (g = 2), and x = x0 + s u0 + A1 G u0 + A2/2 G^2 u0 with A1 = int a
+    and A2 = int a^2. In y = kappa s all three are written with sinc-type
+    factors that stay exact as y -> 0, so a zero wave vector gives free
+    motion with no 0/0.
+    """
+    k = wave.wave_vector
+    eps = np.concatenate([[0.0], wave.polarization])
+    G = lower_index(-qm * wave.amplitude * (np.outer(k, eps) - np.outer(eps, k)))
+    x0, u0 = out[0, :4], out[0, 4:8]
+    S0 = spin_to_lab(out[0, 8:], u0[1:] / u0[0])
+    k_lower = lower_index(k)
+    phase0, kappa = float(k_lower @ x0), float(k_lower @ u0)
+    sin0, cos0 = np.sin(phase0), np.cos(phase0)
+
+    s = ds * np.arange(1, n_steps + 1)
+    y = kappa * s
+    sinc = np.sinc(y / (2.0 * np.pi))  # sin(y/2) / (y/2)
+    # sin(phi0 + kappa t) = sin0 cos(kappa t) + cos0 sin(kappa t), integrated
+    # term by term: 1 - cos y = y^2 sinc^2 / 2 and y - sin y = y^3 _cubic(y)
+    a = s * np.sin(phase0 + 0.5 * y) * sinc
+    A1 = s**2 * (0.5 * sin0 * sinc**2 + cos0 * y * _cubic(y))
+    A2 = s**3 * (2.0 * sin0**2 * _cubic(2.0 * y) + 0.25 * sin0 * cos0 * y * sinc**4
+                 + cos0**2 * y**2 * _quintic(y))
+
+    Gu, GS = G @ u0, G @ S0
+    GGu, GGS = G @ Gu, G @ GS
+    half_a2 = 0.5 * a * a
+    x = x0[:, None] + np.outer(u0, s) + np.outer(Gu, A1) + np.outer(GGu, 0.5 * A2)
+    u = u0[:, None] + np.outer(Gu, a) + np.outer(GGu, half_a2)
+    S = S0[:, None] + np.outer(GS, a) + np.outer(GGS, half_a2)
+    _write_rows(out[1:], 1, x, u, S)
 
 
 def integrate(
@@ -277,18 +367,20 @@ def integrate(
 ):
     """Orbit over proper time in fixed steps ds; give s_max or n_steps, not both.
 
-    A provider with ``constant_field`` set is sampled once and its orbit is
-    the exact propagator exp(G ds) applied step after step: no RK4 runs,
-    and the rows are returned as computed, so the drift of u.u and of
-    |s_rest| from 1 is the propagator's roundoff. Any other provider is
-    sampled at every stage of a classical RK4 step; neither u nor s_rest
-    is projected, so their drifts are RK4's error. An antiparticle orbit is
-    the orbit of ``particle`` with its charge negated.
+    Three paths, by provider. A provider with ``constant_field`` set is
+    sampled once and its orbit is the exact propagator exp(G ds) applied
+    step after step. A ``PlaneWaveField`` orbit is the closed-form solution
+    evaluated at every step. On both exact paths the rows are returned as
+    computed, so the drift of u.u and of |s_rest| from 1 is roundoff. Any
+    other provider (polynomial, gauge-shifted) is sampled at every stage of
+    a classical RK4 step; neither u nor s_rest is projected, so their
+    drifts are RK4's error. An antiparticle orbit is the orbit of
+    ``particle`` with its charge negated.
 
-    Returns a Trajectory including the initial sample. A non-finite field
-    sample raises ContractError. Any state component exceeding 1e12 in
-    magnitude (or going non-finite) aborts with InstabilityError carrying
-    the offending step index.
+    Returns a Trajectory including the initial sample, which is the initial
+    state bit for bit. A non-finite field sample raises ContractError. Any
+    state component reaching 1e12 in magnitude (or going non-finite)
+    aborts with InstabilityError carrying the first offending step index.
     """
     if not isinstance(initial, DynState):
         raise ContractError("initial must be a DynState")
@@ -304,7 +396,10 @@ def integrate(
 
     out = np.empty((n_steps + 1, 11))
     out[0, :4], out[0, 4:8], out[0, 8:] = initial.x, initial.u, initial.s_rest
-    if getattr(provider, "constant_field", False):
+    if isinstance(provider, PlaneWaveField):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _plane_wave_orbit(provider, qm, ds, n_steps, out)
+    elif getattr(provider, "constant_field", False):
         M = np.reshape(sampled(initial.x)[:16], (4, 4))
         with np.errstate(over="ignore", invalid="ignore"):
             _propagate(M, ds, n_steps, out)

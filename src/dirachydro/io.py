@@ -22,6 +22,7 @@ with three or more axes have no CSV form; they use the grid container.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -74,14 +75,13 @@ def _real_field(spec, name, values):
 
 
 def save_grid_fields(path, spec, fields):
-    """Write named real grid fields with their grid header as JSON."""
-    payload_fields = {}
-    for name, values in fields.items():
-        flat = _real_field(spec, name, values).ravel()
-        samples = flat.tolist()
-        for index in np.flatnonzero(~np.isfinite(flat)).tolist():
-            samples[index] = None
-        payload_fields[name] = samples
+    """Write named real grid fields with their grid header as JSON.
+
+    Every field is checked before anything is written, but each field's
+    sample list is built only when the writer reaches it, so one list is
+    alive at a time.
+    """
+    flats = {name: _real_field(spec, name, values).ravel() for name, values in fields.items()}
     payload = {
         "format": GRID_FORMAT,
         "grid": {
@@ -91,9 +91,17 @@ def save_grid_fields(path, spec, fields):
             "origin": list(spec.origin),
         },
         "order": "row-major",
-        "fields": payload_fields,
+        "fields": {name: functools.partial(_samples, flat) for name, flat in flats.items()},
     }
     write_json_report(path, payload)
+
+
+def _samples(flat):
+    """A flat field as a list of floats, with None (null) for each non-finite sample."""
+    samples = flat.tolist()
+    for index in np.flatnonzero(~np.isfinite(flat)).tolist():
+        samples[index] = None
+    return samples
 
 
 def load_grid_fields(path):
@@ -214,7 +222,9 @@ def write_json_report(path, payload):
     encoded. A payload that ``json.dumps`` refuses (NaN, infinity, an
     object with no JSON form) raises as it would there, and so does a dict
     key that is not a str, which ``json.dumps`` would turn into one. A
-    refused payload leaves no file behind.
+    refused payload leaves no file behind. A callable anywhere in the
+    payload stands for the value it returns, which is built only when the
+    writer reaches it and dropped once it is written.
     """
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -232,6 +242,8 @@ def _write_json(write, value, newline):
     encoder in one call: with indent set, ``json.dumps`` would fall back to
     its pure-Python encoder for the whole document.
     """
+    if callable(value):
+        value = value()
     inner = newline + "  "
     if isinstance(value, dict):
         for key in value:

@@ -5,13 +5,15 @@ register a one-line detail string while they run; a terminal-summary hook
 prints the collected lines in order, so every full test run ends with an
 explicit pass/fail verdict per acceptance criterion.
 
-Also shared by the test modules: the hypothesis settings profile and
-``measured_order`` (import it with ``from conftest import measured_order``).
+Also shared by the test modules: the hypothesis settings profile,
+``measured_order``, ``draw_unit`` and ``draw_transverse_unit`` (import
+them with ``from conftest import ...``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from dirachydro.errors import ContractError
 
@@ -52,6 +54,21 @@ def measured_order(coarse, mid, fine):
     if second < 1e-300:
         raise ContractError("refinement differences vanish; order undefined")
     return float(np.log2(first / second))
+
+
+def draw_unit(draw):
+    """A random unit three-vector for a hypothesis test that draws with ``draw``."""
+    vector = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    assume(np.linalg.norm(vector) > 0.1)
+    return vector / np.linalg.norm(vector)
+
+
+def draw_transverse_unit(draw, n):
+    """A random unit three-vector perpendicular to the unit vector n."""
+    vector = draw_unit(draw)
+    vector = vector - (vector @ n) * n
+    assume(np.linalg.norm(vector) > 0.1)
+    return vector / np.linalg.norm(vector)
 
 
 def pytest_configure(config):

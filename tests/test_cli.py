@@ -1,11 +1,15 @@
 """Config validation, report determinism, exit-status contract of the CLI."""
 
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import draw_transverse_unit, draw_unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
@@ -150,12 +154,31 @@ def test_spin_norm_drift_measures_the_exact_propagator(tmp_path):
 
 def test_spin_norm_drift_measures_rk4(tmp_path):
     """Sampled-field rows are not rescaled either: the drift is RK4's spin error."""
-    path = _write_config(tmp_path, _plane_wave_simulate_config())
+    payload = _simulate_config(ds=0.05, n_steps=200, fit_frequency=False)
+    # a potential with a non-uniform B and an E: no exact path, RK4 runs
+    payload["fields"] = {"kind": "custom-polynomial", "coefficients": {
+        "0": [{"c": 0.3, "powers": [0, 1, 0, 0]}],
+        "1": [{"c": 0.4, "powers": [0, 0, 0, 2]}],
+    }}
+    payload["initial_state"]["beta"] = [0.0, 0.3, 0.0]
+    path = _write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "--quiet"]) == 0
     drift = json.loads((out / "report.json").read_text())["max_abs_residuals"]["spin_norm_drift"]
     # a renormalised row would read at most 1 ulp, np.finfo(float).eps = 2.2e-16
     assert 2.3e-16 < drift < 1e-6
+
+
+def test_overflowing_plane_wave_exits_as_numerical_failure(tmp_path, capsys):
+    payload = _plane_wave_simulate_config()
+    payload["fields"]["amplitude"] = 1e8
+    path = _write_config(tmp_path, payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "failing step index" in err and "Warning" not in err
 
 
 def test_antiparticle_orbit_is_the_opposite_charge_orbit(tmp_path):
@@ -353,4 +376,39 @@ def test_overflowing_rapidity_is_rejected_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config rejected" in err and "chi" in err
     assert "Warning" not in err
+    assert caught == []
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_extreme_plane_wave_simulate_exits_0_or_3_without_warnings(data):
+    """Schema-valid plane-wave runs with extreme values never exit 2 and leak no warning."""
+    draw = data.draw
+    n = draw_unit(draw)
+    pol = draw_transverse_unit(draw, n)
+    omega = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.01, 10.0)))
+    speed = draw(st.floats(0.0, 0.9))
+    payload = {
+        "command": "simulate",
+        "particle": {"kind": draw(st.sampled_from(["particle", "antiparticle"]))},
+        "fields": {
+            "kind": "plane-wave",
+            "wave_vector": [omega, *(omega * n).tolist()],
+            "polarization": pol.tolist(),
+            "amplitude": draw(st.one_of(st.sampled_from([0.0, 1e8, -1e8]),
+                                        st.floats(-1e8, 1e8))),
+        },
+        "initial_state": {"x": list(draw(st.tuples(*[st.floats(-1e3, 1e3)] * 4))),
+                          "beta": (speed * draw_unit(draw)).tolist(),
+                          "spin": draw_unit(draw).tolist()},
+        "evolution": {"ds": draw(st.floats(1e-3, 1e3)), "n_steps": draw(st.integers(1, 50)),
+                      "fit_frequency": draw(st.booleans())},
+        "output": {"format": draw(st.sampled_from(["csv", "json"]))},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(Path(tmp), payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main(["--config", path, "--out", str(Path(tmp) / "out"), "--quiet"])
+    assert status in (0, 3)
     assert caught == []

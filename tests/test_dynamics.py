@@ -1,13 +1,13 @@
-"""Point dynamics: Lorentz force, spin precession, RK4 integrator, fits."""
+"""Point dynamics: Lorentz force, spin precession, exact orbits, RK4 integrator, fits."""
 
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import measured_order
+from conftest import draw_transverse_unit, draw_unit, measured_order
 
 from dirachydro.dynamics import (
     DynState,
@@ -19,14 +19,16 @@ from dirachydro.dynamics import (
     state_derivative,
 )
 from dirachydro.errors import ContractError, FitError, InstabilityError
-from dirachydro.fields import (CrossedField, Particle, PlaneWaveField, UniformField,
-                               tensor_from_EB)
+from dirachydro.fields import (CrossedField, GaugeShiftedProvider, Particle, PlaneWaveField,
+                               ScalarPolynomial, UniformField, tensor_from_EB)
 
 B_UNIT = UniformField(B0=np.array([0.0, 0.0, 1.0]))
 REST = DynState(x=np.zeros(4), u=np.array([1.0, 0.0, 0.0, 0.0]),
                 s_rest=np.array([1.0, 0.0, 0.0]))
 WAVE = PlaneWaveField(wave_vector=np.array([1.0, 0.0, 0.0, 1.0]),
                       polarization=np.array([1.0, 0.0, 0.0]), amplitude=0.8)
+# the same F as WAVE, but not a PlaneWaveField: RK4 runs
+GAUGED_WAVE = GaugeShiftedProvider(WAVE, ScalarPolynomial(terms=((0.3, (1, 1, 0, 0)),)))
 MOVING = DynState(x=np.zeros(4), u=np.array([np.cosh(0.3), 0.0, np.sinh(0.3), 0.0]),
                   s_rest=np.array([0.0, 0.0, 1.0]))
 
@@ -107,21 +109,56 @@ BOOSTED = DynState(
 )
 
 
-def _final(traj):
-    return np.concatenate([traj.x[-1], traj.u[-1], traj.s_rest[-1]])
+def _rows(traj, stride):
+    """Every stride-th row of (x, u, s_rest): the samples at the coarsest step's times."""
+    return np.hstack([traj.x, traj.u, traj.s_rest])[::stride]
+
+
+def _assert_rk4_converges_to(exact_provider, rk4_provider, state, s_max):
+    """Step halving: RK4 converges at 4th order, and its limit is the exact orbit.
+
+    Whole orbits are compared at the coarse step's times, not only their ends.
+    """
+    exact = _rows(integrate(state, exact_provider, ds=0.1, s_max=s_max), 1)
+    orbits = [_rows(integrate(state, rk4_provider, ds=0.1 / stride, s_max=s_max), stride)
+              for stride in (1, 2, 4)]
+    assert measured_order(*orbits) == pytest.approx(4.0, abs=0.3)
+    errors = [np.max(np.abs(orbit - exact)) for orbit in orbits]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_rk4_converges_at_fourth_order_to_exact_propagator(name):
-    """Step halving: RK4 converges at 4th order, and its limit is the exact orbit."""
     provider = ORACLE_FIELDS[name]
-    exact = _final(integrate(BOOSTED, provider, ds=0.1, s_max=4.0))
-    finals = [_final(integrate(BOOSTED, _Sampled(provider), ds=ds, s_max=4.0))
-              for ds in (0.1, 0.05, 0.025)]
-    assert measured_order(*finals) == pytest.approx(4.0, abs=0.3)
-    errors = [np.max(np.abs(final - exact)) for final in finals]
-    for coarse, fine in zip(errors, errors[1:]):
-        assert np.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
+    _assert_rk4_converges_to(provider, _Sampled(provider), BOOSTED, 4.0)
+
+
+# phase k.x0 = 1.2 in WAVE, so both the sine and the cosine of it enter the orbit
+OFF_AXIS = DynState(x=np.array([0.7, 0.1, -0.4, -0.5]), u=MOVING.u, s_rest=BOOSTED.s_rest)
+
+
+def test_rk4_converges_at_fourth_order_to_closed_form_plane_wave():
+    _assert_rk4_converges_to(WAVE, GAUGED_WAVE, OFF_AXIS, 6.0)
+
+
+@pytest.mark.parametrize("omega", [1e-7, 0.0])
+def test_long_wave_closed_form_matches_fine_rk4(omega):
+    """k.u s stays tiny here, where the closed form takes its Taylor branch.
+
+    With k.x of order 1e-7 too, F is about A |k| k.x, so A = 8e12 makes it
+    about 0.1, and every term of the integrals of a and a^2 counts.
+    """
+    wave = PlaneWaveField(wave_vector=omega * np.array([1.0, 0.0, 0.0, 1.0]),
+                          polarization=np.array([1.0, 0.0, 0.0]), amplitude=8e12)
+    exact = integrate(OFF_AXIS, wave, ds=0.05, n_steps=100)
+    fine = integrate(OFF_AXIS, GaugeShiftedProvider(wave, ScalarPolynomial()), ds=0.05 / 8,
+                     n_steps=800)
+    np.testing.assert_allclose(exact.x, fine.x[::8], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(exact.u, fine.u[::8], rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(exact.s_rest, fine.s_rest[::8], rtol=0.0, atol=1e-11)
+    if omega:
+        assert np.ptp(exact.u[:, 1]) > 0.1  # the wave does push the particle
 
 
 def test_null_crossed_orbit_is_a_polynomial():
@@ -143,13 +180,13 @@ def test_null_crossed_orbit_is_a_polynomial():
 
 
 def test_one_step_matches_textbook_rk4():
-    """One step in a plane wave equals RK4 assembled from state_derivative."""
+    """One step in a gauge-shifted plane wave equals RK4 assembled from state_derivative."""
     ds = 0.05
     y = [MOVING.x, MOVING.u, MOVING.s_rest]
 
     def rhs(x, u, s_rest):
         # stages are off the mass shell, so they cannot be DynStates
-        return state_derivative(SimpleNamespace(x=x, u=u, s_rest=s_rest), WAVE)
+        return state_derivative(SimpleNamespace(x=x, u=u, s_rest=s_rest), GAUGED_WAVE)
 
     def advance(scale, k):
         return [a + scale * b for a, b in zip(y, k)]
@@ -160,16 +197,16 @@ def test_one_step_matches_textbook_rk4():
     k4 = rhs(*advance(ds, k3))
     expected = [a + (ds / 6.0) * (b + 2.0 * c + 2.0 * d + e)
                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-    traj = integrate(MOVING, WAVE, ds=ds, n_steps=1)
+    traj = integrate(MOVING, GAUGED_WAVE, ds=ds, n_steps=1)
     for got, want in zip((traj.x[1], traj.u[1], traj.s_rest[1]), expected):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 def test_plane_wave_orbit_converges_at_fourth_order():
-    """Step halving against a fine-step run: the error ratio is 2^4."""
+    """RK4 in the gauge-shifted wave, step halving against a fine-step run: the ratio is 2^4."""
 
     def final(ds):
-        traj = integrate(MOVING, WAVE, ds=ds, s_max=6.0)
+        traj = integrate(MOVING, GAUGED_WAVE, ds=ds, s_max=6.0)
         return np.concatenate([traj.x[-1], traj.u[-1], traj.s_rest[-1]])
 
     reference = final(0.1 / 32)
@@ -179,7 +216,7 @@ def test_plane_wave_orbit_converges_at_fourth_order():
 
 
 def test_plane_wave_conserves_k_dot_u():
-    """k.u is a linear invariant of motion in a plane wave, kept by RK4 to roundoff."""
+    """k.u is a linear invariant of motion in a plane wave, kept to roundoff."""
     traj = integrate(MOVING, WAVE, ds=0.01, n_steps=3000)
     k_lower = WAVE.wave_vector * np.array([1.0, -1.0, -1.0, -1.0])
     k_dot_u = traj.u @ k_lower
@@ -278,23 +315,17 @@ def test_state_derivative_composition():
     )
 
 
-def _unit(draw):
-    vector = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
-    assume(np.linalg.norm(vector) > 0.1)
-    return vector / np.linalg.norm(vector)
-
-
 @settings(max_examples=40)
 @given(st.data())
 def test_exact_orbit_invariants(data):
     """Random uniform B and E, beta <= 0.6 and spin: invariants of the exact path."""
     draw = data.draw
-    B0 = draw(st.floats(0.1, 2.0)) * _unit(draw)
-    E0 = draw(st.floats(0.0, 0.5)) * _unit(draw)
-    beta = draw(st.floats(0.05, 0.6)) * _unit(draw)
+    B0 = draw(st.floats(0.1, 2.0)) * draw_unit(draw)
+    E0 = draw(st.floats(0.0, 0.5)) * draw_unit(draw)
+    beta = draw(st.floats(0.05, 0.6)) * draw_unit(draw)
     gamma = 1.0 / np.sqrt(1.0 - beta @ beta)
     state = DynState(x=np.zeros(4), u=gamma * np.concatenate([[1.0], beta]),
-                     s_rest=_unit(draw))
+                     s_rest=draw_unit(draw))
 
     # nothing renormalises the spin here, so |s_rest| = 1 is the propagator's
     traj = integrate(state, UniformField(E0=E0, B0=B0), ds=0.01, n_steps=300)
@@ -308,9 +339,67 @@ def test_exact_orbit_invariants(data):
                        np.einsum("ni,ni->n", traj.s_rest, beta_hat))
     assert np.max(np.abs(angle - angle[0])) < 1e-9
 
-    violent = UniformField(E0=draw(st.floats(1e3, 1e8)) * _unit(draw), B0=B0)
+    violent = UniformField(E0=draw(st.floats(1e3, 1e8)) * draw_unit(draw), B0=B0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError) as info:
             integrate(state, violent, ds=10.0, n_steps=50)
     assert info.value.step_index >= 1
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_plane_wave_closed_form_invariants(data):
+    """Random waves (k = 0 and |k| <= 1e-7 included), beta <= 0.6, spin and kind."""
+    draw = data.draw
+    omega = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-7), st.floats(0.1, 3.0)))
+    n = draw_unit(draw)
+    k = omega * np.concatenate([[1.0], n])
+    wave = PlaneWaveField(wave_vector=k, polarization=draw_transverse_unit(draw, n),
+                          amplitude=draw(st.floats(-1.0, 1.0)))
+    beta = draw(st.floats(0.0, 0.6)) * draw_unit(draw)
+    gamma = 1.0 / np.sqrt(1.0 - beta @ beta)
+    state = DynState(x=np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))),
+                     u=gamma * np.concatenate([[1.0], beta]), s_rest=draw_unit(draw))
+    particle = Particle(charge=draw(st.sampled_from([-1.0, 1.0])))
+
+    traj = integrate(state, wave, ds=draw(st.floats(0.01, 0.1)), n_steps=300, particle=particle)
+    np.testing.assert_array_equal(np.concatenate([traj.x[0], traj.u[0], traj.s_rest[0]]),
+                                  np.concatenate([state.x, state.u, state.s_rest]))
+    assert traj.mass_shell_error() < 1e-12
+    assert np.max(np.abs(np.linalg.norm(traj.s_rest, axis=1) - 1.0)) < 1e-12
+    k_lower = k * np.array([1.0, -1.0, -1.0, -1.0])
+    kappa = k_lower @ state.u
+    assert np.max(np.abs(traj.u @ k_lower - kappa)) < 1e-12
+    # the phase advances linearly in proper time
+    scale = 1.0 + np.max(np.abs(k)) * np.max(np.abs(traj.x))
+    phase = traj.x @ k_lower
+    assert np.max(np.abs(phase - (k_lower @ state.x + kappa * traj.s))) < 1e-12 * scale
+
+
+def test_zero_wave_vector_is_free_motion():
+    wave = PlaneWaveField(wave_vector=np.zeros(4), polarization=np.array([0.0, 1.0, 0.0]),
+                          amplitude=1e8)
+    state = DynState(x=np.array([0.5, -1.0, 2.0, 0.25]), u=BOOSTED.u, s_rest=BOOSTED.s_rest)
+    traj = integrate(state, wave, ds=0.7, n_steps=400)
+    np.testing.assert_array_equal(traj.x, state.x + traj.s[:, np.newaxis] * state.u)
+    np.testing.assert_array_equal(traj.u, np.broadcast_to(state.u, traj.u.shape))
+    # the rest spin only makes the round trip to the lab frame and back
+    np.testing.assert_allclose(traj.s_rest, np.broadcast_to(state.s_rest, traj.s_rest.shape),
+                               rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("amplitude", [1e8, 1e300])
+def test_overflowing_plane_wave_raises_at_the_first_bad_row(amplitude):
+    """From rest in k = (1, 0, 0, 1): u^0 = 1 + a^2 / 2 with a = A (1 - cos s)."""
+    wave = PlaneWaveField(amplitude=amplitude)
+    ds = 0.01
+    s = ds * np.arange(200)
+    # u^0 >= 1e12 written without squaring a, which overflows at 1e300
+    first_bad = int(np.argmax(amplitude * (1.0 - np.cos(s)) >= np.sqrt(2.0 * (1e12 - 1.0))))
+    assert first_bad >= 1
+    with pytest.raises(InstabilityError) as info:
+        integrate(REST, wave, ds=ds, n_steps=199)
+    assert info.value.step_index == first_bad
+    if first_bad > 1:
+        integrate(REST, wave, ds=ds, n_steps=first_bad - 1)

@@ -367,11 +367,12 @@ def test_json_writer_refuses_bad_payloads_and_leaves_no_file(tmp_path, payload, 
 
 
 def test_grid_container_writer_memory_is_bounded(tmp_path):
-    """The container is streamed: no whole document is held in memory.
+    """The container is streamed: no whole document and one field's samples at a time.
 
-    Measured 69 bytes per value (Python 3.11, NumPy 2.4) with 7 fields of
-    9^4 samples; the bound is 1.5 times that. Encoding the whole document
-    before writing it took 144 bytes per value.
+    Measured 45 bytes per value (Python 3.11, NumPy 2.4) with 7 fields of
+    9^4 samples; the bound is 1.5 times that. Building every field's sample
+    list before the write took 72 bytes per value, and encoding the whole
+    document before writing it took 144.
     """
     spec = GridSpec(active_axes=(0, 1, 2, 3), shape=(9,) * 4, spacing=(0.05,) * 4)
     rng = np.random.default_rng(3)
@@ -382,4 +383,4 @@ def test_grid_container_writer_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (7 * 9**4) <= 1.5 * 69
+    assert peak / (7 * 9**4) <= 1.5 * 45

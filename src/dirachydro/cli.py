@@ -15,8 +15,8 @@ Commands
 
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
 rejected (unreadable, malformed, schema violation, or a value a module
-refused), 3 a numerical failure (instability, fit, step size, or a
-non-finite residual).
+refused with a ContractError), 3 a numerical failure (instability, fit,
+step size, or a non-finite or overflowing result).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import dataclasses
 import datetime
 import importlib.resources
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -97,16 +98,6 @@ def _provider_from(config):
     return ZERO_FIELD
 
 
-def _grid_from(config):
-    block = config["grid"]
-    return GridSpec(
-        active_axes=tuple(block["active_axes"]),
-        shape=tuple(block["shape"]),
-        spacing=tuple(block["spacing"]),
-        origin=tuple(block.get("origin", (0.0, 0.0, 0.0, 0.0))),
-    )
-
-
 _ANGLE_KEYS = ("chi", "theta_u", "phi", "theta", "eta0")
 
 
@@ -119,31 +110,16 @@ def _configured_fields(spec, config, seed, default_kind, particle):
             raise ContractError("amplitude does not apply to a plane-wave configuration")
         return plane_wave_fields(spec, kind=kind, particle=particle, **block)
     if ctype == "perturbed-plane-wave":
-        amplitude = block.pop("amplitude", 1e-3)
-        return perturbed_plane_wave_fields(
-            spec, seed, amplitude=amplitude, kind=kind, particle=particle, **block
-        )
+        return perturbed_plane_wave_fields(spec, seed, kind=kind, particle=particle, **block)
     base = dict(DEFAULT_BASE_PARAMS)
-    base.update({key: block[key] for key in _ANGLE_KEYS if key in block})
+    base.update({key: block.pop(key) for key in _ANGLE_KEYS if key in block})
     return seeded_manufactured_fields(
-        spec,
-        seed,
-        amplitude=block.get("amplitude", 5e-5),
-        base=base,
-        rho_base=block.get("rho_value", 1.0),
-        kind=kind,
-        particle=particle,
+        spec, seed, base=base, kind=kind, particle=particle, **block
     )
 
 
 def _cmd_verify(config, seed, out_dir, fmt):
-    block = config.get("verify", {})
-    suites = run_all(
-        seed,
-        samples=block.get("samples", 2000),
-        tolerance_scale=block.get("tolerance_scale", 1.0),
-        suites=block.get("suites"),
-    )
+    suites = run_all(seed, **config.get("verify", {}))
     results = [suite.as_dict() for suite in suites]
     max_abs = {suite.name: suite.max_abs_residual for suite in suites}
     lines = [
@@ -250,28 +226,47 @@ def _residual_grids(fields, provider, particle):
 
 
 def _sup_norms(grids):
-    """Max |value| of each named residual grid; a non-finite one is a numerical failure.
+    """Max |value| of each named residual grid."""
+    return {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
 
-    Checked before anything is written, so a NaN surfaces as
-    NonFiniteResultError (exit 3) rather than as a JSON encoding error.
+
+def _floats(value, path):
+    """(key path, value) for every float in a report section."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floats(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _floats(item, f"{path}/{index}")
+    elif isinstance(value, float):
+        yield path, value
+
+
+def _require_finite(**sections):
+    """Raise NonFiniteResultError naming each non-finite float of the report sections.
+
+    Checked before anything is written, so a NaN or an overflow surfaces as
+    a numerical failure (exit 3) rather than as a JSON encoding error.
     """
-    max_abs = {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
-    broken = [name for name, value in max_abs.items() if not np.isfinite(value)]
+    broken = [
+        path
+        for name, section in sections.items()
+        for path, value in _floats(section, name)
+        if not math.isfinite(value)
+    ]
     if broken:
-        raise NonFiniteResultError(
-            "non-finite sup-norm in residual field " + ", ".join(broken)
-        )
-    return max_abs
+        raise NonFiniteResultError("non-finite " + ", ".join(broken))
 
 
 def _cmd_residuals(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
-    spec = _grid_from(config)
+    spec = GridSpec(**config["grid"])
     fields = _configured_fields(spec, config, seed, kind, particle)
 
     grids = _residual_grids(fields, provider, particle)
     max_abs = _sup_norms(grids)
+    _require_finite(max_abs_residuals=max_abs)
 
     # 1D and 2D grids export cleanly as CSV tables; anything bigger keeps
     # the self-describing grid container regardless of the requested format
@@ -296,7 +291,7 @@ def _cmd_residuals(config, seed, out_dir, fmt):
 def _cmd_fisher(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
-    spec = _grid_from(config)
+    spec = GridSpec(**config["grid"])
     fields = _configured_fields(spec, config, seed, kind, particle)
     depth = config.get("fisher", {}).get("depth", 1)
 
@@ -351,8 +346,12 @@ def run(config, seed=None, out_dir=None, fmt=None, quiet=False):
 
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-    status, results, max_abs, lines = _COMMANDS[command](config, seed, out_dir, fmt)
+    # floating-point trouble shows up as a non-finite result, checked
+    # before the report is written, instead of as a warning on stderr
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        status, results, max_abs, lines = _COMMANDS[command](config, seed, out_dir, fmt)
     elapsed = time.perf_counter() - t0
+    _require_finite(results=results, max_abs_residuals=max_abs)
 
     write_json_report(
         out_dir / "report.json",
@@ -417,11 +416,11 @@ def main(argv=None):
         print(f"dirachydro: numerical instability: {exc}", file=sys.stderr)
         print(f"dirachydro: failing step index {exc.step_index}", file=sys.stderr)
         return 3
-    except (FitError, NonFiniteResultError, StepSizeError) as exc:
+    except (FitError, NonFiniteResultError, OverflowError, StepSizeError) as exc:
         print(f"dirachydro: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # ContractError and friends: the config asked for something a module refuses
+    except ContractError as exc:
+        # the config asked for something a module refuses
         print(f"dirachydro: config rejected: {exc}", file=sys.stderr)
         return 2
 

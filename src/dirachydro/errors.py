@@ -5,7 +5,7 @@ class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class DegenerateSpinorError(ValueError):
+class DegenerateSpinorError(ContractError):
     """Spinor has |scalar bilinear| below the usable threshold (lightlike direction)."""
 
 
@@ -29,5 +29,5 @@ class NonFiniteResultError(RuntimeError):
     """A computed result came out NaN or infinite."""
 
 
-class InsufficientInteriorError(ValueError):
+class InsufficientInteriorError(ContractError):
     """Grid has no trusted interior left after masking boundary stencils."""

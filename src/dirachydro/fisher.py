@@ -148,14 +148,8 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     sign = species_sign(fields.kind if kind is None else kind)
     spec = fields.spec
     rho0 = fields.rho0
-    if np.any(rho0[spec.interior(depth)] <= 0.0):
-        raise ContractError("rho0 must be positive on the trusted interior")
-
-    hbar = particle.hbar
-    fisher_integrand = 0.25 * hbar**2 * _metric_square(spec, rho0) / rho0
+    fisher_term = sign * particle.hbar**2 * fisher_information(spec, rho0, depth=depth)
     lagr_integrand = rho0 * lagrangian_density(fields, provider, particle)
-
-    fisher_term = sign * spec.integrate(fisher_integrand, depth=depth)
     lagrangian_term = sign * spec.integrate(lagr_integrand, depth=depth)
     volume = float(np.prod(spec.spacing))
     return FunctionalReport(

@@ -10,8 +10,9 @@ Grid container layout: a single JSON object with a ``grid`` header
 to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
-writer that streams the document as it encodes it, so no file is ever held
-in memory whole.
+writer that streams the document as it encodes it.  Bulk samples reach it
+as 1-D float64 arrays, which it encodes a fixed-size slice at a time, so
+neither a file nor a field's sample list is ever held in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
@@ -22,7 +23,6 @@ with three or more axes have no CSV form; they use the grid container.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from pathlib import Path
 
@@ -77,12 +77,10 @@ def _real_field(spec, name, values):
 def save_grid_fields(path, spec, fields):
     """Write named real grid fields with their grid header as JSON.
 
-    Every field is checked before anything is written, but each field's
-    sample list is built only when the writer reaches it, so one list is
-    alive at a time.
+    Every field is checked before anything is written.
     """
     flats = {name: _real_field(spec, name, values).ravel() for name, values in fields.items()}
-    payload = {
+    write_json_report(path, {
         "format": GRID_FORMAT,
         "grid": {
             "active_axes": list(spec.active_axes),
@@ -91,17 +89,8 @@ def save_grid_fields(path, spec, fields):
             "origin": list(spec.origin),
         },
         "order": "row-major",
-        "fields": {name: functools.partial(_samples, flat) for name, flat in flats.items()},
-    }
-    write_json_report(path, payload)
-
-
-def _samples(flat):
-    """A flat field as a list of floats, with None (null) for each non-finite sample."""
-    samples = flat.tolist()
-    for index in np.flatnonzero(~np.isfinite(flat)).tolist():
-        samples[index] = None
-    return samples
+        "fields": flats,
+    })
 
 
 def load_grid_fields(path):
@@ -113,13 +102,7 @@ def load_grid_fields(path):
         payload = json.load(fh)
     if payload.get("format") != GRID_FORMAT:
         raise ContractError(f"not a {GRID_FORMAT} file: {path}")
-    g = payload["grid"]
-    spec = GridSpec(
-        active_axes=tuple(g["active_axes"]),
-        shape=tuple(g["shape"]),
-        spacing=tuple(g["spacing"]),
-        origin=tuple(g["origin"]),
-    )
+    spec = GridSpec(**payload["grid"])
     fields = {}
     for name, flat in payload["fields"].items():
         arr = np.array(
@@ -141,7 +124,7 @@ def _write_csv(path, header, columns):
     refused.
     """
     for name in header:
-        if any(char in name for char in ',"\r\n'):
+        if not set(name).isdisjoint(',"\r\n'):
             raise ContractError(f"column name {name!r} would need CSV quoting")
     table = np.column_stack(columns)
     # format_float's "%.17g" applied to a whole row at once
@@ -167,7 +150,7 @@ def save_trajectory_json(path, trajectory):
     table = np.column_stack(_trajectory_columns(trajectory))
     write_json_report(path, {
         "format": TRAJECTORY_FORMAT,
-        "data": dict(zip(TRAJECTORY_COLUMNS, table.T.tolist())),
+        "data": dict(zip(TRAJECTORY_COLUMNS, table.T)),
     })
 
 
@@ -219,12 +202,13 @@ def write_json_report(path, payload):
 
     The bytes are exactly ``json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n"``, but each piece is written as soon as it is
-    encoded. A payload that ``json.dumps`` refuses (NaN, infinity, an
-    object with no JSON form) raises as it would there, and so does a dict
-    key that is not a str, which ``json.dumps`` would turn into one. A
-    refused payload leaves no file behind. A callable anywhere in the
-    payload stands for the value it returns, which is built only when the
-    writer reaches it and dropped once it is written.
+    encoded. A 1-D float64 array anywhere in the payload is written as its
+    sample list with null for each non-finite sample, encoded ``_SLICE``
+    samples at a time. Anything else that ``json.dumps`` refuses (NaN or
+    infinity outside such an array, any other array, an object with no
+    JSON form) raises as it would there, and so does a dict key that is not
+    a str, which ``json.dumps`` would turn into one. A refused payload
+    leaves no file behind.
     """
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -235,15 +219,17 @@ def write_json_report(path, payload):
         raise
 
 
+# samples of an array encoded per json.dumps call: bounds the text in memory
+_SLICE = 4096
+
+
 def _write_json(write, value, newline):
     """Write one JSON value; ``newline`` is a line break plus the current indent.
 
-    Dicts and lists are walked here. A list of scalars alone goes to the C
-    encoder in one call: with indent set, ``json.dumps`` would fall back to
-    its pure-Python encoder for the whole document.
+    Dicts, lists and tuples are walked here, and an array's samples go to
+    the C encoder a slice at a time: with indent set, ``json.dumps`` would
+    fall back to its pure-Python encoder for the whole document.
     """
-    if callable(value):
-        value = value()
     inner = newline + "  "
     if isinstance(value, dict):
         for key in value:
@@ -262,16 +248,29 @@ def _write_json(write, value, newline):
         if not value:
             write("[]")
             return
-        if any(isinstance(item, (dict, list, tuple)) for item in value):
-            opener = "["
-            for item in value:
-                write(opener + inner)
-                _write_json(write, item, inner)
-                opener = ","
-        else:
-            text = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)
-            write("[" + inner)
-            write(text[1:-1])
+        opener = "["
+        for item in value:
+            write(opener + inner)
+            _write_json(write, item, inner)
+            opener = ","
+        write(newline + "]")
+    elif isinstance(value, np.ndarray):
+        if value.ndim != 1 or value.dtype != np.float64:
+            raise TypeError(
+                f"only 1-D float64 arrays are written, not {value.ndim}-D {value.dtype}"
+            )
+        if not value.size:
+            write("[]")
+            return
+        separator = "," + inner
+        opener = "[" + inner
+        for start in range(0, value.size, _SLICE):
+            part = value[start:start + _SLICE]
+            samples = part.tolist()
+            for index in np.flatnonzero(~np.isfinite(part)).tolist():
+                samples[index] = None
+            write(opener + json.dumps(samples, separators=(separator, ": "))[1:-1])
+            opener = separator
         write(newline + "]")
     else:
         write(json.dumps(value, allow_nan=False))

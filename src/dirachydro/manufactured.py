@@ -141,7 +141,7 @@ def seeded_manufactured_fields(
     seed,
     amplitude=5e-5,
     base=None,
-    rho_base=1.0,
+    rho_value=1.0,
     kind="particle",
     particle=ELECTRON,
 ):
@@ -165,7 +165,7 @@ def seeded_manufactured_fields(
     )
     u_base = four_velocity(KinematicParams(**{k: float(v) for k, v in base.items()}))
     S = -species_sign(kind) * particle.mass * _phase_dot(spec.points(), u_base) + bumps["S"]
-    rho = float(rho_base) + bumps["rho"]
+    rho = float(rho_value) + bumps["rho"]
     if np.any(rho <= 0.0):
         raise ContractError("amplitude too large: manufactured rho crossed zero")
     return HydroFieldSet(spec=spec, rho=rho, S=S, params=params, kind=kind)

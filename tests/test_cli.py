@@ -1,5 +1,7 @@
 """Config validation, report determinism, exit-status contract of the CLI."""
 
+import contextlib
+import io
 import json
 import tempfile
 import warnings
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import draw_transverse_unit, draw_unit
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirachydro.cli import load_schema, main, run, validate_config
@@ -350,6 +352,45 @@ def test_fisher_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys)
     assert not any(out.iterdir())
 
 
+# spacing so coarse that the trapezoid weights overflow: the lagrangian
+# term and the total come out infinite while both sup-norms stay finite
+FISHER_OVERFLOW = {
+    "command": "fisher", "seed": 1, "fields": {"kind": "uniform", "B0": [0, 0, 1]},
+    "grid": {"active_axes": [0, 1], "shape": [9, 9], "spacing": [1e152, 1e152]},
+    "configuration": {"type": "perturbed-plane-wave", "kind": "particle",
+                      "theta_u": 1.5707963267948966, "phi": 0},
+}
+
+
+def _huge_field_config(command):
+    """A field so strong that the rest-frame field overflows."""
+    return {
+        "command": command, "seed": 1, "fields": {"kind": "uniform", "B0": [0, 0, 1.7e308]},
+        "grid": {"active_axes": [0, 1], "shape": [9, 9], "spacing": [0.1, 0.1]},
+        "configuration": {"type": "plane-wave"},
+    }
+
+
+@pytest.mark.parametrize("payload, quantity", [
+    (FISHER_OVERFLOW, "results/functional/total"),
+    (_huge_field_config("residuals"), "max_abs_residuals/qhj_expanded"),
+    (_huge_field_config("fisher"), "max_abs_residuals/qhj_expanded"),
+], ids=["fisher-spacing", "residuals-field", "fisher-field"])
+def test_overflow_exits_as_numerical_failure(tmp_path, capsys, payload, quantity):
+    # the infinite fisher functional used to surface as a JSON encoding
+    # error reported as "config rejected" (exit 2); all three leaked warnings
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and quantity in err
+    assert "config rejected" not in err and "Warning" not in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("rho_value", [1e-150, 1e-200, 1e-250, 1e-299])
 def test_tiny_density_above_the_floor_stays_finite(tmp_path, rho_value):
     # rho0**2 is subnormal or zero below about 1e-154; the bilinear evaluator
@@ -412,3 +453,79 @@ def test_extreme_plane_wave_simulate_exits_0_or_3_without_warnings(data):
             status = main(["--config", path, "--out", str(Path(tmp) / "out"), "--quiet"])
     assert status in (0, 3)
     assert caught == []
+
+
+# schema-valid numbers: mostly moderate, the limits of float64 one draw in three
+_LIMITS = [5e-324, 1e-300, 1e154, 1.7e308]
+_ANY = st.one_of(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                 st.sampled_from(_LIMITS + [-v for v in _LIMITS]))
+_POSITIVE = st.one_of(st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.sampled_from(_LIMITS))
+_HALF_PI = 1.5707963267948966
+
+
+@st.composite
+def _grid_command_configs(draw):
+    """Small schema-valid residuals and fisher configs with extreme values."""
+    family = draw(st.sampled_from(["plane-wave", "perturbed-plane-wave", "manufactured"]))
+    optional = {
+        "kind": st.sampled_from(["particle", "antiparticle"]),
+        "chi": _POSITIVE,
+        # a plane wave's velocity must lie along x, the grid's one spatial axis
+        "theta_u": st.sampled_from([_HALF_PI, _HALF_PI, 1.0]),
+        "phi": st.sampled_from([0.0, 0.0, 0.3]),
+        "theta": st.one_of(st.floats(0.0, np.pi), st.sampled_from([0.0, np.pi])),
+        "eta0": _ANY,
+        "rho_value": _POSITIVE,
+    }
+    if family != "plane-wave":
+        optional["amplitude"] = st.one_of(st.just(0.0), _POSITIVE)
+    configuration = {"type": family}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            configuration[key] = draw(values)
+    if draw(st.booleans()):
+        fields = {"kind": "uniform", "E0": [draw(_ANY) for _ in range(3)],
+                  "B0": [draw(_ANY) for _ in range(3)]}
+    else:  # E0 . B0 = 0
+        fields = {"kind": "crossed", "E0": [draw(_ANY), 0.0, 0.0],
+                  "B0": [0.0, 0.0, draw(_ANY)]}
+    return {
+        "command": draw(st.sampled_from(["residuals", "fisher"])),
+        "seed": draw(st.integers(0, 2**32)),
+        "fields": fields,
+        "grid": {"active_axes": [0, 1],
+                 "shape": [draw(st.integers(5, 9)) for _ in range(2)],
+                 "spacing": [draw(_POSITIVE) for _ in range(2)],
+                 "origin": draw(st.sampled_from([[0.0] * 4, [draw(_ANY) for _ in range(4)]]))},
+        "configuration": configuration,
+        "particle": {"mass": draw(_POSITIVE), "charge": draw(_ANY), "hbar": draw(_POSITIVE)},
+        "fisher": {"depth": draw(st.integers(0, 3))},
+        "output": {"format": draw(st.sampled_from(["csv", "json"]))},
+    }
+
+
+@settings(max_examples=50)
+@given(_grid_command_configs())
+@example(FISHER_OVERFLOW)
+# spacing whose square overflows: Python's float power raised OverflowError
+@example({"command": "residuals",
+          "grid": {"active_axes": [0, 1], "shape": [5, 5], "spacing": [1e300, 0.1]},
+          "configuration": {"type": "plane-wave"}})
+@example(_huge_field_config("residuals"))
+@example(_huge_field_config("fisher"))
+def test_extreme_grid_commands_exit_by_cause_without_warnings(payload):
+    """Exit 2 only for a value a module refused, never for the JSON encoder; no warning leaks."""
+    assert validate_config(payload) == []
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(Path(tmp), payload)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            status = main(["--config", path, "--out", str(Path(tmp) / "out"), "--quiet"])
+    err = stderr.getvalue()
+    assert caught == []
+    assert "JSON" not in err and "Warning" not in err
+    # main maps only a module's ContractError to 2; anything else would escape it
+    assert status in (0, 2, 3)
+    assert (status == 2) == ("config rejected" in err)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dirachydro import fisher
 from dirachydro.errors import ContractError, StepSizeError
-from dirachydro.fields import ELECTRON, UniformField
+from dirachydro.fields import ELECTRON, Particle, UniformField
 from dirachydro.fisher import (
     CONTINUITY_FACTOR,
     QHJ_FACTOR,
@@ -85,6 +85,17 @@ def test_functional_antisymmetry_is_exact():
     assert p.volume_element == pytest.approx(0.02 * 0.02)
     with pytest.raises(ContractError):
         action_functional(fields, provider, kind="both")
+
+
+def test_fisher_term_is_hbar_squared_times_the_information():
+    spec = GridSpec(active_axes=(0, 1), shape=(17, 17), spacing=(0.02, 0.02))
+    provider = UniformField(E0=np.array([0.0, 0.03, 0.0]), B0=np.array([0.0, 0.0, 0.1]))
+    fields = seeded_manufactured_fields(spec, seed=2)
+    information = fisher_information(spec, fields.rho0)
+    assert action_functional(fields, provider).fisher_term == information
+    for hbar in (0.5, 3.0):
+        report = action_functional(fields, provider, particle=Particle(hbar=hbar))
+        assert report.fisher_term == pytest.approx(hbar**2 * information, rel=1e-15)
 
 
 @settings(max_examples=40)

@@ -18,6 +18,7 @@ from dirachydro.errors import ContractError
 from dirachydro.fields import UniformField
 from dirachydro.grids import GridSpec
 from dirachydro.io import (
+    _SLICE,
     FIT_COLUMNS,
     GRID_FORMAT,
     TRAJECTORY_COLUMNS,
@@ -384,3 +385,67 @@ def test_grid_container_writer_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (7 * 9**4) <= 1.5 * 45
+
+
+_SLICE_SIZES = [0, 1, _SLICE - 1, _SLICE, _SLICE + 1]
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=25)
+@given(
+    size=st.sampled_from(_SLICE_SIZES) | st.integers(0, 3 * _SLICE + 2),
+    seed=st.integers(0, 2**32),
+    edge_values=st.lists(st.sampled_from(_NON_FINITE + [-0.0, 5e-324, 1.7976931348623157e308]),
+                         min_size=6, max_size=6),
+    nest=st.sampled_from(["top", "dict", "list"]),
+)
+def test_json_writer_encodes_float_arrays_in_slices(size, seed, edge_values, nest):
+    """A 1-D float64 array is written as its sample list, null where not finite."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    values[rng.random(size) < 0.01] = np.nan
+    # awkward samples on both sides of every slice boundary
+    edges = [i for k in range(0, size + _SLICE, _SLICE) for i in (k - 1, k) if 0 <= i < size]
+    for index, value in zip(edges, edge_values * len(edges)):
+        values[index] = value
+    samples = [v if np.isfinite(v) else None for v in values.tolist()]
+    payload, reference = {
+        "top": (values, samples),
+        "dict": ({"b": values, "a": [1.5]}, {"b": samples, "a": [1.5]}),
+        "list": ([values, {"x": values}], [samples, {"x": samples}]),
+    }[nest]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json_report(path, payload)
+        assert path.read_bytes() == _reference_json(reference)
+
+
+@pytest.mark.parametrize("array", [np.zeros((3, 4)), np.arange(5)], ids=["2-d", "int"])
+def test_json_writer_refuses_other_arrays_and_leaves_no_file(tmp_path, array):
+    """Only 1-D float64 arrays have a JSON form here; json.dumps refuses every array."""
+    path = tmp_path / "refused.json"
+    with pytest.raises(TypeError):
+        write_json_report(path, {"a": [1.0], "f": array})
+    assert not path.exists()
+
+
+def _grid_writer_peak(tmp_path, n):
+    spec = GridSpec(active_axes=(0, 1, 2, 3), shape=(n,) * 4, spacing=(0.05,) * 4)
+    field = np.random.default_rng(4).normal(size=spec.shape)
+    tracemalloc.start()
+    try:
+        save_grid_fields(tmp_path / "g.json", spec, {"f": field})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_writer_memory_does_not_grow_with_the_field(tmp_path):
+    """Samples are encoded a slice at a time, so 13 times the samples is not 13 times the peak.
+
+    Measured 0.59 MB at both 9^4 and 17^4 (Python 3.11, NumPy 2.4); building
+    the whole sample list and its text took 9.3 MB at 17^4.
+    """
+    # the first write in a process allocates once for good; keep it out of the peaks
+    _grid_writer_peak(tmp_path, 5)
+    assert _grid_writer_peak(tmp_path, 17) <= 1.5 * _grid_writer_peak(tmp_path, 9)

@@ -77,7 +77,7 @@ def test_seeded_fields_refine_to_the_same_continuum():
 
 def test_seeded_fields_guard_density_positivity():
     with pytest.raises(ContractError, match="rho crossed zero"):
-        seeded_manufactured_fields(_spec(), seed=0, rho_base=1e-6)
+        seeded_manufactured_fields(_spec(), seed=0, rho_value=1e-6)
 
 
 def test_perturbed_plane_wave_keeps_spinor_shape():

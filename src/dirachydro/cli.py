@@ -1,7 +1,8 @@
 """Batch command line front end.
 
 One JSON config file, validated against the bundled schema
-(config_schema.json), describes a full run; the ``command`` key inside it
+(config_schema.json) by the in-repo draft 2020-12 subset checker in
+dirachydro.schema, describes a full run; the ``command`` key inside it
 selects the operation.  Flags only override cross-cutting knobs (seed,
 output directory, bulk-data format), so a config plus a seed is a complete
 reproducible description: rerunning writes byte-identical artifacts, with
@@ -31,14 +32,13 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .dynamics import DynState, fit_precession_frequency, integrate
 from .errors import (ContractError, FitError, InstabilityError, NonFiniteResultError,
                      StepSizeError)
 from .fields import ELECTRON, Particle, ZERO_FIELD, provider_from_config
-from .fisher import action_functional, fisher_information
+from .fisher import action_functional
 from .grids import GridSpec
 from .hydro import (
     first_order_residuals,
@@ -60,6 +60,7 @@ from .manufactured import (
     plane_wave_fields,
     seeded_manufactured_fields,
 )
+from .schema import schema_errors
 from .spinors import species_sign
 from .verification import run_all
 
@@ -73,12 +74,16 @@ def load_schema():
 
 
 def validate_config(config):
-    """All schema violations as human-readable strings, empty when valid."""
-    validator = jsonschema.Draft202012Validator(load_schema())
+    """All schema violations as human-readable strings, empty when valid.
+
+    The checker (dirachydro.schema) implements the draft 2020-12 keywords
+    the bundled schema uses and refuses a schema with any other keyword.
+    Messages are sorted by the config path they name.
+    """
     messages = []
-    for error in sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path)):
-        where = "/".join(str(part) for part in error.absolute_path) or "(top level)"
-        messages.append(f"config key {where}: {error.message}")
+    for path, message in sorted(schema_errors(load_schema(), config), key=lambda e: e[0]):
+        where = "/".join(str(part) for part in path) or "(top level)"
+        messages.append(f"config key {where}: {message}")
     return messages
 
 
@@ -296,14 +301,13 @@ def _cmd_fisher(config, seed, out_dir, fmt):
     depth = config.get("fisher", {}).get("depth", 1)
 
     report = action_functional(fields, provider, particle=particle, depth=depth)
-    information = fisher_information(spec, fields.rho0, depth=depth)
     expanded = second_order_residuals_expanded(fields, provider, particle)
 
     results = {
         "configuration_type": config["configuration"]["type"],
         "kind": fields.kind,
         "depth": int(depth),
-        "fisher_information": float(information),
+        "fisher_information": float(report.fisher_information),
         "functional": {
             "fisher_term": float(report.fisher_term),
             "lagrangian_term": float(report.lagrangian_term),

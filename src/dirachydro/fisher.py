@@ -61,12 +61,17 @@ QHJ_FACTOR = 1.0           # d A / d rho0 = QHJ_FACTOR * qhj residual
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """Evaluated action functional, split into its two integrand pieces."""
+    """Evaluated action functional, split into its two integrand pieces.
+
+    ``fisher_information`` is the bare integral I that the Fisher term
+    scales: ``fisher_term = sign * hbar**2 * fisher_information``.
+    """
 
     fisher_term: float
     lagrangian_term: float
     total: float
     volume_element: float
+    fisher_information: float
 
 
 def fisher_information(spec, rho, depth=1):
@@ -148,7 +153,8 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     sign = species_sign(fields.kind if kind is None else kind)
     spec = fields.spec
     rho0 = fields.rho0
-    fisher_term = sign * particle.hbar**2 * fisher_information(spec, rho0, depth=depth)
+    information = fisher_information(spec, rho0, depth=depth)
+    fisher_term = sign * particle.hbar**2 * information
     lagr_integrand = rho0 * lagrangian_density(fields, provider, particle)
     lagrangian_term = sign * spec.integrate(lagr_integrand, depth=depth)
     volume = float(np.prod(spec.spacing))
@@ -157,6 +163,7 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
         lagrangian_term=lagrangian_term,
         total=fisher_term + lagrangian_term,
         volume_element=volume,
+        fisher_information=information,
     )
 
 

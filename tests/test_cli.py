@@ -1,25 +1,34 @@
 """Config validation, report determinism, exit-status contract of the CLI."""
 
 import contextlib
+import copy
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from conftest import draw_transverse_unit, draw_unit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dirachydro.cli
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
 from dirachydro.io import TRAJECTORY_COLUMNS, load_grid_fields
 from dirachydro.kinematics import gamma_of_beta
+from dirachydro.schema import schema_errors
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 RESIDUAL_FIELD_NAMES = (
     "continuity_first_order",
@@ -97,6 +106,242 @@ def test_validate_config_messages_are_located_and_sorted():
 
     unknown = validate_config({"command": "verify", "mystery": 1})
     assert any("(top level)" in msg for msg in unknown)
+
+
+def _oracle_errors(schema, instance):
+    """(path, message) of every violation as jsonschema reports it, sorted."""
+    validator = jsonschema.Draft202012Validator(schema)
+    return sorted((tuple(e.absolute_path), e.message) for e in validator.iter_errors(instance))
+
+
+def _oracle_messages(config):
+    """What validate_config printed when it ran jsonschema: sorted by path only."""
+    validator = jsonschema.Draft202012Validator(load_schema())
+    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    return [f"config key {'/'.join(map(str, e.absolute_path)) or '(top level)'}: {e.message}"
+            for e in errors]
+
+
+def _bench_round_configs(seed=0):
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job["config"] for workload in workloads.WORKLOADS
+            for job in workloads.round_jobs(workload, seed, 0)]
+
+
+BASE_CONFIGS = ([json.loads(path.read_text()) for path in sorted(DEMO_CONFIGS.glob("*.json"))]
+                + _bench_round_configs())
+
+
+def _schema_keys(schema):
+    """Every property name the schema defines, at any depth."""
+    keys = set()
+    for path, node in _nodes(schema):
+        if path and path[-1] == "properties":
+            keys.update(node)
+    return sorted(keys)
+
+
+def _nodes(value, path=()):
+    """(path, value) of a JSON value and of everything inside it."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+def _slots(config):
+    """(container, key) of every value inside the config."""
+    return [(node, key) for _, node in _nodes(config) if isinstance(node, (dict, list))
+            for key in (node if isinstance(node, dict) else range(len(node)))]
+
+
+def _fresh(values):
+    # a mutation edits what it inserts, so no example may share a sampled object
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
+# the traps of draft 2020-12 and the edges of every bound the schema sets
+_LEAVES = st.one_of(
+    _fresh([None, True, False, 0, 1, -1, 1.0, -0.0, 0.5, 3, 4, 5, 9, 10, 2**70,
+            5e-324, 1e308, -1e308, "", "x", "bogus", [], {}]),
+    st.integers(-20, 20), st.floats(allow_nan=False), st.text(max_size=3),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+# values the schema gives meaning to, so an added key reaches deep keywords:
+# uniqueItems and enum items (verify/suites), patternProperties (coefficients)
+_SHAPED = _fresh([
+    ["clifford", "kinematics"], ["clifford", "clifford"], ["lagrangian", "Clifford"], [1, True],
+    {"0": [{"c": 1.0, "powers": [0, 1, 2, 3]}]}, {"0": [{"c": True, "powers": [0, 1, 4]}]},
+    {"4": []}, {"0\n": [{"c": 1}]}, {"12": [], "3": [{"powers": [1.0, 0, 0, 0]}]},
+    [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0, 1, 2, 3, 4], [5, 5], [0.02, 0], [],
+])
+_STRINGS = st.one_of(
+    st.sampled_from(["verify", "simulate", "residuals", "fisher", "uniform", "crossed",
+                     "plane-wave", "custom-polynomial", "perturbed-plane-wave", "manufactured",
+                     "particle", "antiparticle", "csv", "json", "npy", "Particle", "", "out"]),
+    st.text(max_size=3),
+)
+_KEY_NAMES = st.sampled_from(_schema_keys(load_schema()) + ["mystery", "0", "3", "4", ""])
+
+
+def _drop_key(draw, config):
+    keyed = [(node, key) for node, key in _slots(config) if isinstance(node, dict)]
+    if keyed:
+        node, key = draw(st.sampled_from(keyed))
+        del node[key]
+    return config
+
+
+def _add_key(draw, config):
+    objects = [node for _, node in _nodes(config) if isinstance(node, dict)]
+    if objects:
+        node = draw(st.sampled_from(objects))
+        name = draw(_KEY_NAMES)
+        node[name] = draw(st.one_of(_VALUES, _SHAPED))
+    return config
+
+
+def _change_type(draw, config):
+    slots = _slots(config)
+    if not slots:
+        return draw(_VALUES)
+    node, key = draw(st.sampled_from(slots))
+    node[key] = draw(st.one_of(_LEAVES, _SHAPED))
+    return config
+
+
+def _out_of_range(draw, config):
+    numbers = [(node, key) for node, key in _slots(config)
+               if isinstance(node[key], (int, float)) and not isinstance(node[key], bool)]
+    if numbers:
+        node, key = draw(st.sampled_from(numbers))
+        node[key] = draw(st.one_of(
+            st.sampled_from([-1, 0, -0.0, 1, 1.0, 3, 4, 4.0, 5, 9, 10, 1.5, 1e-300, 2**70]),
+            st.integers(-10, 12), st.floats(allow_nan=False)))
+    return config
+
+
+def _outside_enum(draw, config):
+    strings = [(node, key) for node, key in _slots(config) if isinstance(node[key], str)]
+    if strings:
+        node, key = draw(st.sampled_from(strings))
+        node[key] = draw(_STRINGS)
+    return config
+
+
+def _resize_array(draw, config):
+    arrays = [node for _, node in _nodes(config) if isinstance(node, list)]
+    if arrays:
+        array = draw(st.sampled_from(arrays))
+        if array and draw(st.booleans()):
+            del array[draw(st.integers(0, len(array) - 1))]
+        else:
+            array.append(draw(_fresh(array) if array else _LEAVES))
+    return config
+
+
+def _break_if_then(draw, config):
+    # another command selects another "then": its required sections go missing
+    if isinstance(config, dict):
+        config["command"] = draw(st.sampled_from(["verify", "simulate", "residuals", "fisher"]))
+    return config
+
+
+_MUTATIONS = (_drop_key, _add_key, _change_type, _out_of_range, _outside_enum, _resize_array,
+              _break_if_then)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_configs(data):
+    """On mutated demo and benchmark configs both validators report the same violations."""
+    config = copy.deepcopy(data.draw(st.sampled_from(BASE_CONFIGS)))
+    for mutation in data.draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3)):
+        config = mutation(data.draw, config)
+    # same validity, same sorted paths with duplicates, same text in the same order
+    assert validate_config(config) == _oracle_messages(config)
+
+
+@pytest.mark.parametrize("schema, instance, valid", [
+    # a bool is neither an integer nor a number
+    ({"type": "integer"}, True, False),
+    ({"type": "number"}, False, False),
+    ({"type": "number", "minimum": 0}, True, False),
+    # a number with a zero fractional part is an integer
+    ({"type": "integer"}, 1.0, True),
+    ({"type": "integer", "minimum": 1}, 1.0, True),
+    ({"type": "integer"}, 1.5, False),
+    # enum, const and uniqueItems do not take true for 1 or false for 0
+    ({"enum": [1, 2]}, True, False),
+    ({"enum": [True]}, 1, False),
+    ({"enum": [0]}, False, False),
+    ({"enum": [1]}, 1.0, True),
+    ({"const": 1}, True, False),
+    ({"const": False}, 0, False),
+    ({"const": [1]}, [True], False),
+    ({"uniqueItems": True}, [1, True], True),
+    ({"uniqueItems": True}, [0, False], True),
+    ({"uniqueItems": True}, [[1], [True]], True),
+    ({"uniqueItems": True}, [1, 1.0], False),
+    ({"uniqueItems": True}, [{"a": 1}, {"a": 1.0}], False),
+    # an "if" that does not match applies no "then"
+    ({"if": {"properties": {"a": {"const": 1}}}, "then": {"required": ["b"]}}, {"a": 2}, True),
+    ({"if": {"properties": {"a": {"const": 1}}}, "then": {"required": ["b"]}}, {"a": 1}, False),
+    # a missing property does not fail "properties", so the "if" matches
+    ({"if": {"properties": {"a": {"const": 1}}}, "then": {"required": ["b"]}}, {}, False),
+    # the same traps in the config schema
+    (load_schema(), {"command": "verify", "seed": True}, False),
+    (load_schema(), {"command": "verify", "seed": 1.0}, True),
+    (load_schema(), {"command": "verify", "particle": {"mass": True}}, False),
+    (load_schema(), {"command": "verify", "verify": {"samples": 10.0}}, True),
+    (load_schema(), {"command": "verify", "verify": {"suites": ["clifford", "clifford"]}}, False),
+    (load_schema(), {"command": "verify", "fields": {"kind": "custom-polynomial",
+                                                     "coefficients": {"0": [], "4": []}}}, False),
+])
+def test_draft_2020_12_traps(schema, instance, valid):
+    expected = _oracle_errors(schema, instance)
+    assert (expected == []) == valid
+    assert sorted(schema_errors(schema, instance)) == expected
+
+
+@pytest.mark.parametrize("path, keyword, value", [
+    (("properties", "grid", "properties", "shape"), "oneOf", [{"type": "array"}]),
+    (("properties", "output", "properties", "directory"), "pattern", "^out"),
+    (("$defs", "vec3", "items"), "exclusiveMaximum", 10),
+    (("allOf", 0), "else", {"required": ["seed"]}),
+    ((), "$id", "https://example.org/config"),
+    (("properties", "fields", "properties", "E0"), "$ref", "#/$defs/vec5"),
+    (("properties", "fields", "properties", "E0"), "$ref", "other.json#/$defs/vec3"),
+    (("properties", "particle"), "additionalProperties", {"type": "number"}),
+])
+def test_checker_refuses_keywords_it_does_not_implement(path, keyword, value):
+    schema = load_schema()
+    node = schema
+    for key in path:
+        node = node[key]
+    node[keyword] = value
+    with pytest.raises(ValueError, match="unsupported"):
+        schema_errors(schema, {"command": "verify"})
+
+
+def test_cli_import_and_validation_load_no_jsonschema():
+    package_root = str(Path(dirachydro.cli.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    code = ("import json, sys; from dirachydro import cli; "
+            "problems = cli.validate_config(json.loads(open(sys.argv[1]).read())); "
+            "print(json.dumps([problems, 'jsonschema' in sys.modules]))")
+    child = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS / "rest_in_B.json")],
+                           capture_output=True, text=True, env=env, check=True)
+    assert json.loads(child.stdout) == [[], False]
 
 
 def test_run_report_is_deterministic(tmp_path):

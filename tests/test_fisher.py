@@ -98,6 +98,19 @@ def test_fisher_term_is_hbar_squared_times_the_information():
         assert report.fisher_term == pytest.approx(hbar**2 * information, rel=1e-15)
 
 
+def test_report_carries_the_fisher_information_bit_for_bit():
+    spec = GridSpec(active_axes=(0, 1), shape=(17, 17), spacing=(0.02, 0.02))
+    provider = UniformField(E0=np.array([0.0, 0.03, 0.0]), B0=np.array([0.0, 0.0, 0.1]))
+    fields = perturbed_plane_wave_fields(spec, seed=4, amplitude=1e-3, phi=0.0)
+    for depth in (0, 1, 2):
+        information = fisher_information(spec, fields.rho0, depth=depth)
+        for kind, hbar in (("particle", 1.0), ("antiparticle", 0.5)):
+            report = action_functional(fields, provider, particle=Particle(hbar=hbar),
+                                       kind=kind, depth=depth)
+            # the bare integral: no species sign, no hbar squared
+            assert report.fisher_information == information
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_antiparticle_functional_negates_particle_functional(data):

@@ -37,7 +37,7 @@ import numpy as np
 from .dynamics import DynState, fit_precession_frequency, integrate
 from .errors import (ContractError, FitError, InstabilityError, NonFiniteResultError,
                      StepSizeError)
-from .fields import ELECTRON, Particle, ZERO_FIELD, provider_from_config
+from .fields import Particle, ZERO_FIELD, provider_from_config
 from .fisher import action_functional
 from .grids import GridSpec
 from .hydro import (
@@ -88,13 +88,9 @@ def validate_config(config):
 
 
 def _particle_from(config):
-    block = config.get("particle", {})
-    particle = Particle(
-        mass=float(block.get("mass", ELECTRON.mass)),
-        charge=float(block.get("charge", ELECTRON.charge)),
-        hbar=float(block.get("hbar", ELECTRON.hbar)),
-    )
-    return particle, block.get("kind", "particle")
+    block = dict(config.get("particle", {}))
+    kind = block.pop("kind", "particle")
+    return Particle(**{key: float(value) for key, value in block.items()}), kind
 
 
 def _provider_from(config):

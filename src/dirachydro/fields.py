@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import minkowski_dot, raise_index
 from .errors import ContractError
-from .kinematics import boost_matrix, gamma_of_beta
+from .kinematics import boost_matrix, vorticity_to_rest
 
 __all__ = [
     "Particle",
@@ -168,6 +168,7 @@ class PlaneWaveField:
         pol = _check_finite("polarization", self.polarization)
         object.__setattr__(self, "wave_vector", k)
         object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         if not np.isfinite(self.amplitude):
             raise ContractError("amplitude must be finite")
         k2 = float(minkowski_dot(k, k))
@@ -295,16 +296,11 @@ class GaugeShiftedProvider:
 def rest_frame_B(E, B, beta):
     """Magnetic field in the frame comoving with velocity beta.
 
-    B' = gamma (B - beta x E) - (gamma - 1)(B . beta_hat) beta_hat, written
-    in the algebraically equivalent form regular at beta = 0.
+    B' = gamma (B - beta x E) - (gamma - 1)(B . beta_hat) beta_hat.  Spin
+    couples to vorticity as it couples to B, so this is the rest-frame
+    vorticity transform with B for the vorticity and E for the acceleration.
     """
-    E = np.asarray(E, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    gamma = gamma_of_beta(beta)
-    stretch = gamma**2 / (gamma + 1.0)
-    bdotb = np.einsum("...i,...i->...", B, beta)
-    return gamma[..., np.newaxis] * (B - np.cross(beta, E)) - (stretch * bdotb)[..., np.newaxis] * beta
+    return vorticity_to_rest(B, E, beta)
 
 
 def boost_field_tensor(F, beta):
@@ -330,31 +326,33 @@ def field_consistency_residual(provider, x, h=1e-4):
     return float(np.max(np.abs(F - F_fd)))
 
 
-_PROVIDER_KINDS = {"uniform", "crossed", "plane-wave", "custom-polynomial"}
+# per kind: the provider class and the config keys it takes, under their field names
+_PROVIDER_KINDS = {
+    "uniform": (UniformField, ("E0", "B0")),
+    "crossed": (CrossedField, ("E0", "B0")),
+    "plane-wave": (PlaneWaveField, ("wave_vector", "polarization", "amplitude")),
+    "custom-polynomial": (PolynomialField, ()),
+}
 
 
 def provider_from_config(config):
-    """Build a provider from a plain config mapping (see config_schema.json)."""
+    """Build a provider from a plain config mapping (see config_schema.json).
+
+    Only the keys the config gives are passed on; an absent one takes the
+    provider's own default.
+    """
     if "kind" not in config:
         raise ContractError("field config needs a 'kind' key")
     kind = config["kind"]
     if kind not in _PROVIDER_KINDS:
         raise ContractError(f"unknown field kind {kind!r}")
-    gauge = tuple(config.get("gauge", (0.0, 0.0, 0.0, 0.0)))
-    if kind in ("uniform", "crossed"):
-        return (UniformField if kind == "uniform" else CrossedField)(
-            E0=tuple(config.get("E0", (0.0, 0.0, 0.0))),
-            B0=tuple(config.get("B0", (0.0, 0.0, 0.0))),
-            gauge_offset=gauge,
-        )
-    if kind == "plane-wave":
-        return PlaneWaveField(
-            wave_vector=tuple(config.get("wave_vector", (1.0, 0.0, 0.0, 1.0))),
-            polarization=tuple(config.get("polarization", (1.0, 0.0, 0.0))),
-            amplitude=float(config.get("amplitude", 1.0)),
-            gauge_offset=gauge,
-        )
-    terms = {}
-    for mu_str, entries in config.get("coefficients", {}).items():
-        terms[int(mu_str)] = [(entry["c"], tuple(entry["powers"])) for entry in entries]
-    return PolynomialField(terms=terms, gauge_offset=gauge)
+    cls, keys = _PROVIDER_KINDS[kind]
+    kwargs = {key: config[key] for key in keys if key in config}
+    if "gauge" in config:
+        kwargs["gauge_offset"] = config["gauge"]
+    if kind == "custom-polynomial" and "coefficients" in config:
+        kwargs["terms"] = {
+            int(mu): [(entry["c"], tuple(entry["powers"])) for entry in entries]
+            for mu, entries in config["coefficients"].items()
+        }
+    return cls(**kwargs)

@@ -6,18 +6,20 @@ The action functional is
 
 with L the classical part of the lagrangian density (momentum bracket
 squared minus mass squared, field coupling, and the parameter-gradient
-quadratic form; exactly the expanded evaluator of :mod:`dirachydro.hydro`
-with the density terms removed).  Varying A with respect to the phase
-action reproduces the continuity residual; varying with respect to rho0
-reproduces the quantum Hamilton-Jacobi residual including the density
+quadratic form).  L comes from the code of the expanded evaluator of
+:mod:`dirachydro.hydro`, whose residual is L + 2Q: it is exactly that
+evaluator with the density terms removed.  Varying A with respect to the
+phase action reproduces the continuity residual; varying with respect to
+rho0 reproduces the quantum Hamilton-Jacobi residual including the density
 terms that emerge from the Fisher piece by parts.  Both functional
 derivatives here are numerical (central differences of the action
-integrand): the point is to check the variational claim against
-independently coded residuals, so a symbolic derivation would share bugs
-with the thing under test.  Samples five apart along every axis do not
-share an integrand stencil, so the grid is coloured with stride 5 and all
-samples of a colour are perturbed at once: 5^d pairs of integrand grids
-per derivative, whatever the sample count.
+integrand): the point is to check the variational claim against the
+independently coded continuity residual and quantum potential, so a
+symbolic derivation would share bugs with the thing under test.  Samples
+five apart along every axis do not share an integrand stencil, so the grid
+is coloured with stride 5 and all samples of a colour are perturbed at
+once: 5^d pairs of integrand grids per derivative, whatever the sample
+count.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -37,7 +39,7 @@ import numpy as np
 from .clifford import raise_index
 from .errors import ContractError, InsufficientInteriorError, StepSizeError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
-from .hydro import _expanded_core, _metric_square, _sample_potential
+from .hydro import _expanded_lagrangian, _metric_square, _sample_potential
 from .spinors import rest_spin, species_sign
 
 __all__ = [
@@ -84,10 +86,14 @@ def fisher_information(spec, rho, depth=1):
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != spec.shape:
         raise ContractError(f"rho must have grid shape {spec.shape}, got {rho.shape}")
-    if np.any(rho[spec.interior(depth)] <= 0.0):
+    return spec.integrate(_fisher_density(spec, rho, spec.interior(depth)), depth=depth)
+
+
+def _fisher_density(spec, rho, interior):
+    """(1/4) d^mu rho d_mu rho / rho, refused unless rho > 0 on the interior."""
+    if np.any(rho[interior] <= 0.0):
         raise ContractError("rho must be positive on the trusted interior")
-    integrand = 0.25 * _metric_square(spec, rho) / rho
-    return spec.integrate(integrand, depth=depth)
+    return 0.25 * _metric_square(spec, rho) / rho
 
 
 def lagrangian_density(fields, provider, particle=ELECTRON):
@@ -95,12 +101,11 @@ def lagrangian_density(fields, provider, particle=ELECTRON):
 
     Momentum bracket squared minus mass squared, plus the rest-frame field
     coupling and the parameter-gradient quadratic form; no density terms.
-    The same frozen coefficients as the expanded residual evaluator.
+    The same frozen coefficients as the expanded residual evaluator, whose
+    quantum Hamilton-Jacobi residual is this L plus QP_TERM_COEFF times the
+    quantum potential.
     """
-    core = _expanded_core(fields, provider, particle)
-    return (
-        core["bb"] - particle.mass**2 + core["coupling"] + core["shape_terms"]
-    )
+    return _expanded_lagrangian(fields, provider, particle)[1]
 
 
 def pauli_limit_density(fields, provider, particle=ELECTRON):
@@ -202,29 +207,23 @@ def _integrand(fields, provider, particle, wrt, depth):
     """
     spec = fields.spec
     hbar = particle.hbar
-    core = _expanded_core(fields, provider, particle)
+    bracket_lower, lagrangian = _expanded_lagrangian(fields, provider, particle)
     rho0_base = fields.rho0
 
     if wrt == "S":
-        base_lower = core["bracket_lower"] - spec.gradient_lower(fields.S)
+        base_lower = bracket_lower - spec.gradient_lower(fields.S)
 
         def integrand(field):
-            bracket_lower = base_lower + spec.gradient_lower(field)
-            bb = np.einsum(
-                "...m,...m->...", raise_index(bracket_lower), bracket_lower
-            )
-            return rho0_base * bb
+            bracket = base_lower + spec.gradient_lower(field)
+            return rho0_base * np.einsum("...m,...m->...", raise_index(bracket), bracket)
 
         return np.array(fields.S, copy=True), integrand
 
-    rest_density = core["coupling"] + core["shape_terms"] - particle.mass**2
-    density = core["bb"] + rest_density  # independent of rho0
     interior = spec.interior(depth)
 
     def integrand(field):
-        if np.any(field[interior] <= 0.0):
-            raise ContractError("rho0 perturbation crossed zero on the interior")
-        return field * density + 0.25 * hbar**2 * _metric_square(spec, field) / field
+        # L is independent of rho0
+        return field * lagrangian + hbar**2 * _fisher_density(spec, field, interior)
 
     return np.array(rho0_base, copy=True), integrand
 

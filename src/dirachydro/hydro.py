@@ -28,7 +28,11 @@ reconstructed ``psi`` and serves as the oracle the formula evaluators are
 tested against.
 
 The first-order and bilinear evaluators share the spinor data cached on the
-field set; their formulas stay independent.
+field set; their formulas stay independent.  The expanded evaluator's
+quantum Hamilton-Jacobi residual is L + QP_TERM_COEFF * Q, with L the
+classical lagrangian density that the action functional of
+:mod:`dirachydro.fisher` integrates; one private function computes L for
+both.
 """
 
 from __future__ import annotations
@@ -347,14 +351,13 @@ def _metric_square(spec, field):
     return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
 
 
-def _expanded_core(fields, provider, particle):
-    """Shared closed-form pieces of the expanded evaluator.
+def _expanded_lagrangian(fields, provider, particle):
+    """Momentum bracket (lower index) and the classical lagrangian density L.
 
-    Returns a dict with the momentum bracket (both index placements), its
-    square ``bb``, the rest-frame field coupling, and the parameter-gradient
-    quadratic form.  Everything except the density terms of the quantum
-    Hamilton-Jacobi expression; reused by the action functional, whose
-    lagrangian density is exactly these pieces.
+    L = B^mu B_mu - m^2 + hbar q B'.s' + the parameter-gradient quadratic
+    form: the expanded quantum Hamilton-Jacobi expression without its
+    density terms.  The expanded evaluator adds QP_TERM_COEFF times the
+    quantum potential; the action functional integrates rho0 L.
     """
     spec = fields.spec
     hbar = particle.hbar
@@ -368,9 +371,7 @@ def _expanded_core(fields, provider, particle):
     sigma12 = sigma_component_table(params)[..., 1, 2].copy()
 
     bracket_lower = _expanded_bracket(fields, A_lower, sigma12, hbar, q)
-    bracket_upper = raise_index(bracket_lower)
-
-    bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
+    bb = np.einsum("...m,...m->...", raise_index(bracket_lower), bracket_lower)
 
     coupling = _rest_frame_coupling(params, gamma, F, hbar, q)
 
@@ -381,13 +382,7 @@ def _expanded_core(fields, provider, particle):
         + PHI_TERM_COEFF * (1.0 - sigma12**2) * _metric_square(spec, params.phi)
     )
 
-    return {
-        "bracket_lower": bracket_lower,
-        "bracket_upper": bracket_upper,
-        "bb": bb,
-        "coupling": coupling,
-        "shape_terms": shape_terms,
-    }
+    return bracket_lower, bb - particle.mass**2 + coupling + shape_terms
 
 
 def _expanded_bracket(fields, A_lower, sigma12, hbar, q):
@@ -426,17 +421,14 @@ def second_order_residuals_expanded(fields, provider, particle=ELECTRON):
     a zero grid.
     """
     spec = fields.spec
-    m = particle.mass
     rho0 = fields.rho0
 
-    core = _expanded_core(fields, provider, particle)
+    bracket_lower, lagrangian = _expanded_lagrangian(fields, provider, particle)
 
-    continuity = spec.divergence(rho0[..., np.newaxis] * core["bracket_upper"])
+    continuity = spec.divergence(rho0[..., np.newaxis] * raise_index(bracket_lower))
 
     qp = quantum_potential(spec, rho0, hbar=particle.hbar)
-    qp_term = QP_TERM_COEFF * np.ma.filled(qp, np.nan)
-
-    qhj = core["bb"] - m**2 + core["coupling"] + qp_term + core["shape_terms"]
+    qhj = lagrangian + QP_TERM_COEFF * np.ma.filled(qp, np.nan)
     return SecondOrderResiduals(
         continuity=continuity, qhj=qhj, qhj_imag=np.zeros(spec.shape)
     )

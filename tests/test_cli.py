@@ -636,6 +636,17 @@ def test_overflow_exits_as_numerical_failure(tmp_path, capsys, payload, quantity
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("block, key", [("fields", "amplitude"), ("particle", "mass")])
+def test_integer_beyond_float64_exits_as_numerical_failure(tmp_path, capsys, block, key):
+    # the particle converts its constants in cli, the plane wave its own amplitude
+    payload = _huge_field_config("residuals")
+    payload["fields"] = {"kind": "plane-wave"}
+    payload.setdefault(block, {})[key] = 10**400
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rho_value", [1e-150, 1e-200, 1e-250, 1e-299])
 def test_tiny_density_above_the_floor_stays_finite(tmp_path, rho_value):
     # rho0**2 is subnormal or zero below about 1e-154; the bilinear evaluator

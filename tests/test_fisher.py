@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dirachydro import fisher
 from dirachydro.errors import ContractError, StepSizeError
-from dirachydro.fields import ELECTRON, Particle, UniformField
+from dirachydro.fields import ELECTRON, Particle, PlaneWaveField, UniformField
 from dirachydro.fisher import (
     CONTINUITY_FACTOR,
     QHJ_FACTOR,
@@ -18,7 +18,12 @@ from dirachydro.fisher import (
     pauli_limit_density,
 )
 from dirachydro.grids import GridSpec
-from dirachydro.hydro import second_order_residuals_expanded
+from dirachydro.hydro import (
+    QP_TERM_COEFF,
+    HydroFieldSet,
+    quantum_potential,
+    second_order_residuals_expanded,
+)
 from dirachydro.manufactured import (
     DEFAULT_BASE_PARAMS,
     perturbed_plane_wave_fields,
@@ -185,6 +190,12 @@ def test_functional_derivative_contract_checks():
     # a sub-ulp step cannot move the functional and must be refused
     with pytest.raises(StepSizeError):
         functional_derivative(fields, provider, wrt="S", epsilon=1e-17)
+    # a rest density below the step would be perturbed through zero
+    rho = np.array(fields.rho, copy=True)
+    rho[4, 4] = 1e-9
+    thin = HydroFieldSet(spec=spec, rho=rho, S=fields.S, params=fields.params)
+    with pytest.raises(ContractError):
+        functional_derivative(thin, provider, wrt="rho0")
 
 
 @pytest.mark.parametrize("wrt", ["S", "rho0"])
@@ -284,6 +295,27 @@ def test_derivative_cost_does_not_grow_with_the_grid(monkeypatch):
             counts[n, wrt] = len(calls)
     assert counts[17, "S"] == counts[33, "S"]
     assert counts[17, "rho0"] == counts[33, "rho0"]
+
+
+@pytest.mark.parametrize("kind", ["particle", "antiparticle"])
+@pytest.mark.parametrize("provider", [
+    UniformField(E0=np.array([0.0, 0.03, 0.0]), B0=np.array([0.0, 0.0, 0.1])),
+    PlaneWaveField(wave_vector=np.array([0.5, 0.5, 0.0, 0.0]),
+                   polarization=np.array([0.0, 0.0, 1.0]), amplitude=0.05),
+], ids=["uniform", "plane-wave"])
+def test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential(provider, kind):
+    """qhj = L + QP_TERM_COEFF * Q bit for bit, vacuum NaNs included."""
+    spec = GridSpec(active_axes=(0, 1), shape=(25, 25), spacing=(0.02, 0.02))
+    manufactured = seeded_manufactured_fields(spec, seed=6, kind=kind)
+    rho = np.array(manufactured.rho, copy=True)
+    rho[10:14, 8:12] = 0.0
+    fields = HydroFieldSet(spec=spec, rho=rho, S=manufactured.S,
+                           params=manufactured.params, kind=kind)
+    qhj = second_order_residuals_expanded(fields, provider).qhj
+    qp = quantum_potential(spec, fields.rho0)
+    expected = lagrangian_density(fields, provider) + QP_TERM_COEFF * np.ma.filled(qp, np.nan)
+    assert np.isnan(qhj).any()
+    np.testing.assert_array_equal(qhj, expected)
 
 
 def test_pauli_limit_tracks_full_density_at_small_boost():

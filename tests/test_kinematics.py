@@ -5,6 +5,7 @@ import pytest
 
 from dirachydro.clifford import METRIC, minkowski_dot
 from dirachydro.errors import ContractError
+from dirachydro.fields import boost_field_tensor, magnetic_field, tensor_from_EB
 from dirachydro.kinematics import (
     acceleration_tensor,
     beta_from_u,
@@ -87,6 +88,18 @@ def test_vorticity_to_rest_limits():
     out = vorticity_to_rest(parallel, np.zeros(3), beta)
     expected = gamma * parallel - (gamma - 1.0) * parallel
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+def test_vorticity_to_rest_matches_tensor_boost():
+    """Omega^{mu nu} transforms as F^{mu nu}, with a in place of E and omega of B."""
+    beta = _seeded_betas(35, 200)
+    rng = np.random.default_rng(36)
+    omega = rng.normal(scale=0.3, size=(200, 3))
+    accel = rng.normal(scale=0.3, size=(200, 3))
+    boosted = boost_field_tensor(tensor_from_EB(accel, omega), beta)
+    np.testing.assert_allclose(
+        vorticity_to_rest(omega, accel, beta), magnetic_field(boosted), atol=1e-12
+    )
 
 
 def test_acceleration_tensor_exact_on_linear_field():

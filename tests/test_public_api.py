@@ -20,7 +20,8 @@ CALLER_DIRS = ("src", "demos", "bench")
 
 ORACLES = {
     ("spinors", "particle_spinor_u_form"): "make_particle_spinor, the half-angle form",
-    ("fields", "boost_field_tensor"): "rest_frame_B, the closed-form rest-frame B'",
+    ("fields", "boost_field_tensor"): "rest_frame_B and vorticity_to_rest, the one "
+                                      "closed-form rest-frame transform",
     ("fields", "field_consistency_residual"): "each provider's F against differences of its A",
     ("fields", "GaugeShiftedProvider"): "gauge covariance of the residual evaluators",
     ("fisher", "pauli_limit_density"): "lagrangian_density at small boost (criterion 12)",

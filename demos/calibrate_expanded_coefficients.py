@@ -7,36 +7,38 @@ and a unit quantum-potential multiple, and a half or unit rest-frame
 magnetic coupling of either sign.  Nothing here assumes any of them.  The
 script evaluates the bilinear residual (every spinor structure obtained by
 differencing the spinor field itself) on seeded smooth configurations,
-subtracts the coefficient-free part of the closed form, and least-squares
-fits the remainder against the candidate basis functions.  The magnetic
+subtracts the momentum term B^mu B_mu - m^2, and least-squares fits the
+remainder against the other terms.  Those are the hydro module's own
+grids from ``expanded_terms``, the ones the expanded evaluator sums, so
+the fit calibrates exactly what the evaluator computes.  The magnetic
 sign is additionally cross-checked against the directly discretized
 second-order wave operator, which is independent of both formula
 evaluators.
 
-The resolved values are the constants frozen in the hydro module, and
-demos/calibration_report.json is the committed record of that measurement.
+The resolved values are the constants frozen in the hydro module (each
+report entry quotes its ``TERM_COEFFS`` value as ``frozen_in_module``),
+and demos/calibration_report.json is the committed record of that measurement.
 The script writes its report to demos/out/calibration_report.json unless
 --out names another path, so a run never overwrites the record.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from dirachydro.fields import ELECTRON, UniformField, ZERO_FIELD, electric_field, magnetic_field, rest_frame_B
+from dirachydro.fields import ELECTRON, UniformField, ZERO_FIELD
 from dirachydro.grids import GridSpec
 from dirachydro.hydro import (
+    TERM_COEFFS,
+    expanded_terms,
     second_order_residuals_bilinear,
     squared_dirac_residual,
     quantum_potential,
 )
 from dirachydro.io import write_json_report
-from dirachydro.clifford import raise_index
 from dirachydro.manufactured import seeded_manufactured_fields
-from dirachydro.spinors import four_velocity, rest_spin, sigma_component_table
 
 # candidate normalizations the fit disambiguates (the two conventions in
 # circulation differ by a factor of 4 for the shape terms and 2 elsewhere)
@@ -47,62 +49,7 @@ QP_UNIT = 2.0
 MAGNETIC_HALF = 0.5
 MAGNETIC_UNIT = 1.0
 
-
-def _grad_sq(spec, field):
-    g = spec.gradient_lower(np.asarray(field, dtype=np.float64))
-    return np.einsum("...m,...m->...", raise_index(g), g)
-
-
-def _closed_form_base(fields, provider, particle):
-    """bb - m^2 of the closed form: everything that needs no calibration."""
-    spec = fields.spec
-    params = fields.params
-    sigma12 = sigma_component_table(params)[..., 1, 2]
-    weight = 0.5 * (1.0 + sigma12)
-
-    A, _ = provider.sample(spec.points())
-    A_lower = A.copy()
-    A_lower[..., 1:4] *= -1.0
-
-    internal = spec.gradient_lower(np.asarray(params.eta0, dtype=np.float64))
-    internal = internal + weight[..., np.newaxis] * spec.gradient_lower(
-        np.asarray(params.phi, dtype=np.float64)
-    )
-    bracket_lower = (
-        spec.gradient_lower(fields.S) + particle.charge * A_lower
-        + particle.hbar * internal
-    )
-    bb = np.einsum(
-        "...m,...m->...", raise_index(bracket_lower), bracket_lower
-    )
-    return bb - particle.mass**2, sigma12
-
-
-def _shape_bases(fields, sigma12, particle):
-    """The four candidate gradient-quadratic basis grids, coefficient-free."""
-    spec = fields.spec
-    params = fields.params
-    gamma = np.asarray(fields.gamma, dtype=np.float64)
-    h2 = particle.hbar**2
-    return {
-        "theta_gradient": h2 * 0.5 * (gamma + 1.0) * _grad_sq(spec, params.theta),
-        "kappa_gradient": h2 * 0.5 * (gamma - 1.0) * _grad_sq(spec, params.kappa),
-        "chi_gradient": h2 * _grad_sq(spec, params.chi),
-        "phi_gradient": h2 * (1.0 - sigma12**2) * _grad_sq(spec, params.phi),
-    }
-
-
-def _magnetic_basis(fields, provider, particle):
-    spec = fields.spec
-    params = fields.params
-    gamma = np.asarray(fields.gamma, dtype=np.float64)
-    u = four_velocity(params)
-    beta = u[..., 1:4] / gamma[..., np.newaxis]
-    _, F = provider.sample(spec.points())
-    b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
-    return particle.hbar * particle.charge * np.einsum(
-        "...i,...i->...", b_prime, rest_spin(params)
-    )
+SHAPE_TERMS = ("theta_gradient", "kappa_gradient", "chi_gradient", "phi_gradient")
 
 
 def _make_grid(n, half_extent):
@@ -118,23 +65,21 @@ def _make_grid(n, half_extent):
 def _joint_shape_fit(spec, seeds, amplitude, particle):
     """Least-squares fit of the four shape coefficients and the quantum
     potential multiple, jointly, in zero external field."""
-    names = ["theta_gradient", "kappa_gradient", "chi_gradient", "phi_gradient"]
-    columns = {name: [] for name in names + ["quantum_potential"]}
+    columns = {name: [] for name in SHAPE_TERMS + ("quantum_potential",)}
     targets = []
     mask = spec.trusted_mask(depth=3)
 
     for seed in seeds:
         fields = seeded_manufactured_fields(spec, seed, amplitude=amplitude,
                                             particle=particle)
-        base, sigma12 = _closed_form_base(fields, ZERO_FIELD, particle)
-        y = second_order_residuals_bilinear(fields, ZERO_FIELD, particle).qhj - base
-        bases = _shape_bases(fields, sigma12, particle)
-        bases["quantum_potential"] = np.ma.filled(
+        terms = expanded_terms(fields, ZERO_FIELD, particle)[1]
+        y = second_order_residuals_bilinear(fields, ZERO_FIELD, particle).qhj - terms["momentum"]
+        terms["quantum_potential"] = np.ma.filled(
             quantum_potential(spec, fields.rho0, hbar=particle.hbar), 0.0
         )
         targets.append(y[mask])
         for name in columns:
-            columns[name].append(bases[name][mask])
+            columns[name].append(terms[name][mask])
 
     design = np.stack([np.concatenate(columns[name]) for name in columns], axis=1)
     target = np.concatenate(targets)
@@ -160,12 +105,11 @@ def _magnetic_fit(spec, seeds, amplitude, particle, resolved_shape, use_direct):
     for seed in seeds:
         fields = seeded_manufactured_fields(spec, seed, amplitude=amplitude,
                                             particle=particle)
-        base, sigma12 = _closed_form_base(fields, provider, particle)
-        bases = _shape_bases(fields, sigma12, particle)
+        terms = expanded_terms(fields, provider, particle)[1]
         qp = np.ma.filled(quantum_potential(spec, fields.rho0, hbar=particle.hbar), 0.0)
-        resolved = base + resolved_shape["quantum_potential"] * qp
-        for name, basis in bases.items():
-            resolved = resolved + resolved_shape[name] * basis
+        resolved = terms["momentum"] + resolved_shape["quantum_potential"] * qp
+        for name in SHAPE_TERMS:
+            resolved = resolved + resolved_shape[name] * terms[name]
         if use_direct:
             op = squared_dirac_residual(fields, provider, particle)
             sign = 1.0 if fields.kind == "particle" else -1.0
@@ -173,7 +117,7 @@ def _magnetic_fit(spec, seeds, amplitude, particle, resolved_shape, use_direct):
         else:
             qhj = second_order_residuals_bilinear(fields, provider, particle).qhj
         y = (qhj - resolved)[mask]
-        b = _magnetic_basis(fields, provider, particle)[mask]
+        b = terms["magnetic"][mask]
         num += float(np.dot(y, b))
         den += float(np.dot(b, b))
     return num / den
@@ -190,8 +134,9 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
     magnetic = _magnetic_fit(spec, seeds[:4], amplitude, particle, shape, False)
     magnetic_direct = _magnetic_fit(spec, seeds[:4], amplitude, particle, shape, True)
 
-    def shape_entry(name, frozen):
+    def shape_entry(name):
         resolved = shape[name]
+        frozen = TERM_COEFFS[name]
         return {
             "basis": {
                 "theta_gradient": "hbar^2 (gamma+1)/2 (d theta)^2",
@@ -220,16 +165,11 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
             "relative_fit_rms": rel_rms,
             "relative_fit_rms_refined": rel_rms_fine,
         },
-        "shape_coefficients": {
-            "theta_gradient": shape_entry("theta_gradient", 0.25),
-            "kappa_gradient": shape_entry("kappa_gradient", -0.25),
-            "chi_gradient": shape_entry("chi_gradient", -0.25),
-            "phi_gradient": shape_entry("phi_gradient", 0.25),
-        },
+        "shape_coefficients": {name: shape_entry(name) for name in SHAPE_TERMS},
         "quantum_potential_multiple": {
             "basis": "madelung quantum potential -(hbar^2/2) box(sqrt rho0)/sqrt rho0",
             "resolved": shape["quantum_potential"],
-            "frozen_in_module": 2.0,
+            "frozen_in_module": TERM_COEFFS["quantum_potential"],
             "refinement_shift": shape_fine["quantum_potential"] - shape["quantum_potential"],
             "ratio_to_half_form": shape["quantum_potential"] / QP_HALF,
             "ratio_to_unit_form": shape["quantum_potential"] / QP_UNIT,
@@ -237,7 +177,7 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
         "magnetic_coupling": {
             "basis": "hbar q B'.s' in the instantaneous rest frame",
             "resolved": magnetic,
-            "frozen_in_module": 1.0,
+            "frozen_in_module": TERM_COEFFS["magnetic"],
             "direct_operator_cross_check": magnetic_direct,
             "ratio_to_half_form": magnetic / MAGNETIC_HALF,
             "ratio_to_unit_form": magnetic / MAGNETIC_UNIT,

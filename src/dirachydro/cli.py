@@ -55,7 +55,6 @@ from .io import (
 )
 from .kinematics import gamma_of_beta
 from .manufactured import (
-    DEFAULT_BASE_PARAMS,
     perturbed_plane_wave_fields,
     plane_wave_fields,
     seeded_manufactured_fields,
@@ -112,8 +111,7 @@ def _configured_fields(spec, config, seed, default_kind, particle):
         return plane_wave_fields(spec, kind=kind, particle=particle, **block)
     if ctype == "perturbed-plane-wave":
         return perturbed_plane_wave_fields(spec, seed, kind=kind, particle=particle, **block)
-    base = dict(DEFAULT_BASE_PARAMS)
-    base.update({key: block.pop(key) for key in _ANGLE_KEYS if key in block})
+    base = {key: block.pop(key) for key in _ANGLE_KEYS if key in block}
     return seeded_manufactured_fields(
         spec, seed, base=base, kind=kind, particle=particle, **block
     )

@@ -208,9 +208,11 @@ class ScalarPolynomial:
     """Polynomial in (t, x, y, z) with exact gradient, degree capped at 3.
 
     terms lists (coefficient, powers) pairs with powers = (pt, px, py, pz).
-    As a gauge function the cap keeps central differences of the shifted
-    phase exact, so gauge covariance can be checked to roundoff rather than
-    to stencil error.
+    The cap does not make grid differences exact: the second-order stencils
+    are exact only for terms whose power in each coordinate is at most 2
+    (t^2 or t x^2, not t^3).  A gauge function built from such terms shifts
+    the phase by a field the grid differentiates exactly, so gauge
+    covariance can be checked to roundoff rather than to stencil error.
     """
 
     terms: tuple = ()

@@ -8,10 +8,15 @@ with L the classical part of the lagrangian density (momentum bracket
 squared minus mass squared, field coupling, and the parameter-gradient
 quadratic form).  L comes from the code of the expanded evaluator of
 :mod:`dirachydro.hydro`, whose residual is L + 2Q: it is exactly that
-evaluator with the density terms removed.  Varying A with respect to the
-phase action reproduces the continuity residual; varying with respect to
-rho0 reproduces the quantum Hamilton-Jacobi residual including the density
-terms that emerge from the Fisher piece by parts.  Both functional
+evaluator with the density terms removed, summed from the same
+coefficient-free terms (``hydro.expanded_terms``) that the calibration
+demo fits.  Only the momentum bracket depends on the phase action, so the
+derivative with respect to S builds the bracket and no other term of L.
+
+Varying A with respect to the phase action reproduces the continuity
+residual; varying with respect to rho0 reproduces the quantum
+Hamilton-Jacobi residual including the density terms that emerge from the
+Fisher piece by parts.  Both functional
 derivatives here are numerical (central differences of the action
 integrand): the point is to check the variational claim against the
 independently coded continuity residual and quantum potential, so a
@@ -39,7 +44,7 @@ import numpy as np
 from .clifford import raise_index
 from .errors import ContractError, InsufficientInteriorError, StepSizeError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
-from .hydro import _expanded_lagrangian, _metric_square, _sample_potential
+from .hydro import _expanded_bracket, _expanded_lagrangian, _metric_square, _sample_potential
 from .spinors import rest_spin, species_sign
 
 __all__ = [
@@ -101,8 +106,10 @@ def lagrangian_density(fields, provider, particle=ELECTRON):
 
     Momentum bracket squared minus mass squared, plus the rest-frame field
     coupling and the parameter-gradient quadratic form; no density terms.
-    The same frozen coefficients as the expanded residual evaluator, whose
-    quantum Hamilton-Jacobi residual is this L plus QP_TERM_COEFF times the
+    The terms are those of ``hydro.expanded_terms``, the grids that
+    ``demos/calibrate_expanded_coefficients.py`` fits, summed with the
+    frozen coefficients of the expanded residual evaluator, whose quantum
+    Hamilton-Jacobi residual is this L plus QP_TERM_COEFF times the
     quantum potential.
     """
     return _expanded_lagrangian(fields, provider, particle)[1]
@@ -207,10 +214,11 @@ def _integrand(fields, provider, particle, wrt, depth):
     """
     spec = fields.spec
     hbar = particle.hbar
-    bracket_lower, lagrangian = _expanded_lagrangian(fields, provider, particle)
     rho0_base = fields.rho0
 
     if wrt == "S":
+        # only the momentum bracket depends on S, so no other term of L is built
+        bracket_lower = _expanded_bracket(fields, provider, particle)[0]
         base_lower = bracket_lower - spec.gradient_lower(fields.S)
 
         def integrand(field):
@@ -219,6 +227,7 @@ def _integrand(fields, provider, particle, wrt, depth):
 
         return np.array(fields.S, copy=True), integrand
 
+    lagrangian = _expanded_lagrangian(fields, provider, particle)[1]
     interior = spec.interior(depth)
 
     def integrand(field):

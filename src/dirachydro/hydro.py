@@ -19,9 +19,11 @@ the field equations:
   differentiated spinor field.
 * :func:`second_order_residuals_expanded` evaluates the same relation with
   the spinor-gradient pieces replaced by closed-form expressions in the
-  shape parameters.  The coefficients of those closed-form terms are frozen
-  module constants; ``demos/calibrate_expanded_coefficients.py`` measures
-  them against the bilinear evaluator and records the result.
+  shape parameters.  :func:`expanded_terms` computes those terms without
+  their coefficients, which are frozen module constants;
+  ``demos/calibrate_expanded_coefficients.py`` fits the constants to the
+  bilinear evaluator on the grids of that same function and records the
+  result.
 
 :func:`squared_dirac_residual` applies the squared operator directly to the
 reconstructed ``psi`` and serves as the oracle the formula evaluators are
@@ -31,8 +33,8 @@ The first-order and bilinear evaluators share the spinor data cached on the
 field set; their formulas stay independent.  The expanded evaluator's
 quantum Hamilton-Jacobi residual is L + QP_TERM_COEFF * Q, with L the
 classical lagrangian density that the action functional of
-:mod:`dirachydro.fisher` integrates; one private function computes L for
-both.
+:mod:`dirachydro.fisher` integrates; one private function sums the terms
+into L for both.
 """
 
 from __future__ import annotations
@@ -66,24 +68,37 @@ __all__ = [
     "second_order_residuals_bilinear",
     "second_order_residuals_expanded",
     "squared_dirac_residual",
+    "expanded_terms",
     "THETA_TERM_COEFF",
     "KAPPA_TERM_COEFF",
     "CHI_TERM_COEFF",
     "PHI_TERM_COEFF",
     "QP_TERM_COEFF",
     "BPRIME_TERM_COEFF",
+    "TERM_COEFFS",
     "DENSITY_FLOOR",
 ]
 
 # Frozen coefficients of the expanded quantum Hamilton-Jacobi relation.
-# Each multiplies the bracketed structure named next to it; the calibration
-# script fits these against the bilinear evaluator and must reproduce them.
+# Each multiplies the term named next to it; the calibration script fits
+# these against the bilinear evaluator and must reproduce them.
 THETA_TERM_COEFF = 0.25     # x hbar^2 (gamma + 1)/2 (d theta)^2
 KAPPA_TERM_COEFF = -0.25    # x hbar^2 (gamma - 1)/2 (d kappa)^2
 CHI_TERM_COEFF = -0.25      # x hbar^2 (d chi)^2
 PHI_TERM_COEFF = 0.25       # x hbar^2 (1 - Sigma12^2) (d phi)^2
 QP_TERM_COEFF = 2.0         # x quantum_potential
 BPRIME_TERM_COEFF = 1.0     # x hbar e B'.s'
+
+# The same six, keyed by the names of the terms they multiply: those of
+# expanded_terms and of the calibration report.
+TERM_COEFFS = {
+    "magnetic": BPRIME_TERM_COEFF,
+    "theta_gradient": THETA_TERM_COEFF,
+    "kappa_gradient": KAPPA_TERM_COEFF,
+    "chi_gradient": CHI_TERM_COEFF,
+    "phi_gradient": PHI_TERM_COEFF,
+    "quantum_potential": QP_TERM_COEFF,
+}
 
 # Densities at or below this are treated as vacuum: the quantum potential
 # divides by sqrt(rho0) and is reported masked there instead of raising.
@@ -351,61 +366,85 @@ def _metric_square(spec, field):
     return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
 
 
-def _expanded_lagrangian(fields, provider, particle):
-    """Momentum bracket (lower index) and the classical lagrangian density L.
+def expanded_terms(fields, provider, particle=ELECTRON):
+    """Lower-index momentum bracket and the coefficient-free terms of L.
 
-    L = B^mu B_mu - m^2 + hbar q B'.s' + the parameter-gradient quadratic
-    form: the expanded quantum Hamilton-Jacobi expression without its
-    density terms.  The expanded evaluator adds QP_TERM_COEFF times the
-    quantum potential; the action functional integrates rho0 L.
+    The terms are grids keyed as in the calibration report:
+
+    * ``momentum``: B^mu B_mu - m^2, with B the momentum bracket;
+    * ``magnetic``: hbar q B'.s' in the instantaneous rest frame;
+    * ``theta_gradient``: hbar^2 (gamma + 1)/2 (d theta)^2;
+    * ``kappa_gradient``: hbar^2 (gamma - 1)/2 (d kappa)^2;
+    * ``chi_gradient``: hbar^2 (d chi)^2;
+    * ``phi_gradient``: hbar^2 (1 - Sigma12^2) (d phi)^2.
+
+    L is ``momentum`` plus every other term times its frozen coefficient
+    in TERM_COEFFS.  ``demos/calibrate_expanded_coefficients.py`` fits
+    those coefficients against these same grids.
     """
     spec = fields.spec
     hbar = particle.hbar
-    q = particle.charge
     params = fields.params
     gamma = np.asarray(fields.gamma, dtype=np.float64)
+    h2 = hbar**2
 
-    A_lower, F = _sample_potential(provider, spec.points())[1:]
-
-    # a copy, so the (grid, 4, 4) table is freed at once
-    sigma12 = sigma_component_table(params)[..., 1, 2].copy()
-
-    bracket_lower = _expanded_bracket(fields, A_lower, sigma12, hbar, q)
+    bracket_lower, F, sigma12 = _expanded_bracket(fields, provider, particle)
     bb = np.einsum("...m,...m->...", raise_index(bracket_lower), bracket_lower)
+    terms = {
+        "momentum": bb - particle.mass**2,
+        "magnetic": _rest_frame_coupling(params, gamma, F, hbar, particle.charge),
+        "theta_gradient": h2 * 0.5 * (gamma + 1.0) * _metric_square(spec, params.theta),
+        "kappa_gradient": h2 * 0.5 * (gamma - 1.0) * _metric_square(spec, params.kappa),
+        "chi_gradient": h2 * _metric_square(spec, params.chi),
+        "phi_gradient": h2 * (1.0 - sigma12**2) * _metric_square(spec, params.phi),
+    }
+    return bracket_lower, terms
 
-    coupling = _rest_frame_coupling(params, gamma, F, hbar, q)
 
-    shape_terms = hbar**2 * (
-        THETA_TERM_COEFF * 0.5 * (gamma + 1.0) * _metric_square(spec, params.theta)
-        + KAPPA_TERM_COEFF * 0.5 * (gamma - 1.0) * _metric_square(spec, params.kappa)
-        + CHI_TERM_COEFF * _metric_square(spec, params.chi)
-        + PHI_TERM_COEFF * (1.0 - sigma12**2) * _metric_square(spec, params.phi)
+def _expanded_lagrangian(fields, provider, particle):
+    """Momentum bracket (lower index) and the classical lagrangian density L.
+
+    L sums the terms of :func:`expanded_terms` with their frozen
+    coefficients: the expanded quantum Hamilton-Jacobi expression without
+    its density terms.  The expanded evaluator adds QP_TERM_COEFF times the
+    quantum potential; the action functional integrates rho0 L.
+    """
+    bracket_lower, terms = expanded_terms(fields, provider, particle)
+    shape_terms = (
+        THETA_TERM_COEFF * terms["theta_gradient"]
+        + KAPPA_TERM_COEFF * terms["kappa_gradient"]
+        + CHI_TERM_COEFF * terms["chi_gradient"]
+        + PHI_TERM_COEFF * terms["phi_gradient"]
     )
+    return bracket_lower, terms["momentum"] + BPRIME_TERM_COEFF * terms["magnetic"] + shape_terms
 
-    return bracket_lower, bb - particle.mass**2 + coupling + shape_terms
 
+def _expanded_bracket(fields, provider, particle):
+    """Momentum bracket d_mu S + q A_mu + hbar (d_mu eta0 + W d_mu phi), lower index.
 
-def _expanded_bracket(fields, A_lower, sigma12, hbar, q):
-    """Momentum bracket d_mu S + q A_mu + hbar (d_mu eta0 + W d_mu phi), lower index."""
+    Also returns the samples of F and Sigma12 that the other terms of L
+    read, so neither is computed twice.
+    """
     spec = fields.spec
     params = fields.params
+    A_lower, F = _sample_potential(provider, spec.points())[1:]
+    # a copy, so the (grid, 4, 4) table is freed at once
+    sigma12 = sigma_component_table(params)[..., 1, 2].copy()
     weight = 0.5 * (1.0 + sigma12)
     dS_lower = spec.gradient_lower(fields.S)
     dphi_lower = spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))
     deta0_lower = spec.gradient_lower(np.asarray(params.eta0, dtype=np.float64))
     internal = deta0_lower + weight[..., np.newaxis] * dphi_lower
-    return dS_lower + q * A_lower + hbar * internal
+    bracket_lower = dS_lower + particle.charge * A_lower + particle.hbar * internal
+    return bracket_lower, F, sigma12
 
 
 def _rest_frame_coupling(params, gamma, F, hbar, q):
-    """Field coupling hbar q B'.s' in the instantaneous rest frame."""
+    """Field coupling hbar q B'.s' in the instantaneous rest frame, coefficient-free."""
     u = four_velocity(params)
     beta = u[..., 1:4] / gamma[..., np.newaxis]
     b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
-    s_prime = rest_spin(params)
-    return BPRIME_TERM_COEFF * hbar * q * np.einsum(
-        "...i,...i->...", b_prime, s_prime
-    )
+    return hbar * q * np.einsum("...i,...i->...", b_prime, rest_spin(params))
 
 
 def second_order_residuals_expanded(fields, provider, particle=ELECTRON):

@@ -152,10 +152,10 @@ def seeded_manufactured_fields(
     independently of grid resolution.  The phase baseline is the plane-wave
     phase of the base velocity; the perturbations put gradients into every
     parameter, which makes all closed-form terms of the expanded evaluator
-    nonzero at once.
+    nonzero at once.  ``base`` may name only some of the parameters; the
+    others take their DEFAULT_BASE_PARAMS values.
     """
-    if base is None:
-        base = DEFAULT_BASE_PARAMS
+    base = {**DEFAULT_BASE_PARAMS, **(base or {})}
     rng = np.random.default_rng(seed)
     coords = _normalized_coordinates(spec)
     bumps = {name: amplitude * _seeded_quadratic(rng, coords) for name in _FIELD_ORDER}
@@ -202,10 +202,10 @@ def smooth_angle_params(seed, amplitude=0.05, base=None):
     entries are base constants plus single sinusoidal modes with seeded
     wave vectors of magnitude about 0.3.  Everything is smooth and exactly
     differentiable, which makes it suitable for convergence-order studies
-    of finite-difference identities.
+    of finite-difference identities.  As in seeded_manufactured_fields,
+    ``base`` may name only some of the parameters.
     """
-    if base is None:
-        base = DEFAULT_BASE_PARAMS
+    base = {**DEFAULT_BASE_PARAMS, **(base or {})}
     rng = np.random.default_rng(seed)
     modes = {}
     for name in _PARAM_NAMES:

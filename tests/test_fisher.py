@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirachydro import fisher
+from dirachydro import fisher, hydro
 from dirachydro.errors import ContractError, StepSizeError
 from dirachydro.fields import ELECTRON, Particle, PlaneWaveField, UniformField
 from dirachydro.fisher import (
@@ -316,6 +316,28 @@ def test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential(provider
     expected = lagrangian_density(fields, provider) + QP_TERM_COEFF * np.ma.filled(qp, np.nan)
     assert np.isnan(qhj).any()
     np.testing.assert_array_equal(qhj, expected)
+
+
+def test_phase_derivative_builds_only_the_momentum_bracket(monkeypatch):
+    """wrt="S" never builds the terms of L; wrt="rho0" builds them once."""
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hydro, "expanded_terms", counted("terms", hydro.expanded_terms))
+    monkeypatch.setattr(fisher, "_expanded_lagrangian",
+                        counted("lagrangian", fisher._expanded_lagrangian))
+    spec = GridSpec(active_axes=(0, 1), shape=(17, 17), spacing=(0.02, 0.02))
+    fields = perturbed_plane_wave_fields(spec, seed=2)
+    provider = UniformField(E0=np.array([0.01, 0.0, 0.02]), B0=np.array([0.0, 0.0, 0.3]))
+    functional_derivative(fields, provider, wrt="S")
+    assert calls == []
+    functional_derivative(fields, provider, wrt="rho0")
+    assert calls == ["lagrangian", "terms"]
 
 
 def test_pauli_limit_tracks_full_density_at_small_boost():

@@ -97,6 +97,22 @@ def test_perturbed_plane_wave_keeps_spinor_shape():
     np.testing.assert_array_equal(again.rho, bumped.rho)
 
 
+def test_a_partial_base_takes_the_other_defaults():
+    """A base naming some parameters is the same as the defaults updated by it."""
+    spec = _spec()
+    partial = {"chi": 0.6, "theta": 0.9}
+    full = dict(DEFAULT_BASE_PARAMS, **partial)
+    a = seeded_manufactured_fields(spec, 4, base=partial)
+    b = seeded_manufactured_fields(spec, 4, base=full)
+    np.testing.assert_array_equal(a.S, b.S)
+    x = spec.points()
+    pairs = [(a.params, b.params),
+             (smooth_angle_params(4, base=partial)(x), smooth_angle_params(4, base=full)(x))]
+    for first, second in pairs:
+        for name in DEFAULT_BASE_PARAMS:
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+
+
 def test_smooth_angle_params_field():
     params_of = smooth_angle_params(3)
     x = np.array([0.1, -0.2, 0.3, 0.4])

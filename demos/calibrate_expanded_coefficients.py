@@ -7,13 +7,14 @@ and a unit quantum-potential multiple, and a half or unit rest-frame
 magnetic coupling of either sign.  Nothing here assumes any of them.  The
 script evaluates the bilinear residual (every spinor structure obtained by
 differencing the spinor field itself) on seeded smooth configurations,
-subtracts the momentum term B^mu B_mu - m^2, and least-squares fits the
-remainder against the other terms.  Those are the hydro module's own
-grids from ``expanded_terms``, the ones the expanded evaluator sums, so
-the fit calibrates exactly what the evaluator computes.  The magnetic
-sign is additionally cross-checked against the directly discretized
-second-order wave operator, which is independent of both formula
-evaluators.
+subtracts the momentum term, and least-squares fits the remainder against
+the other terms.  Those are the hydro module's own grids from
+``expanded_terms``, the ones the expanded evaluator sums, so the fit
+calibrates exactly what the evaluator computes.  Report entries are keyed
+by the names of ``expanded_terms``, whose docstring describes each term.
+The magnetic sign is additionally cross-checked against the directly
+discretized second-order wave operator, which is independent of both
+formula evaluators.
 
 The resolved values are the constants frozen in the hydro module (each
 report entry quotes its ``TERM_COEFFS`` value as ``frozen_in_module``),
@@ -138,12 +139,6 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
         resolved = shape[name]
         frozen = TERM_COEFFS[name]
         return {
-            "basis": {
-                "theta_gradient": "hbar^2 (gamma+1)/2 (d theta)^2",
-                "kappa_gradient": "hbar^2 (gamma-1)/2 (d kappa)^2",
-                "chi_gradient": "hbar^2 (d chi)^2",
-                "phi_gradient": "hbar^2 (1 - Sigma12^2) (d phi)^2",
-            }[name],
             "resolved": resolved,
             "frozen_in_module": frozen,
             "refinement_shift": shape_fine[name] - resolved,
@@ -167,7 +162,6 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
         },
         "shape_coefficients": {name: shape_entry(name) for name in SHAPE_TERMS},
         "quantum_potential_multiple": {
-            "basis": "madelung quantum potential -(hbar^2/2) box(sqrt rho0)/sqrt rho0",
             "resolved": shape["quantum_potential"],
             "frozen_in_module": TERM_COEFFS["quantum_potential"],
             "refinement_shift": shape_fine["quantum_potential"] - shape["quantum_potential"],
@@ -175,7 +169,6 @@ def calibrate(n=97, half_extent=0.6, amplitude=2e-4, n_seeds=12):
             "ratio_to_unit_form": shape["quantum_potential"] / QP_UNIT,
         },
         "magnetic_coupling": {
-            "basis": "hbar q B'.s' in the instantaneous rest frame",
             "resolved": magnetic,
             "frozen_in_module": TERM_COEFFS["magnetic"],
             "direct_operator_cross_check": magnetic_direct,

@@ -16,8 +16,8 @@ Commands
 
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
 rejected (unreadable, malformed, schema violation, or a value a module
-refused with a ContractError), 3 a numerical failure (instability, fit,
-step size, or a non-finite or overflowing result).
+refused with a ContractError), 3 a numerical failure (instability, fit, or
+a non-finite or overflowing result).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynState, fit_precession_frequency, integrate
-from .errors import (ContractError, FitError, InstabilityError, NonFiniteResultError,
-                     StepSizeError)
+from .errors import ContractError, FitError, InstabilityError, NonFiniteResultError
 from .fields import Particle, ZERO_FIELD, provider_from_config
 from .fisher import action_functional
 from .grids import GridSpec
@@ -115,6 +114,14 @@ def _configured_fields(spec, config, seed, default_kind, particle):
     return seeded_manufactured_fields(
         spec, seed, base=base, kind=kind, particle=particle, **block
     )
+
+
+def _grid_state(config, seed):
+    """(particle, provider, fields) of a residuals or fisher config."""
+    particle, kind = _particle_from(config)
+    provider = _provider_from(config)
+    spec = GridSpec(**config["grid"])
+    return particle, provider, _configured_fields(spec, config, seed, kind, particle)
 
 
 def _cmd_verify(config, seed, out_dir, fmt):
@@ -258,10 +265,8 @@ def _require_finite(**sections):
 
 
 def _cmd_residuals(config, seed, out_dir, fmt):
-    particle, kind = _particle_from(config)
-    provider = _provider_from(config)
-    spec = GridSpec(**config["grid"])
-    fields = _configured_fields(spec, config, seed, kind, particle)
+    particle, provider, fields = _grid_state(config, seed)
+    spec = fields.spec
 
     grids = _residual_grids(fields, provider, particle)
     max_abs = _sup_norms(grids)
@@ -288,10 +293,7 @@ def _cmd_residuals(config, seed, out_dir, fmt):
 
 
 def _cmd_fisher(config, seed, out_dir, fmt):
-    particle, kind = _particle_from(config)
-    provider = _provider_from(config)
-    spec = GridSpec(**config["grid"])
-    fields = _configured_fields(spec, config, seed, kind, particle)
+    particle, provider, fields = _grid_state(config, seed)
     depth = config.get("fisher", {}).get("depth", 1)
 
     report = action_functional(fields, provider, particle=particle, depth=depth)
@@ -414,7 +416,7 @@ def main(argv=None):
         print(f"dirachydro: numerical instability: {exc}", file=sys.stderr)
         print(f"dirachydro: failing step index {exc.step_index}", file=sys.stderr)
         return 3
-    except (FitError, NonFiniteResultError, OverflowError, StepSizeError) as exc:
+    except (FitError, NonFiniteResultError, OverflowError) as exc:
         print(f"dirachydro: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ContractError as exc:

@@ -7,11 +7,12 @@ The action functional is
 with L the classical part of the lagrangian density (momentum bracket
 squared minus mass squared, field coupling, and the parameter-gradient
 quadratic form).  L comes from the code of the expanded evaluator of
-:mod:`dirachydro.hydro`, whose residual is L + 2Q: it is exactly that
-evaluator with the density terms removed, summed from the same
-coefficient-free terms (``hydro.expanded_terms``) that the calibration
-demo fits.  Only the momentum bracket depends on the phase action, so the
-derivative with respect to S builds the bracket and no other term of L.
+:mod:`dirachydro.hydro`, whose residual is
+L + TERM_COEFFS["quantum_potential"] Q: it is exactly that evaluator with
+the density terms removed, summed from the same coefficient-free terms
+(``hydro.expanded_terms``) that the calibration demo fits.  Only the
+momentum bracket depends on the phase action, so the derivative with
+respect to S builds the bracket and no other term of L.
 
 Varying A with respect to the phase action reproduces the continuity
 residual; varying with respect to rho0 reproduces the quantum
@@ -109,8 +110,8 @@ def lagrangian_density(fields, provider, particle=ELECTRON):
     The terms are those of ``hydro.expanded_terms``, the grids that
     ``demos/calibrate_expanded_coefficients.py`` fits, summed with the
     frozen coefficients of the expanded residual evaluator, whose quantum
-    Hamilton-Jacobi residual is this L plus QP_TERM_COEFF times the
-    quantum potential.
+    Hamilton-Jacobi residual is this L plus TERM_COEFFS["quantum_potential"]
+    times the quantum potential.
     """
     return _expanded_lagrangian(fields, provider, particle)[1]
 

@@ -20,8 +20,8 @@ the field equations:
 * :func:`second_order_residuals_expanded` evaluates the same relation with
   the spinor-gradient pieces replaced by closed-form expressions in the
   shape parameters.  :func:`expanded_terms` computes those terms without
-  their coefficients, which are frozen module constants;
-  ``demos/calibrate_expanded_coefficients.py`` fits the constants to the
+  their coefficients, which are frozen in ``TERM_COEFFS``;
+  ``demos/calibrate_expanded_coefficients.py`` fits the coefficients to the
   bilinear evaluator on the grids of that same function and records the
   result.
 
@@ -31,8 +31,8 @@ tested against.
 
 The first-order and bilinear evaluators share the spinor data cached on the
 field set; their formulas stay independent.  The expanded evaluator's
-quantum Hamilton-Jacobi residual is L + QP_TERM_COEFF * Q, with L the
-classical lagrangian density that the action functional of
+quantum Hamilton-Jacobi residual is L + TERM_COEFFS["quantum_potential"] * Q,
+with L the classical lagrangian density that the action functional of
 :mod:`dirachydro.fisher` integrates; one private function sums the terms
 into L for both.
 """
@@ -69,35 +69,21 @@ __all__ = [
     "second_order_residuals_expanded",
     "squared_dirac_residual",
     "expanded_terms",
-    "THETA_TERM_COEFF",
-    "KAPPA_TERM_COEFF",
-    "CHI_TERM_COEFF",
-    "PHI_TERM_COEFF",
-    "QP_TERM_COEFF",
-    "BPRIME_TERM_COEFF",
     "TERM_COEFFS",
     "DENSITY_FLOOR",
 ]
 
-# Frozen coefficients of the expanded quantum Hamilton-Jacobi relation.
-# Each multiplies the term named next to it; the calibration script fits
-# these against the bilinear evaluator and must reproduce them.
-THETA_TERM_COEFF = 0.25     # x hbar^2 (gamma + 1)/2 (d theta)^2
-KAPPA_TERM_COEFF = -0.25    # x hbar^2 (gamma - 1)/2 (d kappa)^2
-CHI_TERM_COEFF = -0.25      # x hbar^2 (d chi)^2
-PHI_TERM_COEFF = 0.25       # x hbar^2 (1 - Sigma12^2) (d phi)^2
-QP_TERM_COEFF = 2.0         # x quantum_potential
-BPRIME_TERM_COEFF = 1.0     # x hbar e B'.s'
-
-# The same six, keyed by the names of the terms they multiply: those of
-# expanded_terms and of the calibration report.
+# Frozen coefficients of the expanded quantum Hamilton-Jacobi relation,
+# keyed by the terms of expanded_terms they multiply, and by
+# quantum_potential.  The calibration demo fits them against the bilinear
+# evaluator and must reproduce them.
 TERM_COEFFS = {
-    "magnetic": BPRIME_TERM_COEFF,
-    "theta_gradient": THETA_TERM_COEFF,
-    "kappa_gradient": KAPPA_TERM_COEFF,
-    "chi_gradient": CHI_TERM_COEFF,
-    "phi_gradient": PHI_TERM_COEFF,
-    "quantum_potential": QP_TERM_COEFF,
+    "magnetic": 1.0,
+    "theta_gradient": 0.25,
+    "kappa_gradient": -0.25,
+    "chi_gradient": -0.25,
+    "phi_gradient": 0.25,
+    "quantum_potential": 2.0,
 }
 
 # Densities at or below this are treated as vacuum: the quantum potential
@@ -244,39 +230,41 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
     return FirstOrderResiduals(continuity=continuity, hamilton_jacobi=hj)
 
 
-def _dilate_mask(mask, radius):
-    # Invalid points poison every stencil that reads them; extend the mask
-    # far enough to cover the widest (one-sided, 4-point) formula. Shifts
-    # stop at the grid edge: the grid is not periodic.
-    out = mask.copy()
-    for axis in range(mask.ndim):
-        grown = np.moveaxis(mask.copy(), axis, 0)
-        for _ in range(radius):
+def _vacuum(rho0):
+    """rho0 with its vacuum points set to 1, and the vacuum points with their halo.
+
+    Vacuum is where rho0 <= DENSITY_FLOOR.  A vacuum point poisons every
+    stencil that reads it, so the halo grows the vacuum by 3 samples along
+    each axis, which covers the widest (one-sided, 4-point) formula.  Shifts
+    stop at the grid edge: the grid is not periodic.
+    """
+    vacuum = ~(rho0 > DENSITY_FLOOR)
+    halo = vacuum.copy()
+    for axis in range(vacuum.ndim):
+        grown = np.moveaxis(vacuum.copy(), axis, 0)
+        for _ in range(3):
             previous = grown.copy()
             grown[1:] |= previous[:-1]
             grown[:-1] |= previous[1:]
-        out |= np.moveaxis(grown, 0, axis)
-    return out
+        halo |= np.moveaxis(grown, 0, axis)
+    return np.where(vacuum, 1.0, rho0), halo
 
 
 def quantum_potential(spec, rho0, hbar=1.0):
     """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), masked where vacuous.
 
-    Points with rho0 <= DENSITY_FLOOR (and any point whose finite-difference
-    stencil reaches one) are returned masked rather than raising: vanishing
-    density is a legitimate state of the fluid, not an input error.
+    Vacuum points (rho0 at or below the density floor) and every point
+    whose finite-difference stencil reaches one are returned masked rather
+    than raising: vanishing density is a legitimate state of the fluid, not
+    an input error.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if rho0.shape != spec.shape:
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
-    invalid = ~(rho0 > DENSITY_FLOOR)
-    safe = np.where(invalid, 1.0, rho0)
+    safe, halo = _vacuum(rho0)
     root = np.sqrt(safe)
     q = -(0.5 * float(hbar) ** 2) * spec.dalembertian(root) / root
-    if np.any(invalid):
-        mask = _dilate_mask(invalid, radius=3)
-        return np.ma.MaskedArray(q, mask=mask)
-    return np.ma.MaskedArray(q, mask=np.zeros_like(invalid))
+    return np.ma.MaskedArray(q, mask=halo)
 
 
 def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
@@ -303,7 +291,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     # ebar d_mu e, read by the momentum bracket and the gradient correction
     e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
     combo = _spinor_gradient_correction(e, de_lower, e_de, scalar)
-    rho_terms, vacuum = _density_terms(spec, rho0, hbar)
+    rho_terms, halo = _density_terms(spec, rho0, hbar)
 
     A_lower, F = _sample_potential(provider, spec.points())[1:]
     cterm = _field_coupling(e, ebar, scalar, F, hbar, q)
@@ -318,7 +306,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
     qhj = bb - m**2 + np.real(cterm) + rho_terms + hbar**2 * np.real(combo)
-    qhj[_dilate_mask(vacuum, radius=3)] = np.nan
+    qhj[halo] = np.nan
     qhj_imag = np.imag(cterm) + hbar**2 * np.imag(combo)
     return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
 
@@ -331,18 +319,17 @@ def _field_coupling(e, ebar, scalar, F, hbar, q):
 
 
 def _density_terms(spec, rho0, hbar):
-    """Density terms in the displayed quarter/half form, and the vacuum points.
+    """Density terms in the displayed quarter/half form, and the vacuum halo.
 
-    Vacuum is where rho0 <= DENSITY_FLOOR; the caller masks it as in Q.
+    The caller masks the halo, the points that Q masks.
     """
-    vacuum = ~(rho0 > DENSITY_FLOOR)
-    safe = np.where(vacuum, 1.0, rho0)
+    safe, halo = _vacuum(rho0)
     # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
     # density is ever squared (rho0**2 flushes to zero below about 1e-162)
     drho_norm = spec.gradient_lower(rho0) / safe[..., np.newaxis]
     drho_sq = np.einsum("...m,...m->...", raise_index(drho_norm), drho_norm)
     box_rho = spec.dalembertian(rho0)
-    return hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe), vacuum
+    return hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe), halo
 
 
 def _spinor_gradient_correction(e, de_lower, e_de, scalar):
@@ -369,9 +356,14 @@ def _metric_square(spec, field):
 def expanded_terms(fields, provider, particle=ELECTRON):
     """Lower-index momentum bracket and the coefficient-free terms of L.
 
-    The terms are grids keyed as in the calibration report:
+    The momentum bracket is
 
-    * ``momentum``: B^mu B_mu - m^2, with B the momentum bracket;
+        B_mu = d_mu S + q A_mu + hbar (d_mu eta0 + W d_mu phi)
+
+    with the spin weight W = (1 + Sigma12)/2.  The terms are grids keyed as
+    in the calibration report:
+
+    * ``momentum``: B^mu B_mu - m^2;
     * ``magnetic``: hbar q B'.s' in the instantaneous rest frame;
     * ``theta_gradient``: hbar^2 (gamma + 1)/2 (d theta)^2;
     * ``kappa_gradient``: hbar^2 (gamma - 1)/2 (d kappa)^2;
@@ -379,8 +371,9 @@ def expanded_terms(fields, provider, particle=ELECTRON):
     * ``phi_gradient``: hbar^2 (1 - Sigma12^2) (d phi)^2.
 
     L is ``momentum`` plus every other term times its frozen coefficient
-    in TERM_COEFFS.  ``demos/calibrate_expanded_coefficients.py`` fits
-    those coefficients against these same grids.
+    in TERM_COEFFS; the expanded evaluator adds the quantum potential times
+    its own.  ``demos/calibrate_expanded_coefficients.py`` fits those
+    coefficients against these same grids.
     """
     spec = fields.spec
     hbar = particle.hbar
@@ -406,21 +399,18 @@ def _expanded_lagrangian(fields, provider, particle):
 
     L sums the terms of :func:`expanded_terms` with their frozen
     coefficients: the expanded quantum Hamilton-Jacobi expression without
-    its density terms.  The expanded evaluator adds QP_TERM_COEFF times the
-    quantum potential; the action functional integrates rho0 L.
+    its density terms.  The action functional integrates rho0 L.
     """
     bracket_lower, terms = expanded_terms(fields, provider, particle)
-    shape_terms = (
-        THETA_TERM_COEFF * terms["theta_gradient"]
-        + KAPPA_TERM_COEFF * terms["kappa_gradient"]
-        + CHI_TERM_COEFF * terms["chi_gradient"]
-        + PHI_TERM_COEFF * terms["phi_gradient"]
-    )
-    return bracket_lower, terms["momentum"] + BPRIME_TERM_COEFF * terms["magnetic"] + shape_terms
+    momentum = terms.pop("momentum")
+    magnetic = TERM_COEFFS["magnetic"] * terms.pop("magnetic")
+    # the four shape terms are left; their order in expanded_terms fixes how L rounds
+    shape = sum(TERM_COEFFS[name] * grid for name, grid in terms.items())
+    return bracket_lower, momentum + magnetic + shape
 
 
 def _expanded_bracket(fields, provider, particle):
-    """Momentum bracket d_mu S + q A_mu + hbar (d_mu eta0 + W d_mu phi), lower index.
+    """Momentum bracket of :func:`expanded_terms`, lower index.
 
     Also returns the samples of F and Sigma12 that the other terms of L
     read, so neither is computed twice.
@@ -440,7 +430,7 @@ def _expanded_bracket(fields, provider, particle):
 
 
 def _rest_frame_coupling(params, gamma, F, hbar, q):
-    """Field coupling hbar q B'.s' in the instantaneous rest frame, coefficient-free."""
+    """The ``magnetic`` term of :func:`expanded_terms`."""
     u = four_velocity(params)
     beta = u[..., 1:4] / gamma[..., np.newaxis]
     b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
@@ -451,13 +441,12 @@ def second_order_residuals_expanded(fields, provider, particle=ELECTRON):
     """Quantum Hamilton-Jacobi defect with closed-form parameter terms.
 
     The spinor-gradient pieces of the bilinear evaluator are replaced by
-    their resolved expressions in the shape parameters: the internal-phase
-    current becomes hbar (d eta0 + W d phi) with the spin weight
-    W = (1 + Sigma12)/2, the field coupling becomes hbar q B'.s' in the
-    instantaneous rest frame, and the gradient-squared correction becomes
-    the frozen quadratic form in (d theta, d kappa, d chi, d phi).  The
-    imaginary part is identically zero here, so ``qhj_imag`` is returned as
-    a zero grid.
+    their resolved expressions in the shape parameters, the terms of
+    :func:`expanded_terms`: the internal-phase current enters the momentum
+    bracket, the field coupling becomes the rest-frame magnetic term, and
+    the gradient-squared correction becomes the frozen quadratic form in
+    the shape-parameter gradients.  The imaginary part is identically zero
+    here, so ``qhj_imag`` is returned as a zero grid.
     """
     spec = fields.spec
     rho0 = fields.rho0
@@ -467,7 +456,7 @@ def second_order_residuals_expanded(fields, provider, particle=ELECTRON):
     continuity = spec.divergence(rho0[..., np.newaxis] * raise_index(bracket_lower))
 
     qp = quantum_potential(spec, rho0, hbar=particle.hbar)
-    qhj = lagrangian + QP_TERM_COEFF * np.ma.filled(qp, np.nan)
+    qhj = lagrangian + TERM_COEFFS["quantum_potential"] * np.ma.filled(qp, np.nan)
     return SecondOrderResiduals(
         continuity=continuity, qhj=qhj, qhj_imag=np.zeros(spec.shape)
     )

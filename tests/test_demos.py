@@ -1,4 +1,7 @@
-"""The demos run to completion: exit 0, nothing on stderr, no committed file touched."""
+"""The demos run to completion: exit 0, nothing on stderr, no committed file touched.
+
+The committed calibration record quotes the coefficients frozen in hydro.
+"""
 
 import json
 import os
@@ -12,6 +15,13 @@ from dirachydro import hydro
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 RECORD = DEMOS / "calibration_report.json"
+
+
+def _entries(report):
+    """The report's six coefficient entries, keyed as hydro.TERM_COEFFS."""
+    return dict(report["shape_coefficients"],
+                quantum_potential=report["quantum_potential_multiple"],
+                magnetic=report["magnetic_coupling"])
 
 
 def _run_demo(script, cwd, *args):
@@ -38,19 +48,16 @@ def test_calibration_resolves_the_frozen_coefficients(tmp_path):
     out = tmp_path / "calibration_report.json"
     _run_demo("calibrate_expanded_coefficients.py", tmp_path,
               "--points", "49", "--seeds", "3", "--out", str(out))
-    report = json.loads(out.read_text(encoding="utf-8"))
-    entries = dict(report["shape_coefficients"],
-                   quantum_potential=report["quantum_potential_multiple"],
-                   magnetic=report["magnetic_coupling"])
-    frozen = {
-        "theta_gradient": hydro.THETA_TERM_COEFF,
-        "kappa_gradient": hydro.KAPPA_TERM_COEFF,
-        "chi_gradient": hydro.CHI_TERM_COEFF,
-        "phi_gradient": hydro.PHI_TERM_COEFF,
-        "quantum_potential": hydro.QP_TERM_COEFF,
-        "magnetic": hydro.BPRIME_TERM_COEFF,
-    }
+    entries = _entries(json.loads(out.read_text(encoding="utf-8")))
+    frozen = hydro.TERM_COEFFS
     assert entries.keys() == frozen.keys()
     for name, entry in entries.items():
         assert entry["frozen_in_module"] == frozen[name], name
         assert abs(entry["resolved"] - frozen[name]) < 2e-3, name
+
+
+def test_committed_record_quotes_the_frozen_coefficients():
+    """Every entry of the committed report quotes its TERM_COEFFS value."""
+    entries = _entries(json.loads(RECORD.read_text(encoding="utf-8")))
+    quoted = {name: entry["frozen_in_module"] for name, entry in entries.items()}
+    assert quoted == hydro.TERM_COEFFS

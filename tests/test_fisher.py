@@ -19,7 +19,7 @@ from dirachydro.fisher import (
 )
 from dirachydro.grids import GridSpec
 from dirachydro.hydro import (
-    QP_TERM_COEFF,
+    TERM_COEFFS,
     HydroFieldSet,
     quantum_potential,
     second_order_residuals_expanded,
@@ -304,7 +304,7 @@ def test_derivative_cost_does_not_grow_with_the_grid(monkeypatch):
                    polarization=np.array([0.0, 0.0, 1.0]), amplitude=0.05),
 ], ids=["uniform", "plane-wave"])
 def test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential(provider, kind):
-    """qhj = L + QP_TERM_COEFF * Q bit for bit, vacuum NaNs included."""
+    """qhj = L + TERM_COEFFS["quantum_potential"] * Q bit for bit, vacuum NaNs included."""
     spec = GridSpec(active_axes=(0, 1), shape=(25, 25), spacing=(0.02, 0.02))
     manufactured = seeded_manufactured_fields(spec, seed=6, kind=kind)
     rho = np.array(manufactured.rho, copy=True)
@@ -313,7 +313,8 @@ def test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential(provider
                            params=manufactured.params, kind=kind)
     qhj = second_order_residuals_expanded(fields, provider).qhj
     qp = quantum_potential(spec, fields.rho0)
-    expected = lagrangian_density(fields, provider) + QP_TERM_COEFF * np.ma.filled(qp, np.nan)
+    expected = (lagrangian_density(fields, provider)
+                + TERM_COEFFS["quantum_potential"] * np.ma.filled(qp, np.nan))
     assert np.isnan(qhj).any()
     np.testing.assert_array_equal(qhj, expected)
 

@@ -19,13 +19,8 @@ from dirachydro.fields import (
 )
 from dirachydro.grids import GridSpec
 from dirachydro.hydro import (
-    BPRIME_TERM_COEFF,
-    CHI_TERM_COEFF,
+    TERM_COEFFS,
     HydroFieldSet,
-    KAPPA_TERM_COEFF,
-    PHI_TERM_COEFF,
-    QP_TERM_COEFF,
-    THETA_TERM_COEFF,
     first_order_residuals,
     quantum_potential,
     second_order_residuals_bilinear,
@@ -392,12 +387,14 @@ def test_bilinear_evaluator_masks_vacuum_like_expanded():
 
 def test_frozen_shape_coefficients():
     # calibrated against the bilinear evaluator; see the committed report
-    assert THETA_TERM_COEFF == 0.25
-    assert KAPPA_TERM_COEFF == -0.25
-    assert CHI_TERM_COEFF == -0.25
-    assert PHI_TERM_COEFF == 0.25
-    assert QP_TERM_COEFF == 2.0
-    assert BPRIME_TERM_COEFF == 1.0
+    assert TERM_COEFFS == {
+        "theta_gradient": 0.25,
+        "kappa_gradient": -0.25,
+        "chi_gradient": -0.25,
+        "phi_gradient": 0.25,
+        "quantum_potential": 2.0,
+        "magnetic": 1.0,
+    }
 
 
 def test_bilinear_evaluator_memory_per_point_is_bounded():

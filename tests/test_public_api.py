@@ -1,11 +1,12 @@
-"""Every public function and class of the package has a caller outside the tests.
+"""Every public function, class and constant has a caller outside the tests.
 
-A module-level public function or class that only tests reach is API that
-nothing uses. The guard walks the sources of ``src/``, ``demos/`` and
-``bench/`` and resolves each name they use to the package module it comes
-from: a bare name in its own module, an imported name, or an attribute of
-an imported package module. A ``def`` or ``class`` statement, an import
-and an ``__all__`` entry are not uses.
+A module-level public function, class or assigned name (a constant, or an
+alias such as ``raise_index``) that only tests reach is API that nothing
+uses. The guard walks the sources of ``src/``, ``demos/`` and ``bench/``
+and resolves each name they read to the package module it comes from: a
+bare name in its own module, an imported name, or an attribute of an
+imported package module. A ``def`` or ``class`` statement, an assignment,
+an import and an ``__all__`` entry are not uses.
 
 The exceptions are the oracles in ORACLES: each is kept because tests
 compare it with an independently coded result, named beside it.
@@ -40,12 +41,26 @@ def _package_modules():
     return {path.stem: path for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a def, a class or assigned names."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def _public_definitions():
     found = set()
     for module, path in _package_modules().items():
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                found.add((module, node.name))
+            found.update((module, name) for name in _defined_names(node)
+                         if not name.startswith("_"))
     return found
 
 
@@ -97,7 +112,7 @@ def _used_names():
         names, aliases = imported[path]
         own = path.stem if path.parent == ROOT / "src" / PACKAGE else None
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in names:
                     used.add(origin(*names[node.id]))
                 elif own is not None:

@@ -6,6 +6,14 @@ oracles that check that code flip signs by hand. The matrices are built from
 exact integer and unit-imaginary entries, so algebraic identities among them
 hold without floating error. Bilinears accept a single spinor (shape (4,)) or
 a whole field of spinors (shape (..., 4)) and broadcast over the leading axes.
+
+Every gamma matrix, and every product of two, has one nonzero entry (+-1 or
++-i) per row, so M e is a signed permutation of e. The contractions
+ebar M e that the evaluators run on whole grids (the vector density here,
+the first-order and field-coupling terms of :mod:`dirachydro.hydro`) take
+M e from literal index tables of those entries instead of contracting dense
+4x4 tables. The dense tables stay for the oracles that check that code:
+:func:`spin_tensor` here and ``hydro.squared_dirac_residual``.
 """
 
 from __future__ import annotations
@@ -58,7 +66,41 @@ GAMMA5 = _GAMMA5
 _GAMMA_PAIR = np.einsum("mab,nbc->mnac", GAMMA, GAMMA)
 _GAMMA_COMMUTATOR = _GAMMA_PAIR - _GAMMA_PAIR.swapaxes(0, 1)
 
-for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR):
+# The same matrices as index tables, written out rather than computed:
+# (gamma^mu e)_a = _GAMMA_COEFF[mu, a] * e[_GAMMA_PERM[mu, a]].
+_GAMMA_PERM = np.array([
+    [0, 1, 2, 3],
+    [3, 2, 1, 0],
+    [3, 2, 1, 0],
+    [2, 3, 0, 1],
+])
+_GAMMA_COEFF = np.array([
+    [1, 1, -1, -1],
+    [1, 1, -1, -1],
+    [-1j, 1j, 1j, -1j],
+    [1, -1, -1, 1],
+], dtype=np.complex128)
+# gamma^m gamma^n for the six pairs m < n, in the order of _PAIRS.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_PERM = np.array([
+    [3, 2, 1, 0],
+    [3, 2, 1, 0],
+    [2, 3, 0, 1],
+    [0, 1, 2, 3],
+    [1, 0, 3, 2],
+    [1, 0, 3, 2],
+])
+_PAIR_COEFF = np.array([
+    [1, 1, 1, 1],
+    [-1j, 1j, -1j, 1j],
+    [1, -1, 1, -1],
+    [-1j, 1j, -1j, 1j],
+    [1, -1, 1, -1],
+    [-1j, -1j, -1j, -1j],
+], dtype=np.complex128)
+
+for _m in (GAMMA, GAMMA5, METRIC, _GAMMA_PAIR, _GAMMA_COMMUTATOR,
+           _GAMMA_PERM, _GAMMA_COEFF, _PAIR_PERM, _PAIR_COEFF):
     _m.setflags(write=False)
 
 
@@ -113,8 +155,15 @@ def lower_both(T):
 
 
 def _adjoint(e):
-    """Dirac adjoint row spinor: e-bar = e^dagger gamma^0."""
-    return np.conj(e) @ GAMMA[0]
+    """Dirac adjoint row spinor: e-bar = e^dagger gamma^0.
+
+    gamma^0 is diagonal, so this is a sign per component. Adding +0.0 turns
+    -0.0 into +0.0, so the zeros come out as the matrix product rounds them.
+    """
+    out = np.conj(e)
+    out *= (1, 1, -1, -1)
+    out += 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,8 +205,10 @@ def bilinears(e):
     e = _spinor_field(e)
     ebar = _adjoint(e)
     scalar = _take_real(np.einsum("...a,...a->...", ebar, e), "scalar")
-    vector = _take_real(np.einsum("...a,mab,...b->...m", ebar, GAMMA, e), "vector")
-    return BilinearSet(scalar=scalar, vector=vector)
+    # ebar (gamma^mu e), with gamma^mu e from the index tables
+    vector = np.stack([np.einsum("...a,...a->...", ebar, e[..., perm] * coeff)
+                       for perm, coeff in zip(_GAMMA_PERM, _GAMMA_COEFF)], axis=-1)
+    return BilinearSet(scalar=scalar, vector=_take_real(vector, "vector"))
 
 
 def spin_tensor(e):

@@ -30,11 +30,17 @@ reconstructed ``psi`` and serves as the oracle the formula evaluators are
 tested against.
 
 The first-order and bilinear evaluators share the spinor data cached on the
-field set; their formulas stay independent.  The expanded evaluator's
-quantum Hamilton-Jacobi residual is L + TERM_COEFFS["quantum_potential"] * Q,
-with L the classical lagrangian density that the action functional of
-:mod:`dirachydro.fisher` integrates; one private function sums the terms
-into L for both.
+field set; their formulas stay independent.  Their gamma-matrix sandwiches
+(ebar gamma^mu d_mu e, and ebar gamma^mu gamma^nu e against F) take
+gamma^mu e and gamma^mu gamma^nu e from the monomial index tables of
+:mod:`dirachydro.clifford`.  :func:`squared_dirac_residual`, like
+``clifford.spin_tensor``, keeps the dense product table: it is the oracle
+of that code.
+
+The expanded evaluator's quantum Hamilton-Jacobi residual is
+L + TERM_COEFFS["quantum_potential"] * Q, with L the classical lagrangian
+density that the action functional of :mod:`dirachydro.fisher` integrates;
+one private function sums the terms into L for both.
 """
 
 from __future__ import annotations
@@ -44,18 +50,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import (GAMMA, _GAMMA_PAIR, _adjoint, bilinears, lower_both, lower_index,
-                       minkowski_dot, raise_index)
+from .clifford import (_GAMMA_COEFF, _GAMMA_PAIR, _GAMMA_PERM, _PAIR_COEFF, _PAIR_PERM, _PAIRS,
+                       _adjoint, bilinears, lower_both, lower_index, minkowski_dot, raise_index)
 from .errors import ContractError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
 from .grids import GridSpec
 from .spinors import (
     KinematicParams,
+    _sigma_components,
     four_velocity,
     make_antiparticle_spinor,
     make_particle_spinor,
     rest_spin,
-    sigma_component_table,
     species_sign,
 )
 
@@ -223,11 +229,20 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
 
     coupling = particle.charge * np.einsum("...m,...m->...", ratio, A_lower)
 
-    slashed = np.einsum("...a,mab,...mb->...", ebar, GAMMA, de_lower)
-    spinor_term = particle.hbar * np.imag(slashed) / scalar
+    spinor_term = particle.hbar * np.imag(_slashed(ebar, de_lower)) / scalar
 
     hj = convective + particle.mass + coupling + spinor_term
     return FirstOrderResiduals(continuity=continuity, hamilton_jacobi=hj)
+
+
+def _slashed(ebar, de_lower):
+    """ebar gamma^mu d_mu e, with gamma^mu d_mu e summed from the index tables."""
+    slashed_e = np.zeros(ebar.shape, dtype=np.complex128)
+    for mu in range(4):
+        # one component at a time: no temporary larger than one grid
+        for a, (b, c) in enumerate(zip(_GAMMA_PERM[mu], _GAMMA_COEFF[mu])):
+            slashed_e[..., a] += c * de_lower[..., mu, b]
+    return np.einsum("...a,...a->...", ebar, slashed_e)
 
 
 def _vacuum(rho0):
@@ -312,10 +327,18 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
 
 
 def _field_coupling(e, ebar, scalar, F, hbar, q):
-    """Field-strength coupling -(i hbar q / 2)(ebar g^mu g^nu e) F_{mu nu}/(ebar e)."""
+    """Field-strength coupling -(i hbar q / 2)(ebar g^mu g^nu e) F_{mu nu}/(ebar e).
+
+    F_lower is antisymmetric and g^m g^n = -g^n g^m for m != n, so the sum
+    over mu, nu is the sum of 2 F_mn ebar g^m g^n e over the six pairs m < n,
+    each g^m g^n e taken from the index tables.
+    """
     F_lower = lower_both(F)
-    pair = np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_PAIR, e)
-    return (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, F_lower) / scalar
+    total = 0.0
+    for (m, n), perm, coeff in zip(_PAIRS, _PAIR_PERM, _PAIR_COEFF):
+        pair = np.einsum("...a,...a->...", ebar, e[..., perm] * coeff)
+        total = total + (2.0 * F_lower[..., m, n]) * pair
+    return (-0.5j * hbar * q) * total / scalar
 
 
 def _density_terms(spec, rho0, hbar):
@@ -418,8 +441,7 @@ def _expanded_bracket(fields, provider, particle):
     spec = fields.spec
     params = fields.params
     A_lower, F = _sample_potential(provider, spec.points())[1:]
-    # a copy, so the (grid, 4, 4) table is freed at once
-    sigma12 = sigma_component_table(params)[..., 1, 2].copy()
+    sigma12 = _sigma_components(params)[1, 2]
     weight = 0.5 * (1.0 + sigma12)
     dS_lower = spec.gradient_lower(fields.S)
     dphi_lower = spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))

@@ -16,8 +16,12 @@ neither a file nor a field's sample list is ever held in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
-17 significant digits, masked and non-finite samples as nan/inf.  Grids
-with three or more axes have no CSV form; they use the grid container.
+17 significant digits, masked and non-finite samples as nan/inf.  The
+writer formats ``_BLOCK_ROWS`` rows per string operation, so the text in
+memory is bounded by the block, not by the table.  A grid table's
+coordinate columns repeat a few values on every row; each distinct
+coordinate is formatted once and its text reused.  Grids with three or
+more axes have no CSV form; they use the grid container.
 """
 
 from __future__ import annotations
@@ -114,26 +118,41 @@ def load_grid_fields(path):
     return spec, fields
 
 
+# rows formatted per string operation: bounds the text in memory
+_BLOCK_ROWS = 64
+
+
 def _write_csv(path, header, columns):
     """Write one CSV table: a header row, then one row per sample.
 
-    ``columns`` are stacked side by side with ``np.column_stack`` (1-D
-    arrays become one column each, 2-D blocks keep theirs). Rows end in
-    CRLF and values are written as ``format_float`` writes them, which is
-    the csv module's default dialect; names that it would have to quote are
-    refused.
+    ``columns`` are the table's columns side by side, as ``np.column_stack``
+    would stack them: a 1-D array is one column, a 2-D array one column per
+    entry of its second axis. A float column is written as ``format_float``
+    writes it; an object array holds text that is written as it is. Rows end
+    in CRLF, which is the csv module's default dialect; names that it would
+    have to quote are refused. The rows are formatted ``_BLOCK_ROWS`` at a
+    time, each block from slices of the columns.
     """
     for name in header:
         if not set(name).isdisjoint(',"\r\n'):
             raise ContractError(f"column name {name!r} would need CSV quoting")
-    table = np.column_stack(columns)
-    # format_float's "%.17g" applied to a whole row at once
-    template = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    flat = []
+    for column in map(np.asarray, columns):
+        flat.extend([column] if column.ndim == 1 else list(column.T))
+    rows, width = len(flat[0]), len(flat)
+    if any(len(column) != rows for column in flat):
+        raise ContractError("CSV columns must all have one value per row")
+    # one row: format_float's "%.17g" for a number, a text column as it is
+    template = ",".join("%s" if c.dtype == object else "%.17g" for c in flat) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        # one row at a time keeps the formatted text out of memory
-        for row in table:
-            fh.write(template % tuple(row.tolist()))
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            # row-major values of the block: column j fills every width-th slot
+            values = [None] * ((stop - start) * width)
+            for j, column in enumerate(flat):
+                values[j::width] = column[start:stop].tolist()
+            fh.write(template * (stop - start) % tuple(values))
 
 
 def _trajectory_columns(trajectory):
@@ -190,8 +209,11 @@ def save_slice_csv(path, spec, fields):
         raise ContractError(
             f"a CSV table holds a 1-D or 2-D grid, this one has {spec.ndim} axes"
         )
-    mesh = np.meshgrid(*spec.axis_coordinates(), indexing="ij")
-    columns = [axis.ravel() for axis in mesh]
+    # each coordinate formatted once; the text is shared by every row it is on
+    texts = [np.array([format_float(v) for v in axis], dtype=object)
+             for axis in spec.axis_coordinates()]
+    mesh = np.meshgrid(*(np.arange(n) for n in spec.shape), indexing="ij")
+    columns = [text[index.ravel()] for text, index in zip(texts, mesh)]
     for name, values in fields.items():
         columns.append(_real_field(spec, name, values).ravel())
     _write_csv(path, list(spec.axis_names) + list(fields), columns)

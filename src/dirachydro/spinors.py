@@ -178,13 +178,12 @@ def recover_velocity(e, kind="particle"):
     return sign * b.vector / scalar[..., np.newaxis]
 
 
-def sigma_component_table(params):
-    """Closed-form spin tensor components for the particle parametrization.
+def _sigma_components(params):
+    """The six closed-form components Sigma^{mu nu}, mu < nu, keyed by (mu, nu).
 
-    Returns the full antisymmetric 4x4 array Sigma^{mu nu}. The azimuthal
-    ratios u^1/u_perp and u^2/u_perp are written as cos phi and sin phi, so
-    the table stays finite on the axis u_perp -> 0 where those ratios would
-    otherwise be 0/0.
+    The azimuthal ratios u^1/u_perp and u^2/u_perp are written as cos phi
+    and sin phi, so the components stay finite on the axis u_perp -> 0
+    where those ratios would otherwise be 0/0.
     """
     gamma = np.cosh(params.chi)
     sh = np.sinh(params.chi)
@@ -197,24 +196,27 @@ def sigma_component_table(params):
     gp1 = gamma + 1.0
 
     boost_plane = uperp * ct - u3 * st
-    s01 = sphi * boost_plane
-    s02 = -cphi * boost_plane
-    s03 = np.zeros_like(gamma)
-    s12 = -(ct * (1.0 + uperp**2 / gp1) - st * u3 * uperp / gp1)
     tilt = ct * u3 * uperp / gp1 - st * (1.0 + u3**2 / gp1)
-    s13 = -sphi * tilt
-    s23 = cphi * tilt
+    return {
+        (0, 1): sphi * boost_plane,
+        (0, 2): -cphi * boost_plane,
+        (0, 3): np.zeros_like(gamma),
+        (1, 2): -(ct * (1.0 + uperp**2 / gp1) - st * u3 * uperp / gp1),
+        (1, 3): -sphi * tilt,
+        (2, 3): cphi * tilt,
+    }
 
-    shape = np.broadcast(gamma, s01, s12, s13).shape
+
+def sigma_component_table(params):
+    """Closed-form spin tensor components for the particle parametrization.
+
+    Returns the full antisymmetric 4x4 array Sigma^{mu nu}, assembled from
+    the six components above the diagonal.
+    """
+    components = _sigma_components(params)
+    shape = np.broadcast(*components.values()).shape
     table = np.zeros(shape + (4, 4))
-    for (m, n), value in {
-        (0, 1): s01,
-        (0, 2): s02,
-        (0, 3): s03,
-        (1, 2): s12,
-        (1, 3): s13,
-        (2, 3): s23,
-    }.items():
+    for (m, n), value in components.items():
         table[..., m, n] = value
         table[..., n, m] = -value
     return table

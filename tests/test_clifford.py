@@ -13,8 +13,14 @@ from dirachydro.clifford import (
     GAMMA5,
     LEVI_CIVITA,
     METRIC,
+    _GAMMA_COEFF,
     _GAMMA_COMMUTATOR,
     _GAMMA_PAIR,
+    _GAMMA_PERM,
+    _PAIR_COEFF,
+    _PAIR_PERM,
+    _PAIRS,
+    _adjoint,
     bilinears,
     lower_both,
     lower_index,
@@ -24,7 +30,20 @@ from dirachydro.clifford import (
     spin_tensor,
 )
 from dirachydro.errors import ContractError
+from dirachydro.grids import GridSpec
+from dirachydro.manufactured import plane_wave_fields
 from dirachydro.spinors import KinematicParams, make_particle_spinor
+
+
+def _monomial(perm, coeff):
+    """The dense matrix M with (M e)_a = coeff[a] e[perm[a]]."""
+    matrix = np.zeros((4, 4), dtype=np.complex128)
+    matrix[np.arange(4), perm] = coeff
+    return matrix
+
+
+def _random_spinors(rng, shape):
+    return rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
 
 
 def test_anticommutator_is_twice_metric():
@@ -40,6 +59,46 @@ def test_anticommutator_is_twice_metric():
     assert np.array_equal(
         _GAMMA_COMMUTATOR, pair - np.einsum("nab,mbc->mnac", GAMMA, GAMMA)
     )
+    # the literal index tables are the same matrices, entry for entry
+    for mu in range(4):
+        assert np.array_equal(_monomial(_GAMMA_PERM[mu], _GAMMA_COEFF[mu]), GAMMA[mu])
+    assert _PAIRS == tuple((m, n) for m in range(4) for n in range(m + 1, 4))
+    for (m, n), perm, coeff in zip(_PAIRS, _PAIR_PERM, _PAIR_COEFF):
+        assert np.array_equal(_monomial(perm, coeff), _GAMMA_PAIR[m, n])
+
+
+def test_adjoint_is_the_matrix_product_bitwise():
+    """Signed zeros included: d_mu e of a plane wave is full of zeros."""
+    spec = GridSpec(active_axes=(0, 1), shape=(9, 9), spacing=(0.1, 0.1))
+    de = plane_wave_fields(spec)._spinor_data[2]
+    expected = np.conj(de) @ GAMMA[0]
+    assert np.array_equal(_adjoint(de).view(np.uint64), expected.view(np.uint64))
+    # flipping the signs of the real and imaginary parts leaves -0.0 where
+    # the product has +0.0
+    flipped = de.view(np.float64) * np.repeat([1.0, 1.0, -1.0, -1.0], 2) * np.tile([1.0, -1.0], 4)
+    assert not np.array_equal(flipped.view(np.uint64), expected.view(np.uint64))
+    # every pairing of signed zeros and nonzero parts, in every component
+    parts = np.array([0.0, -0.0, 1.5, -2.0])
+    values = np.empty(16, dtype=np.complex128)
+    values.real, values.imag = np.repeat(parts, 4), np.tile(parts, 4)
+    e = np.stack([values, values[::-1], values, values[::-1]], axis=-1)
+    expected = np.conj(e) @ GAMMA[0]
+    assert np.array_equal(_adjoint(e).view(np.uint64), expected.view(np.uint64))
+    assert not np.array_equal((np.conj(e) * (1, 1, -1, -1)).view(np.uint64),
+                              expected.view(np.uint64))
+
+
+def test_vector_density_matches_the_dense_contraction():
+    """bilinears(e).vector against the dense gamma table it no longer reads."""
+    rng = np.random.default_rng(17)
+    for shape in [(), (33,), (6, 7)]:
+        e = _random_spinors(rng, shape)
+        ebar = np.conj(e) @ GAMMA[0]
+        dense = np.einsum("...a,mab,...b->...m", ebar, GAMMA, e).real
+        # four products of two operands are summed: allow a few ulps of that scale
+        scale = np.max(np.abs(ebar)) * np.max(np.abs(e))
+        np.testing.assert_allclose(bilinears(e).vector, dense, rtol=0,
+                                   atol=16 * np.finfo(float).eps * scale)
 
 
 def test_gamma5_product_and_square():

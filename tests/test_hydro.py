@@ -1,6 +1,8 @@
 """Grid field sets, hydrodynamic residual evaluators, quantum potential."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirachydro import hydro
+from dirachydro.clifford import GAMMA, _GAMMA_PAIR, lower_both
 from dirachydro.errors import ContractError
 from dirachydro.fields import (
     ELECTRON,
@@ -416,3 +419,90 @@ def test_bilinear_evaluator_memory_per_point_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / 9**4 <= 1.5 * 690
+
+
+def _random_spinors(rng, shape):
+    return rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+
+
+def test_slashed_term_matches_the_dense_contraction():
+    """ebar gamma^mu d_mu e against the dense gamma table it no longer reads."""
+    rng = np.random.default_rng(23)
+    for shape in [(), (40,), (5, 6)]:
+        ebar = _random_spinors(rng, shape) @ GAMMA[0]
+        de = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+        dense = np.einsum("...a,mab,...mb->...", ebar, GAMMA, de)
+        # sixteen products of two operands: a few ulps of that scale
+        scale = 16 * np.max(np.abs(ebar)) * np.max(np.abs(de))
+        np.testing.assert_allclose(hydro._slashed(ebar, de), dense, rtol=0,
+                                   atol=8 * np.finfo(float).eps * scale)
+
+
+def test_field_coupling_matches_the_dense_contraction():
+    """The six-pair coupling against all sixteen ebar g^mu g^nu e contracted with F."""
+    rng = np.random.default_rng(29)
+    hbar, q = 0.7, -1.3
+    for shape in [(), (40,), (5, 6)]:
+        e = _random_spinors(rng, shape)
+        ebar = np.conj(e) @ GAMMA[0]
+        F = rng.normal(size=shape + (4, 4))
+        F = F - np.swapaxes(F, -1, -2)
+        pair = np.einsum("...a,mnab,...b->...mn", ebar, _GAMMA_PAIR, e)
+        dense = (-0.5j * hbar * q) * np.einsum("...mn,...mn->...", pair, lower_both(F))
+        # unit scalar density, so the comparison is of the sums themselves
+        coupling = hydro._field_coupling(e, ebar, np.ones(shape), F, hbar, q)
+        scale = 16 * hbar * abs(q) * np.max(np.abs(ebar)) * np.max(np.abs(e)) * np.max(np.abs(F))
+        np.testing.assert_allclose(coupling, dense, rtol=0, atol=8 * np.finfo(float).eps * scale)
+
+
+# the monomial index tables of clifford, which the dense oracles must not reach
+_INDEX_TABLES = {"_GAMMA_PERM", "_GAMMA_COEFF", "_PAIRS", "_PAIR_PERM", "_PAIR_COEFF"}
+
+
+def _module_level_names():
+    """(module, name) -> defining AST node in clifford and hydro; hydro's clifford imports."""
+    source = Path(hydro.__file__).parent
+    definitions, imported = {}, {}
+    for module in ("clifford", "hydro"):
+        for node in ast.parse((source / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            definitions[module, name.id] = node.value
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "clifford":
+                for alias in node.names:
+                    imported[module, alias.asname or alias.name] = ("clifford", alias.name)
+    return definitions, imported
+
+
+def _reached(module, name):
+    """Every module-level name that a definition reads, followed through clifford and hydro."""
+    definitions, imported = _module_level_names()
+    seen, pending = set(), [(module, name)]
+    while pending:
+        key = pending.pop()
+        key = imported.get(key, key)
+        if key in seen or key not in definitions:
+            continue
+        seen.add(key)
+        pending.extend((key[0], node.id) for node in ast.walk(definitions[key])
+                       if isinstance(node, ast.Name))
+    return {name for _, name in seen}
+
+
+@pytest.mark.parametrize("module,oracle,table", [
+    ("hydro", "squared_dirac_residual", "_GAMMA_PAIR"),
+    ("clifford", "spin_tensor", "_GAMMA_COMMUTATOR"),
+])
+def test_dense_oracles_read_no_index_table(module, oracle, table):
+    """The squared operator and the spin tensor check the index-table code.
+
+    They keep their dense product tables, and nothing they reach, in
+    clifford or hydro, reads an index table.
+    """
+    reached = _reached(module, oracle)
+    assert table in reached
+    assert not reached & _INDEX_TABLES

@@ -18,6 +18,7 @@ from dirachydro.errors import ContractError
 from dirachydro.fields import UniformField
 from dirachydro.grids import GridSpec
 from dirachydro.io import (
+    _BLOCK_ROWS,
     _SLICE,
     FIT_COLUMNS,
     GRID_FORMAT,
@@ -42,6 +43,14 @@ EDGE_VALUES = np.array([
 def _spec2d():
     return GridSpec(
         active_axes=(0, 1), shape=(7, 9), spacing=(0.1, 0.2), origin=(0.0, -0.5, 0.0, 0.0)
+    )
+
+
+def _spec2d_blocks():
+    """A slice of several CSV blocks whose coordinates print 17 digits."""
+    return GridSpec(
+        active_axes=(1, 3), shape=(5, 2 * _BLOCK_ROWS - 3), spacing=(0.1, 0.1),
+        origin=(0.0, -0.3, 0.0, -0.3),
     )
 
 
@@ -179,14 +188,20 @@ def test_trajectory_table_rejections(tmp_path):
     bad.write_text("s,t,x\n0.0,0.0,0.0\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(bad)
+    ragged = Trajectory(s=np.zeros(3), x=np.zeros((3, 4)), u=np.zeros((2, 4)),
+                        s_rest=np.zeros((3, 3)))
+    with pytest.raises(ContractError):
+        save_trajectory_csv(tmp_path / "ragged.csv", ragged)
+    assert not (tmp_path / "ragged.csv").exists()
     extra = tmp_path / "extra.csv"
     extra.write_text(",".join(TRAJECTORY_COLUMNS + ("gamma",)) + "\n" + ",".join(["0"] * 13) + "\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(extra)
 
 
-def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
-    n = 30
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 1])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, n):
     traj = Trajectory(
         s=_edge_fill((n,), 0),
         x=_edge_fill((n, 4), 1),
@@ -199,7 +214,8 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes() == _reference_csv(TRAJECTORY_COLUMNS, rows)
 
 
-@pytest.mark.parametrize("spec", [_spec1d(), _spec2d()], ids=["1d", "2d"])
+@pytest.mark.parametrize("spec", [_spec1d(), _spec2d(), _spec2d_blocks()],
+                         ids=["1d", "2d", "2d-blocks"])
 def test_slice_csv_bytes_match_csv_writer(tmp_path, spec):
     plain = _edge_fill(spec.shape, 0)
     masked = np.ma.MaskedArray(_edge_fill(spec.shape, 5), mask=np.zeros(spec.shape, bool))

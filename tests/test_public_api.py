@@ -31,7 +31,6 @@ ORACLES = {
     ("manufactured", "smooth_angle_params"): "the analytic field of identity_residuals' "
                                              "convergence order (criterion 4)",
     ("dynamics", "state_derivative"): "one step of the scalar RK4 loop in integrate",
-    ("io", "format_float"): "the CSV writer's row template, byte for byte",
     ("io", "load_grid_fields"): "save_grid_fields, by round trip",
     ("io", "load_trajectory_csv"): "save_trajectory_csv, by round trip",
 }

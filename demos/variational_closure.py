@@ -4,8 +4,8 @@ A perturbed plane wave is close to a solution, so the two second-order
 residual grids (continuity and quantum Hamilton-Jacobi) are small but
 structured.  This script re-derives both grids without ever calling the
 residual evaluators: it perturbs the action integrand at every grid
-sample and takes central differences (samples five apart are perturbed
-together, since their stencils do not overlap).  Up to the measured
+sample and takes central differences (samples three apart are perturbed
+together, since their weighted stencils do not overlap).  Up to the measured
 proportionality constants the numerical functional derivatives land on the
 independently coded residuals, which is the variational claim made
 concrete.

@@ -59,7 +59,7 @@ from .manufactured import (
     seeded_manufactured_fields,
 )
 from .schema import schema_errors
-from .spinors import species_sign
+from .spinors import _PARAM_NAMES, species_sign
 from .verification import run_all
 
 __all__ = ["load_schema", "validate_config", "run", "main"]
@@ -97,9 +97,6 @@ def _provider_from(config):
     return ZERO_FIELD
 
 
-_ANGLE_KEYS = ("chi", "theta_u", "phi", "theta", "eta0")
-
-
 def _configured_fields(spec, config, seed, default_kind, particle):
     block = dict(config["configuration"])
     ctype = block.pop("type")
@@ -110,7 +107,7 @@ def _configured_fields(spec, config, seed, default_kind, particle):
         return plane_wave_fields(spec, kind=kind, particle=particle, **block)
     if ctype == "perturbed-plane-wave":
         return perturbed_plane_wave_fields(spec, seed, kind=kind, particle=particle, **block)
-    base = {key: block.pop(key) for key in _ANGLE_KEYS if key in block}
+    base = {key: block.pop(key) for key in _PARAM_NAMES if key in block}
     return seeded_manufactured_fields(
         spec, seed, base=base, kind=kind, particle=particle, **block
     )

@@ -1,11 +1,12 @@
 """Dirac-basis gamma matrices and the bilinear densities built from a spinor.
 
 Metric signature is (+, -, -, -), fixed here for the whole package: code
-moves an index with lower_index, raise_index or lower_both, and only the
-oracles that check that code flip signs by hand. The matrices are built from
-exact integer and unit-imaginary entries, so algebraic identities among them
-hold without floating error. Bilinears accept a single spinor (shape (4,)) or
-a whole field of spinors (shape (..., 4)) and broadcast over the leading axes.
+moves an index with lower_index, raise_index, lower_both or the table of
+the signs lower_both gives the six pairs m < n, and only the oracles that
+check that code flip signs by hand. The matrices are built from exact
+integer and unit-imaginary entries, so algebraic identities among them hold
+without floating error. Bilinears accept a single spinor (shape (4,)) or a
+whole field of spinors (shape (..., 4)) and broadcast over the leading axes.
 
 Every gamma matrix, and every product of two, has one nonzero entry (+-1 or
 +-i) per row, so M e is a signed permutation of e. The contractions
@@ -82,6 +83,9 @@ _GAMMA_COEFF = np.array([
 ], dtype=np.complex128)
 # gamma^m gamma^n for the six pairs m < n, in the order of _PAIRS.
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# T_mn = _PAIR_LOWER[k] * T^mn for the pair (m, n) = _PAIRS[k]: what
+# lower_both does to that entry.
+_PAIR_LOWER = (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 _PAIR_PERM = np.array([
     [3, 2, 1, 0],
     [3, 2, 1, 0],

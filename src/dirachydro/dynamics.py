@@ -71,12 +71,11 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class DynState:
-    """Instantaneous state: position, four-velocity, rest spin, proper time."""
+    """Instantaneous state: position, four-velocity and rest spin."""
 
     x: np.ndarray
     u: np.ndarray
     s_rest: np.ndarray
-    s_proper: float = 0.0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64).reshape(4)
@@ -93,7 +92,6 @@ class DynState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "s_rest", s_rest / norm)
-        object.__setattr__(self, "s_proper", float(self.s_proper))
 
 
 def lorentz_force(u, F, particle=ELECTRON):
@@ -407,7 +405,7 @@ def integrate(
         _rk4(out[0].tolist(), sampled, ds, n_steps, out)
 
     return Trajectory(
-        s=initial.s_proper + ds * np.arange(n_steps + 1),
+        s=ds * np.arange(n_steps + 1),
         x=out[:, :4].copy(),
         u=out[:, 4:8].copy(),
         s_rest=out[:, 8:].copy(),

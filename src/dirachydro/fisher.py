@@ -19,13 +19,14 @@ residual; varying with respect to rho0 reproduces the quantum
 Hamilton-Jacobi residual including the density terms that emerge from the
 Fisher piece by parts.  Both functional
 derivatives here are numerical (central differences of the action
-integrand): the point is to check the variational claim against the
-independently coded continuity residual and quantum potential, so a
-symbolic derivation would share bugs with the thing under test.  Samples
-five apart along every axis do not share an integrand stencil, so the grid
-is coloured with stride 5 and all samples of a colour are perturbed at
-once: 5^d pairs of integrand grids per derivative, whatever the sample
-count.
+integrand, with a fixed step of 1e-6 relative to the varied field): the
+point is to check the variational claim against the independently coded
+continuity residual and quantum potential, so a symbolic derivation would
+share bugs with the thing under test.  The derivatives weight the
+integrand over the depth-1 trusted interior, where samples three apart
+along every axis do not share a weighted stencil, so the grid is coloured
+with stride 3 and all samples of a colour are perturbed at once: 3^d pairs
+of integrand grids per derivative, whatever the sample count.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -199,14 +200,20 @@ def _probe_indices(spec):
     ]
 
 
-# Reach of the integrand: the value at a sample reads samples at most this
-# many steps away along each axis (np.gradient's one-sided edge_order=2
-# formulas at the boundary; the central stencil inside reaches one step).
-_REACH = 2
+# The derivatives weight the integrand with the trapezoid rule over the
+# interior of this depth.
+_DEPTH = 1
+# Reach of the weighted integrand: the change at a sample of nonzero weight
+# reads samples at most this many steps away along each axis (the central
+# stencil of np.gradient).  The one-sided edge_order=2 formulas reach two
+# steps, but only at edge samples, which weigh zero at depth 1.
+_REACH = 1
 _STRIDE = 2 * _REACH + 1
+# Step of the central differences, relative to the varied field's scale.
+_EPSILON = 1e-6
 
 
-def _integrand(fields, provider, particle, wrt, depth):
+def _integrand(fields, provider, particle, wrt):
     """The varied field and the action integrand as a function of it.
 
     The integrand drops every term that does not depend on the varied field
@@ -229,7 +236,7 @@ def _integrand(fields, provider, particle, wrt, depth):
         return np.array(fields.S, copy=True), integrand
 
     lagrangian = _expanded_lagrangian(fields, provider, particle)[1]
-    interior = spec.interior(depth)
+    interior = spec.interior(_DEPTH)
 
     def integrand(field):
         # L is independent of rho0
@@ -259,29 +266,24 @@ def _box_sums(values, offsets):
     return out
 
 
-def functional_derivative(
-    fields,
-    provider,
-    particle=ELECTRON,
-    wrt="S",
-    epsilon=1e-6,
-    depth=1,
-):
+def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     """Numerical dA/df(x) per grid point, f one of the phase action or rho0.
 
-    Each sample is perturbed by +/- eps (eps = epsilon times the field's
-    scale), and the central difference of the trapezoid-weighted action
-    integrand is summed and divided by 2 eps times the volume element.
-    That normalization identifies the derivative with the residual density
-    at points whose trapezoid weight is the plain volume element; the
+    Each sample is perturbed by +/- eps, with eps = 1e-6 times the largest
+    |f|, or 1e-6 where that is below one.  The central difference of the
+    action integrand, trapezoid-weighted over the depth-1 trusted interior,
+    is summed and divided by 2 eps times the volume element.  That
+    normalization identifies the derivative with the residual density at
+    points whose trapezoid weight is the plain volume element; the
     outermost samples carry edge weights and are reported as computed.
 
-    The integrand at a sample reads samples at most two steps away, so
-    samples five apart along every axis cannot see each other's changes.
-    The grid is coloured with stride 5 per active axis: each of the 5^d
-    colours is perturbed all at once, one pair of integrand grids per
-    colour, and the weighted change is summed over the 5^d box around
-    each of its samples.  The cost is 2 * 5^d integrand evaluations plus
+    A weighted integrand sample reads samples at most one step away (the
+    one-sided formulas that read two steps run only at edge samples, which
+    weigh zero), so samples three apart along every axis cannot see each
+    other's changes.  The grid is coloured with stride 3 per active axis: each of
+    the 3^d colours is perturbed all at once, one pair of integrand grids
+    per colour, and the weighted change is summed over the 3^d box around
+    each of its samples.  The cost is 2 * 3^d integrand evaluations plus
     the probe, independent of the sample count, and no difference is taken
     between two large action totals.
 
@@ -301,17 +303,10 @@ def functional_derivative(
     spec = fields.spec
     sign = species_sign(fields.kind)
     volume = float(np.prod(spec.spacing))
-    interior = spec.interior(depth)
-    weights = spec.trapezoid_weights(depth)[interior]
-    base_field, integrand = _integrand(fields, provider, particle, wrt, depth)
-
-    largest = float(np.max(np.abs(base_field)))
-    eps = float(epsilon) * max(1.0, largest)
-    if largest + eps == largest:
-        raise StepSizeError(
-            f"epsilon={epsilon:g} perturbs below float64 resolution of the "
-            "field; the difference would be identically zero"
-        )
+    interior = spec.interior(_DEPTH)
+    weights = spec.trapezoid_weights(_DEPTH)[interior]
+    base_field, integrand = _integrand(fields, provider, particle, wrt)
+    eps = _EPSILON * max(1.0, float(np.max(np.abs(base_field))))
 
     probes = _probe_indices(spec)
 
@@ -326,7 +321,7 @@ def functional_derivative(
         for window in windows:
             if np.array_equal(plus[window], minus[window]):
                 raise StepSizeError(
-                    f"epsilon={epsilon:g} leaves the integrand unchanged around a "
+                    f"epsilon={_EPSILON:g} leaves the integrand unchanged around a "
                     "probe point; the derivative there would be identically zero"
                 )
         change = np.zeros(spec.shape)
@@ -361,7 +356,7 @@ def functional_derivative(
         if abs(d1 - d2) > 0.1 * denom:
             raise StepSizeError(
                 f"functional derivative at {index} changes by "
-                f"{abs(d1 - d2) / denom:.2%} under eps/2; epsilon={epsilon:g} "
+                f"{abs(d1 - d2) / denom:.2%} under eps/2; epsilon={_EPSILON:g} "
                 "is roundoff-dominated"
             )
     return out

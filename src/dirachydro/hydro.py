@@ -50,12 +50,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import (_GAMMA_COEFF, _GAMMA_PAIR, _GAMMA_PERM, _PAIR_COEFF, _PAIR_PERM, _PAIRS,
-                       _adjoint, bilinears, lower_both, lower_index, minkowski_dot, raise_index)
+from .clifford import (_GAMMA_COEFF, _GAMMA_PAIR, _GAMMA_PERM, _PAIR_COEFF, _PAIR_LOWER,
+                       _PAIR_PERM, _PAIRS, _adjoint, bilinears, lower_both, lower_index,
+                       minkowski_dot, raise_index)
 from .errors import ContractError
 from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
 from .grids import GridSpec
 from .spinors import (
+    _PARAM_NAMES,
     KinematicParams,
     _sigma_components,
     four_velocity,
@@ -125,7 +127,7 @@ class HydroFieldSet:
             raise ContractError("rho and S must be finite")
         if np.any(rho < 0.0):
             raise ContractError("rho must be non-negative")
-        for name in ("chi", "theta_u", "phi", "theta", "eta0"):
+        for name in _PARAM_NAMES:
             arr = np.asarray(getattr(self.params, name), dtype=np.float64)
             if arr.shape != self.spec.shape:
                 raise ContractError(
@@ -331,13 +333,13 @@ def _field_coupling(e, ebar, scalar, F, hbar, q):
 
     F_lower is antisymmetric and g^m g^n = -g^n g^m for m != n, so the sum
     over mu, nu is the sum of 2 F_mn ebar g^m g^n e over the six pairs m < n,
-    each g^m g^n e taken from the index tables.
+    each g^m g^n e taken from the index tables.  Only those six entries of
+    F are read, each lowered by its sign in the pair table.
     """
-    F_lower = lower_both(F)
     total = 0.0
-    for (m, n), perm, coeff in zip(_PAIRS, _PAIR_PERM, _PAIR_COEFF):
+    for (m, n), lower, perm, coeff in zip(_PAIRS, _PAIR_LOWER, _PAIR_PERM, _PAIR_COEFF):
         pair = np.einsum("...a,...a->...", ebar, e[..., perm] * coeff)
-        total = total + (2.0 * F_lower[..., m, n]) * pair
+        total = total + ((2.0 * lower) * F[..., m, n]) * pair
     return (-0.5j * hbar * q) * total / scalar
 
 

@@ -121,29 +121,20 @@ def alternative_spin_terms(u, s_rest, phi_rate, omega_prime, bh_rate, particle=E
     )
 
 
-def _azimuth_rate(s, vectors, floor=1e-9):
-    perp = np.hypot(vectors[:, 0], vectors[:, 1])
-    if np.min(perp) <= floor:
-        return None
-    phi = np.unwrap(np.arctan2(vectors[:, 1], vectors[:, 0]))
-    return np.gradient(phi, s, edge_order=2)
+def spin_azimuth_rate(s, s_rest):
+    """Proper-time rate of the rest-spin azimuth along a trajectory.
 
-
-def spin_azimuth_rate(s, s_rest, u=None):
-    """Proper-time rate of the shared azimuth angle along a trajectory.
-
-    Uses the rest-spin azimuth when the spin stays away from the poles,
-    else the velocity azimuth (the two coincide in the spinor
-    parametrization); zero when both are undefined.
+    The azimuth is undefined where the spin touches a pole, so the rate is
+    zero if the spin's component across the z axis falls to 1e-9 anywhere
+    on the trajectory.
     """
     s = np.asarray(s, dtype=np.float64)
     s_rest = np.asarray(s_rest, dtype=np.float64)
-    rate = _azimuth_rate(s, s_rest)
-    if rate is None and u is not None:
-        rate = _azimuth_rate(s, np.asarray(u, dtype=np.float64)[:, 1:4])
-    if rate is None:
-        rate = np.zeros(s.shape[0])
-    return rate
+    perp = np.hypot(s_rest[:, 0], s_rest[:, 1])
+    if np.min(perp) <= 1e-9:
+        return np.zeros(s.shape[0])
+    phi = np.unwrap(np.arctan2(s_rest[:, 1], s_rest[:, 0]))
+    return np.gradient(phi, s, edge_order=2)
 
 
 def identity_residuals(params_of, x, h=1e-3):

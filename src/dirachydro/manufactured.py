@@ -28,7 +28,7 @@ from .clifford import lower_index
 from .errors import ContractError
 from .fields import ELECTRON
 from .hydro import HydroFieldSet
-from .spinors import KinematicParams, four_velocity, species_sign
+from .spinors import _PARAM_NAMES, KinematicParams, four_velocity, species_sign
 
 __all__ = [
     "plane_wave_fields",
@@ -48,7 +48,6 @@ DEFAULT_BASE_PARAMS = {
     "eta0": 0.3,
 }
 
-_PARAM_NAMES = ("chi", "theta_u", "phi", "theta", "eta0")
 _FIELD_ORDER = _PARAM_NAMES + ("rho", "S")
 
 

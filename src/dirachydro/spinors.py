@@ -12,7 +12,7 @@ returning spinor components along the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class KinematicParams:
     eta0: np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("chi", "theta_u", "phi", "theta", "eta0"):
+        for name in _PARAM_NAMES:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.chi < -_ANGLE_TOL):
             raise ContractError("chi must be nonnegative")
@@ -85,6 +85,11 @@ class KinematicParams:
     @property
     def u_perp(self):
         return np.sin(self.theta_u) * np.sinh(self.chi)
+
+
+# The names of the five shape parameters, in field order; seeded draws of
+# the parameter fields follow this order.
+_PARAM_NAMES = tuple(field.name for field in fields(KinematicParams))
 
 
 def four_velocity(params):
@@ -163,19 +168,17 @@ def particle_spinor_u_form(params):
     )
 
 
-def recover_velocity(e, kind="particle"):
-    """Four-velocity from the guiding relation Gamma^mu / (e-bar e).
+def recover_velocity(e):
+    """Four-velocity u^mu = Gamma^mu / (e-bar e) of a particle spinor (field).
 
-    For a particle spinor the ratio itself is u^mu; for an antiparticle it is
-    -u^mu, so the sign is folded in and both kinds return the forward
-    timelike velocity. Raises DegenerateSpinorError when |e-bar e| < 1e-12.
+    This is the guiding relation of the particle form. Raises
+    DegenerateSpinorError when |e-bar e| < 1e-12.
     """
-    sign = species_sign(kind)
     b = clifford.bilinears(e)
     scalar = np.asarray(b.scalar)
     if np.any(np.abs(scalar) < 1e-12):
         raise DegenerateSpinorError("e-bar e vanishes; direction is lightlike")
-    return sign * b.vector / scalar[..., np.newaxis]
+    return b.vector / scalar[..., np.newaxis]
 
 
 def _sigma_components(params):

@@ -26,8 +26,8 @@ from .clifford import (
 from .dynamics import DynState, integrate, precession_rate
 from .errors import ContractError
 from .fields import ELECTRON, Particle, UniformField, tensor_from_EB
-from .kinematics import beta_from_u, boost_matrix, gamma_of_beta, spin_to_lab
-from .lagrangian import alternative_spin_terms, lagrangian_terms, sigma12_of
+from .kinematics import beta_from_u, beta_hat_rate, boost_matrix, gamma_of_beta, spin_to_lab
+from .lagrangian import alternative_spin_terms, lagrangian_terms, sigma12_of, spin_azimuth_rate
 from .spinors import (
     KinematicParams,
     four_velocity,
@@ -253,9 +253,6 @@ def _suite_lagrangian(rng, samples, scale):
     traj = integrate(state, provider_b, ds=5e-4, n_steps=800)
     F_b = tensor_from_EB(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     omega_tr = precession_rate(traj.u, F_b)
-    from .lagrangian import spin_azimuth_rate
-    from .kinematics import beta_hat_rate
-
     du = np.gradient(traj.u, traj.s, axis=0, edge_order=2)
     bh_rate = beta_hat_rate(traj.u, du)
     phi_rate_tr = spin_azimuth_rate(traj.s, traj.s_rest)

@@ -18,6 +18,7 @@ from dirachydro.clifford import (
     _GAMMA_PAIR,
     _GAMMA_PERM,
     _PAIR_COEFF,
+    _PAIR_LOWER,
     _PAIR_PERM,
     _PAIRS,
     _adjoint,
@@ -65,6 +66,11 @@ def test_anticommutator_is_twice_metric():
     assert _PAIRS == tuple((m, n) for m in range(4) for n in range(m + 1, 4))
     for (m, n), perm, coeff in zip(_PAIRS, _PAIR_PERM, _PAIR_COEFF):
         assert np.array_equal(_monomial(perm, coeff), _GAMMA_PAIR[m, n])
+    # the pair signs are those lower_both gives
+    table = np.arange(1.0, 17.0).reshape(4, 4)
+    lowered = lower_both(table)
+    for (m, n), lower in zip(_PAIRS, _PAIR_LOWER):
+        assert lowered[m, n] == lower * table[m, n]
 
 
 def test_adjoint_is_the_matrix_product_bitwise():

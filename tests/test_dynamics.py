@@ -268,8 +268,8 @@ def test_trajectory_views_and_state():
     assert len(traj) == 21
     np.testing.assert_allclose(traj.beta, 0.0, atol=1e-15)
     # every row is a valid state: on the mass shell, with a unit spin
-    state = DynState(x=traj.x[7], u=traj.u[7], s_rest=traj.s_rest[7], s_proper=traj.s[7])
-    assert state.s_proper == pytest.approx(0.7)
+    assert traj.s[7] == pytest.approx(0.7)
+    state = DynState(x=traj.x[7], u=traj.u[7], s_rest=traj.s_rest[7])
     np.testing.assert_allclose(state.s_rest, traj.s_rest[7], atol=1e-15)
 
 

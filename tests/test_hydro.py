@@ -1,8 +1,6 @@
 """Grid field sets, hydrodynamic residual evaluators, quantum potential."""
 
-import ast
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,56 +451,3 @@ def test_field_coupling_matches_the_dense_contraction():
         coupling = hydro._field_coupling(e, ebar, np.ones(shape), F, hbar, q)
         scale = 16 * hbar * abs(q) * np.max(np.abs(ebar)) * np.max(np.abs(e)) * np.max(np.abs(F))
         np.testing.assert_allclose(coupling, dense, rtol=0, atol=8 * np.finfo(float).eps * scale)
-
-
-# the monomial index tables of clifford, which the dense oracles must not reach
-_INDEX_TABLES = {"_GAMMA_PERM", "_GAMMA_COEFF", "_PAIRS", "_PAIR_PERM", "_PAIR_COEFF"}
-
-
-def _module_level_names():
-    """(module, name) -> defining AST node in clifford and hydro; hydro's clifford imports."""
-    source = Path(hydro.__file__).parent
-    definitions, imported = {}, {}
-    for module in ("clifford", "hydro"):
-        for node in ast.parse((source / f"{module}.py").read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions[module, node.name] = node
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name):
-                            definitions[module, name.id] = node.value
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "clifford":
-                for alias in node.names:
-                    imported[module, alias.asname or alias.name] = ("clifford", alias.name)
-    return definitions, imported
-
-
-def _reached(module, name):
-    """Every module-level name that a definition reads, followed through clifford and hydro."""
-    definitions, imported = _module_level_names()
-    seen, pending = set(), [(module, name)]
-    while pending:
-        key = pending.pop()
-        key = imported.get(key, key)
-        if key in seen or key not in definitions:
-            continue
-        seen.add(key)
-        pending.extend((key[0], node.id) for node in ast.walk(definitions[key])
-                       if isinstance(node, ast.Name))
-    return {name for _, name in seen}
-
-
-@pytest.mark.parametrize("module,oracle,table", [
-    ("hydro", "squared_dirac_residual", "_GAMMA_PAIR"),
-    ("clifford", "spin_tensor", "_GAMMA_COMMUTATOR"),
-])
-def test_dense_oracles_read_no_index_table(module, oracle, table):
-    """The squared operator and the spin tensor check the index-table code.
-
-    They keep their dense product tables, and nothing they reach, in
-    clifford or hydro, reads an index table.
-    """
-    reached = _reached(module, oracle)
-    assert table in reached
-    assert not reached & _INDEX_TABLES

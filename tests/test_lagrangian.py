@@ -79,7 +79,7 @@ def test_breakdown_along_free_motion():
         s_rest=np.array([0.0, 1.0, 0.0]),
     )
     traj = integrate(state, ZERO_FIELD, ds=0.01, n_steps=100)
-    phi_rate = spin_azimuth_rate(traj.s, traj.s_rest, traj.u)
+    phi_rate = spin_azimuth_rate(traj.s, traj.s_rest)
     terms = lagrangian_terms(
         traj.x, traj.u, traj.s_rest, phi_rate, np.zeros(len(traj)), np.zeros((len(traj), 3))
     )
@@ -138,22 +138,18 @@ def test_spin_term_forms_agree_along_orbit():
 
 
 def test_spin_azimuth_rate_polar_fallback():
-    # spin pinned to +z has no azimuth of its own; the velocity supplies it
+    # spin pinned to +z has no azimuth, so the rate is zero
     n = 64
     s = np.linspace(0.0, 2.0, n)
     s_rest = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
-    u = np.stack(
-        [np.full(n, np.cosh(0.4)),
-         np.sinh(0.4) * np.cos(3.0 * s),
-         np.sinh(0.4) * np.sin(3.0 * s),
-         np.zeros(n)],
-        axis=1,
+    np.testing.assert_array_equal(spin_azimuth_rate(s, s_rest), np.zeros(n))
+    # so is a spin that passes through the pole once
+    angle = np.linspace(-1.0, 1.0, n + 1)
+    through = np.stack([np.sin(angle), np.zeros(n + 1), np.cos(angle)], axis=1)
+    assert np.min(np.hypot(through[:, 0], through[:, 1])) == 0.0
+    np.testing.assert_array_equal(
+        spin_azimuth_rate(np.linspace(0.0, 2.0, n + 1), through), np.zeros(n + 1)
     )
-    rate = spin_azimuth_rate(s, s_rest, u)
-    np.testing.assert_allclose(rate, 3.0, atol=1e-10)
-    # with neither azimuth defined the rate is zero
-    u_axial = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1))
-    np.testing.assert_array_equal(spin_azimuth_rate(s, s_rest, u_axial), np.zeros(n))
 
 
 def test_identity_residuals_converge_at_second_order():

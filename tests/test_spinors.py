@@ -133,13 +133,6 @@ def test_recover_velocity_round_trip():
     np.testing.assert_allclose(
         recover_velocity(make_particle_spinor(params)), u, atol=1e-11
     )
-    np.testing.assert_allclose(
-        recover_velocity(make_antiparticle_spinor(params), kind="antiparticle"),
-        u,
-        atol=1e-11,
-    )
-    with pytest.raises(ContractError):
-        recover_velocity(make_particle_spinor(params), kind="neither")
 
 
 def test_species_sign():

@@ -163,13 +163,7 @@ def _cmd_simulate(config, seed, out_dir, fmt):
         particle=particle,
     )
 
-    if fmt == "csv":
-        save_trajectory_csv(out_dir / "trajectory.csv", trajectory)
-        artifact = "trajectory.csv"
-    else:
-        save_trajectory_json(out_dir / "trajectory.json", trajectory)
-        artifact = "trajectory.json"
-
+    artifact = f"trajectory.{fmt}"
     results = {
         "ds": float(evolution["ds"]),
         "steps": len(trajectory) - 1,
@@ -210,6 +204,9 @@ def _cmd_simulate(config, seed, out_dir, fmt):
             f"simulate: fitted precession frequency {fit.omega:.9f}"
             f" (rms residual {fit.rms_residual:.3e})"
         )
+    # written last: the fit refuses a bad axis before any artifact exists
+    save = save_trajectory_csv if fmt == "csv" else save_trajectory_json
+    save(out_dir / artifact, trajectory)
     return 0, results, max_abs, lines
 
 
@@ -326,7 +323,7 @@ _COMMANDS = {
 }
 
 
-def run(config, seed=None, out_dir=None, fmt=None, quiet=False):
+def run(config, out_dir=None, fmt=None, quiet=False):
     """Execute a schema-valid config; returns the process exit status.
 
     Writes report.json (deterministic) and metadata.json (wall-clock
@@ -334,8 +331,8 @@ def run(config, seed=None, out_dir=None, fmt=None, quiet=False):
     directory next to any command-specific artifacts.
     """
     command = config["command"]
-    if seed is None:
-        seed = config.get("seed", 0)
+    # a float seed such as 3.0 is a schema-valid integer
+    seed = int(config.get("seed", 0))
     output = config.get("output", {})
     out_dir = Path(out_dir if out_dir is not None else output.get("directory", "out"))
     fmt = fmt if fmt is not None else output.get("format", "csv")
@@ -354,7 +351,7 @@ def run(config, seed=None, out_dir=None, fmt=None, quiet=False):
         out_dir / "report.json",
         {
             "command": command,
-            "seed": int(seed),
+            "seed": seed,
             "results": results,
             "max_abs_residuals": max_abs,
             "timing": {"recorded_in": "metadata.json"},
@@ -401,6 +398,8 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
+    if args.seed is not None and isinstance(config, dict):
+        config["seed"] = args.seed
     problems = validate_config(config)
     if problems:
         for message in problems:
@@ -408,7 +407,7 @@ def main(argv=None):
         return 2
 
     try:
-        return run(config, seed=args.seed, out_dir=args.out, fmt=args.fmt, quiet=args.quiet)
+        return run(config, out_dir=args.out, fmt=args.fmt, quiet=args.quiet)
     except InstabilityError as exc:
         print(f"dirachydro: numerical instability: {exc}", file=sys.stderr)
         print(f"dirachydro: failing step index {exc.step_index}", file=sys.stderr)

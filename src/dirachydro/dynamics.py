@@ -427,10 +427,10 @@ def fit_precession_frequency(s, vectors, axis=None):
 
     s holds the n sample times and vectors the (n, 3) series, for instance
     a Trajectory's s and s_rest. With axis=None the axis is estimated from
-    consecutive cross products and the returned omega is nonnegative; with
-    a given axis the sign follows the right-hand rule about it. The series
-    must resolve the rotation (tens of samples per period; phases are
-    unwrapped) and cover at least one full period, otherwise FitError.
+    consecutive cross products and omega is nonnegative; a given axis must
+    be finite and nonzero (else ContractError) and sets the sign by the
+    right-hand rule. The series must resolve the rotation (tens of samples
+    per period; phases unwrapped) and cover a full period, else FitError.
     """
     s = np.asarray(s, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -450,8 +450,8 @@ def fit_precession_frequency(s, vectors, axis=None):
     else:
         axis = np.asarray(axis, dtype=np.float64).reshape(3)
         norm = np.linalg.norm(axis)
-        if norm < 1e-300:
-            raise FitError("axis must be nonzero")
+        if not 1e-300 <= norm < np.inf:
+            raise ContractError("axis must be finite and nonzero")
         axis = axis / norm
 
     in_plane = vectors[0] - np.dot(vectors[0], axis) * axis

@@ -26,7 +26,8 @@ share bugs with the thing under test.  The derivatives weight the
 integrand over the depth-1 trusted interior, where samples three apart
 along every axis do not share a weighted stencil, so the grid is coloured
 with stride 3 and all samples of a colour are perturbed at once: 3^d pairs
-of integrand grids per derivative, whatever the sample count.
+of integrand grids per derivative, whatever the sample count, and one more
+pair at half the step for each colour that holds a step-size probe point.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -283,16 +284,17 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     other's changes.  The grid is coloured with stride 3 per active axis: each of
     the 3^d colours is perturbed all at once, one pair of integrand grids
     per colour, and the weighted change is summed over the 3^d box around
-    each of its samples.  The cost is 2 * 3^d integrand evaluations plus
-    the probe, independent of the sample count, and no difference is taken
-    between two large action totals.
+    each of its samples.  No difference is taken between two large action
+    totals.
 
-    A Richardson probe repeats the difference with eps/2 at up to eight
-    interior points; disagreement beyond ten percent (relative, with an
-    absolute floor) means the step is roundoff-dominated and raises
-    StepSizeError.
-    So does a probe point whose perturbation leaves the integrand around
-    it bitwise unchanged, which would report a derivative of zero.
+    A Richardson probe checks up to eight interior points: each colour
+    that holds one runs the same pass again with eps/2.  Disagreement
+    beyond ten percent (relative, with an absolute floor) means the step
+    is roundoff-dominated and raises StepSizeError.  So does a probe point
+    whose perturbation leaves the integrand around it bitwise unchanged,
+    which would report a derivative of zero.  The cost is 2 * 3^d
+    integrand evaluations plus 2 per probed colour, whatever the sample
+    count.
 
     The derivative with respect to rho0 treats the rest density as the
     independent field at fixed spinor shape, matching the variational
@@ -332,14 +334,15 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
         return tuple(slice(max(i - _REACH, 0), i + _REACH + 1) for i in index)
 
     out = np.zeros(spec.shape)
+    halves = {}
     for offsets in np.ndindex(*(_STRIDE,) * spec.ndim):
         colour = tuple(slice(c, None, _STRIDE) for c in offsets)
-        windows = [
-            window(p) for p in probes
-            if all(i % _STRIDE == c for i, c in zip(p, offsets))
-        ]
-        change = weighted_change(colour, eps, windows)
-        out[colour] = _box_sums(change, offsets)
+        held = [p for p in probes if all(i % _STRIDE == c for i, c in zip(p, offsets))]
+        windows = [window(p) for p in held]
+        out[colour] = _box_sums(weighted_change(colour, eps, windows), offsets)
+        if held:
+            half = _box_sums(weighted_change(colour, 0.5 * eps, windows), offsets)
+            halves.update((p, half[tuple(i // _STRIDE for i in p)]) for p in held)
     out *= sign / (2.0 * eps * volume)
 
     # Absolute floor keeps stationary configurations (derivative is pure
@@ -349,9 +352,7 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     floor = max(1e-7, 1e-6 * float(np.max(np.abs(out))))
     for index in probes:
         d1 = out[index]
-        half = 0.5 * eps
-        d2 = sign * float(np.sum(weighted_change(index, half, [window(index)])))
-        d2 /= 2.0 * half * volume
+        d2 = sign * halves[index] / (eps * volume)
         denom = max(abs(d1), abs(d2), floor)
         if abs(d1 - d2) > 0.1 * denom:
             raise StepSizeError(

@@ -370,6 +370,38 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert all(suite["seed"] == 7 for suite in report["results"])
 
 
+@pytest.mark.parametrize("payload", [_verify_config(), _residuals_config()],
+                         ids=["verify", "residuals"])
+def test_negative_seed_flag_is_refused_by_the_schema(tmp_path, capsys, payload):
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--seed", "-1", "--quiet"]) == 2
+    assert "config key seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_float_seed_runs_as_its_integer(tmp_path):
+    """Draft 2020-12 counts 3.0 as an integer, so the schema lets it through."""
+    payload = json.loads((DEMO_CONFIGS / "fisher_perturbed_wave.json").read_text())
+    for seed in (3, 3.0):
+        payload["seed"] = seed
+        path = _write_config(tmp_path, payload, name=f"seed-{seed}.json")
+        assert main(["--config", path, "--out", str(tmp_path / str(seed)), "--quiet"]) == 0
+    report = tmp_path / "3.0" / "report.json"
+    assert report.read_bytes() == (tmp_path / "3" / "report.json").read_bytes()
+    assert json.loads(report.read_text())["seed"] == 3
+
+
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0]],
+                         ids=["zero", "infinite"])
+def test_bad_fit_axis_is_refused_before_anything_is_written(tmp_path, capsys, axis):
+    path = _write_config(tmp_path, _simulate_config(fit_axis=axis))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
+    assert "config rejected: axis must be finite and nonzero" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_simulate_writes_trajectory_and_fit(tmp_path, capsys):
     path = _write_config(tmp_path, _simulate_config())
     out = tmp_path / "out"

@@ -304,6 +304,15 @@ def test_fit_failure_modes():
         fit_precession_frequency(s, short)  # covers half a radian, not a period
 
 
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 1.0)],
+                         ids=["zero", "infinite", "nan"])
+def test_fit_refuses_a_zero_or_non_finite_axis(axis):
+    s = np.linspace(0.0, 30.0, 400)
+    vectors = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1)
+    with pytest.raises(ContractError, match="axis must be finite and nonzero"):
+        fit_precession_frequency(s, vectors, axis=np.array(axis))
+
+
 def test_state_derivative_composition():
     provider = UniformField(E0=np.array([0.1, 0.0, 0.0]), B0=np.array([0.0, 0.0, 0.5]))
     dx, du, dspin = state_derivative(REST, provider)

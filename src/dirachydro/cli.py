@@ -15,9 +15,9 @@ Commands
     fisher     information and action functionals of a configured state
 
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
-rejected (unreadable, malformed, schema violation, or a value a module
-refused with a ContractError), 3 a numerical failure (instability, fit, or
-a non-finite or overflowing result).
+rejected (unreadable, malformed, schema violation, a value a module
+refused with a ContractError, or an array too large to allocate), 3 a
+numerical failure (instability, fit, or a non-finite or overflowing result).
 """
 
 from __future__ import annotations
@@ -225,11 +225,6 @@ def _residual_grids(fields, provider, particle):
     }
 
 
-def _sup_norms(grids):
-    """Max |value| of each named residual grid."""
-    return {name: float(np.max(np.abs(grid))) for name, grid in grids.items()}
-
-
 def _floats(value, path):
     """(key path, value) for every float in a report section."""
     if isinstance(value, dict):
@@ -263,7 +258,7 @@ def _cmd_residuals(config, seed, out_dir, fmt):
     spec = fields.spec
 
     grids = _residual_grids(fields, provider, particle)
-    max_abs = _sup_norms(grids)
+    max_abs = {name: spec.sup_norm(grid, depth=0) for name, grid in grids.items()}
     _require_finite(max_abs_residuals=max_abs)
 
     # 1D and 2D grids export cleanly as CSV tables; anything bigger keeps
@@ -305,9 +300,10 @@ def _cmd_fisher(config, seed, out_dir, fmt):
             "volume_element": float(report.volume_element),
         },
     }
-    max_abs = _sup_norms(
-        {"continuity_expanded": expanded.continuity, "qhj_expanded": expanded.qhj}
-    )
+    max_abs = {
+        "continuity_expanded": fields.spec.sup_norm(expanded.continuity, depth=0),
+        "qhj_expanded": fields.spec.sup_norm(expanded.qhj, depth=0),
+    }
     lines = [
         f"fisher: action total {report.total:.9e}"
         f" (fisher term {report.fisher_term:.9e})"
@@ -415,8 +411,8 @@ def main(argv=None):
     except (FitError, NonFiniteResultError, OverflowError) as exc:
         print(f"dirachydro: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ContractError as exc:
-        # the config asked for something a module refuses
+    except (ContractError, MemoryError) as exc:
+        # the config asked for something a module refuses or too large to allocate
         print(f"dirachydro: config rejected: {exc}", file=sys.stderr)
         return 2
 

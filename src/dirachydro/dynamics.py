@@ -64,6 +64,10 @@ __all__ = [
     "fit_precession_frequency",
 ]
 
+# the columns of a trajectory table: proper time, event, four-velocity, rest spin
+TRAJECTORY_COLUMNS = ("s", "t", "x", "y", "z", "u0", "u1", "u2", "u3",
+                      "sx", "sy", "sz")
+
 _BLOWUP_LIMIT = 1e12
 # rows per block of the exact propagator: P^0 ... P^(B-1) are built once
 _BLOCK = 256
@@ -128,15 +132,29 @@ def state_derivative(state, provider, particle=ELECTRON):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit: arrays share the leading axis, s counts proper time."""
+    """Sampled orbit: one (samples, 12) table in TRAJECTORY_COLUMNS order.
 
-    s: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    s_rest: np.ndarray
+    Column 0 counts proper time. The table is held read-only, and s, x, u
+    and s_rest are views of its columns.
+    """
+
+    table: np.ndarray
+
+    s = property(lambda self: self.table[:, 0])
+    x = property(lambda self: self.table[:, 1:5])
+    u = property(lambda self: self.table[:, 5:9])
+    s_rest = property(lambda self: self.table[:, 9:])
+
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=np.float64)
+        if table.ndim != 2 or table.shape[1] != len(TRAJECTORY_COLUMNS):
+            raise ContractError(f"a trajectory table has shape (samples, 12), not {table.shape}")
+        table = table.view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __len__(self):
-        return self.s.shape[0]
+        return self.table.shape[0]
 
     @property
     def gamma(self):
@@ -392,24 +410,20 @@ def integrate(
             raise ContractError("field sample is not finite")
         return _coefficients(F, qm)
 
-    out = np.empty((n_steps + 1, 11))
-    out[0, :4], out[0, 4:8], out[0, 8:] = initial.x, initial.u, initial.s_rest
+    out = np.empty((n_steps + 1, len(TRAJECTORY_COLUMNS)))
+    out[:, 0] = ds * np.arange(n_steps + 1)
+    state = out[:, 1:]  # x, u, s_rest: each path fills the rows after row 0
+    state[0, :4], state[0, 4:8], state[0, 8:] = initial.x, initial.u, initial.s_rest
     if isinstance(provider, PlaneWaveField):
         with np.errstate(over="ignore", invalid="ignore"):
-            _plane_wave_orbit(provider, qm, ds, n_steps, out)
+            _plane_wave_orbit(provider, qm, ds, n_steps, state)
     elif getattr(provider, "constant_field", False):
         M = np.reshape(sampled(initial.x)[:16], (4, 4))
         with np.errstate(over="ignore", invalid="ignore"):
-            _propagate(M, ds, n_steps, out)
+            _propagate(M, ds, n_steps, state)
     else:
-        _rk4(out[0].tolist(), sampled, ds, n_steps, out)
-
-    return Trajectory(
-        s=ds * np.arange(n_steps + 1),
-        x=out[:, :4].copy(),
-        u=out[:, 4:8].copy(),
-        s_rest=out[:, 8:].copy(),
-    )
+        _rk4(state[0].tolist(), sampled, ds, n_steps, state)
+    return Trajectory(out)
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,13 @@ def fisher_information(spec, rho, depth=1):
 
 
 def _fisher_density(spec, rho, interior):
-    """(1/4) d^mu rho d_mu rho / rho, refused unless rho > 0 on the interior."""
+    """(1/4) d^mu rho d_mu rho / rho, refused unless rho > 0 on the interior.
+
+    No integral reads the density outside it, where a rho <= 0 divides as 1.
+    """
     if np.any(rho[interior] <= 0.0):
         raise ContractError("rho must be positive on the trusted interior")
-    return 0.25 * _metric_square(spec, rho) / rho
+    return 0.25 * _metric_square(spec, rho) / np.where(rho > 0.0, rho, 1.0)
 
 
 def lagrangian_density(fields, provider, particle=ELECTRON):

@@ -122,9 +122,9 @@ class GridSpec:
         return np.moveaxis(out, 0, ga)
 
     def gradient_lower(self, values):
-        """All four derivatives d_mu f stacked on a trailing axis."""
+        """All four d_mu f on a new axis after the grid axes; a spinor's are grid + (4, 4)."""
         values = self._check_field(values)
-        return np.stack([self.partial(values, a) for a in range(4)], axis=-1)
+        return np.stack([self.partial(values, a) for a in range(4)], axis=self.ndim)
 
     def divergence(self, vec_upper):
         """d_mu V^mu for a field of contravariant four-vectors (..., 4)."""

@@ -157,7 +157,7 @@ class HydroFieldSet:
     def _spinor_data(self):
         """(e, ebar, d_mu e, bilinears(e)), computed once: params must not change."""
         e = self.spinors()
-        return e, _adjoint(e), _spinor_partials(self.spec, e), bilinears(e)
+        return e, _adjoint(e), self.spec.gradient_lower(e), bilinears(e)
 
     def psi(self, hbar=1.0):
         """Reconstructed wave function sqrt(rho) exp(iS/hbar) e."""
@@ -185,14 +185,6 @@ class SecondOrderResiduals:
     continuity: np.ndarray
     qhj: np.ndarray
     qhj_imag: np.ndarray
-
-
-def _spinor_partials(spec, e):
-    """Lower-index gradient of a spinor field: shape grid + (4 mu, 4 comp)."""
-    out = np.empty(e.shape[:-1] + (4,) + e.shape[-1:], dtype=np.complex128)
-    for axis in range(4):
-        out[..., axis, :] = spec.partial(e, axis)
-    return out
 
 
 def _sample_potential(provider, points):
@@ -511,7 +503,7 @@ def squared_dirac_residual(fields, provider, particle=ELECTRON):
 
     box_psi = spec.dalembertian(psi)
     div_A = spec.divergence(A)
-    dpsi_lower = _spinor_partials(spec, psi)
+    dpsi_lower = spec.gradient_lower(psi)
     A_dot_dpsi = np.einsum("...m,...mc->...c", A, dpsi_lower)
     A_sq = minkowski_dot(A, A)
 

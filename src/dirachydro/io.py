@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import TRAJECTORY_COLUMNS, Trajectory
 from .errors import ContractError
 from .grids import GridSpec
 
@@ -52,8 +52,6 @@ __all__ = [
 GRID_FORMAT = "dirachydro-grid-v1"
 TRAJECTORY_FORMAT = "dirachydro-trajectory-v1"
 
-TRAJECTORY_COLUMNS = ("s", "t", "x", "y", "z", "u0", "u1", "u2", "u3",
-                      "sx", "sy", "sz")
 FIT_COLUMNS = ("frequency", "axis_x", "axis_y", "axis_z", "rms_residual", "total_angle")
 
 
@@ -155,21 +153,16 @@ def _write_csv(path, header, columns):
             fh.write(template * (stop - start) % tuple(values))
 
 
-def _trajectory_columns(trajectory):
-    return [trajectory.s, trajectory.x, trajectory.u, trajectory.s_rest]
-
-
 def save_trajectory_csv(path, trajectory):
     """Trajectory table: s, event, four-velocity, rest-frame spin."""
-    _write_csv(path, TRAJECTORY_COLUMNS, _trajectory_columns(trajectory))
+    _write_csv(path, TRAJECTORY_COLUMNS, [trajectory.table])
 
 
 def save_trajectory_json(path, trajectory):
     """The trajectory table as a JSON map from column name to samples."""
-    table = np.column_stack(_trajectory_columns(trajectory))
     write_json_report(path, {
         "format": TRAJECTORY_FORMAT,
-        "data": dict(zip(TRAJECTORY_COLUMNS, table.T)),
+        "data": dict(zip(TRAJECTORY_COLUMNS, trajectory.table.T)),
     })
 
 
@@ -178,18 +171,14 @@ def load_trajectory_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    if tuple(header) != TRAJECTORY_COLUMNS:
-        raise ContractError(f"unexpected trajectory columns: {header}")
-    table = np.array(rows, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != len(header):
-        raise ContractError("ragged trajectory table")
-    return Trajectory(
-        s=table[:, 0],
-        x=table[:, 1:5],
-        u=table[:, 5:9],
-        s_rest=table[:, 9:12],
-    )
+        if tuple(header) != TRAJECTORY_COLUMNS:
+            raise ContractError(f"unexpected trajectory columns: {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ContractError(f"trajectory line {reader.line_num} has {len(row)} values")
+            rows.append([float(v) for v in row])
+    return Trajectory(np.array(rows, dtype=np.float64))
 
 
 def save_fit_csv(path, fit):

@@ -6,15 +6,19 @@ prints the collected lines in order, so every full test run ends with an
 explicit pass/fail verdict per acceptance criterion.
 
 Also shared by the test modules: the hypothesis settings profile,
-``measured_order``, ``draw_unit`` and ``draw_transverse_unit`` (import
-them with ``from conftest import ...``).
+``measured_order``, ``draw_unit``, ``draw_transverse_unit`` and
+``child_env`` (import them with ``from conftest import ...``).
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
+import dirachydro.errors
 from dirachydro.errors import ContractError
 
 # property tests draw the same examples on every run and write no database
@@ -69,6 +73,18 @@ def draw_transverse_unit(draw, n):
     vector = vector - (vector @ n) * n
     assume(np.linalg.norm(vector) > 0.1)
     return vector / np.linalg.norm(vector)
+
+
+def child_env():
+    """Environment for a child Python process that imports the package under test.
+
+    The package's absolute parent directory goes first on PYTHONPATH, ahead
+    of any inherited entries: a child that runs from another working
+    directory would not resolve a relative one.
+    """
+    package_root = str(Path(dirachydro.errors.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
 
 
 def pytest_configure(config):

@@ -6,7 +6,6 @@ with runtime budgets time themselves and assert the budget too.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -15,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import register_criterion
+from conftest import child_env, register_criterion
 
-import dirachydro.cli
 from dirachydro.clifford import GAMMA, METRIC, bilinears, sigma_from_u_s, spin_tensor
 from dirachydro.dynamics import DynState, fit_precession_frequency, integrate, precession_rate
 from dirachydro.fields import CrossedField, UniformField, ZERO_FIELD, rest_frame_B, tensor_from_EB
@@ -419,15 +417,10 @@ def test_criterion_12_pauli_limit():
 
 
 def _cli(tmp_path, config_path, out_dir, extra=()):
-    # the child runs from tmp_path, so a relative PYTHONPATH would not find
-    # the package under test; put its absolute parent directory first
-    package_root = str(Path(dirachydro.cli.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     return subprocess.run(
         [sys.executable, "-m", "dirachydro.cli", "--config", str(config_path),
          "--out", str(out_dir), "--quiet", *extra],
-        cwd=tmp_path, capture_output=True, text=True, env=env,
+        cwd=tmp_path, capture_output=True, text=True, env=child_env(),
     )
 
 

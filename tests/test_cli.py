@@ -5,7 +5,6 @@ import copy
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -15,11 +14,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from conftest import draw_transverse_unit, draw_unit
+from conftest import child_env, draw_transverse_unit, draw_unit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dirachydro.cli
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
@@ -333,14 +331,11 @@ def test_checker_refuses_keywords_it_does_not_implement(path, keyword, value):
 
 
 def test_cli_import_and_validation_load_no_jsonschema():
-    package_root = str(Path(dirachydro.cli.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     code = ("import json, sys; from dirachydro import cli; "
             "problems = cli.validate_config(json.loads(open(sys.argv[1]).read())); "
             "print(json.dumps([problems, 'jsonschema' in sys.modules]))")
     child = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS / "rest_in_B.json")],
-                           capture_output=True, text=True, env=env, check=True)
+                           capture_output=True, text=True, env=child_env(), check=True)
     assert json.loads(child.stdout) == [[], False]
 
 
@@ -399,6 +394,17 @@ def test_bad_fit_axis_is_refused_before_anything_is_written(tmp_path, capsys, ax
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
     assert "config rejected: axis must be finite and nonzero" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_an_array_too_large_to_allocate_is_a_refused_config(tmp_path, capsys):
+    """10^13 steps pass the schema; their trajectory table is refused at allocation."""
+    path = _write_config(tmp_path, _simulate_config(n_steps=10_000_000_000_000))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dirachydro: config rejected: Unable to allocate")
+    assert "Traceback" not in err
     assert not any(out.iterdir())
 
 

@@ -4,12 +4,12 @@ The committed calibration record quotes the coefficients frozen in hydro.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from dirachydro import hydro
 
@@ -26,12 +26,9 @@ def _entries(report):
 
 def _run_demo(script, cwd, *args):
     """Run a demo as a subprocess in cwd; returns its stdout."""
-    package_root = str(Path(hydro.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     record = RECORD.read_bytes()
     child = subprocess.run([sys.executable, str(DEMOS / script), *args],
-                           capture_output=True, text=True, env=env, cwd=cwd)
+                           capture_output=True, text=True, env=child_env(), cwd=cwd)
     assert child.returncode == 0, child.stderr
     assert child.stderr == ""
     assert RECORD.read_bytes() == record

@@ -1,5 +1,7 @@
 """Information functional, action evaluation, numerical functional derivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,18 @@ def test_information_contract_checks():
     bad[800] = 0.0
     with pytest.raises(ContractError):
         fisher_information(spec, bad)
+
+
+def test_information_tolerates_zero_density_outside_the_interior():
+    """rho may vanish on the boundary layer: no division warning, the interior integral."""
+    spec = GridSpec(active_axes=(0, 1), shape=(9, 9), spacing=(1.0, 1.0))
+    rho = np.ones(spec.shape)
+    rho[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fisher_information(spec, rho, depth=1)
+    # only row 1 sees the zero row: d_t rho = 1/2 there, density 1/16, trapezoid 6 x 1/2
+    assert value == 0.1875
 
 
 def test_functional_antisymmetry_is_exact():

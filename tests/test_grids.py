@@ -79,6 +79,19 @@ def test_gradient_index_placement():
     np.testing.assert_allclose(lower[..., 1], 5.0, atol=1e-11)
 
 
+def test_gradient_of_a_spinor_field_puts_mu_before_the_components():
+    spec = GridSpec(active_axes=(0, 2), shape=(7, 9), spacing=(0.1, 0.2))
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=spec.shape + (4,)) + 1j * rng.normal(size=spec.shape + (4,))
+    lower = spec.gradient_lower(values)
+    assert lower.shape == spec.shape + (4, 4)
+    assert lower.dtype == np.complex128
+    for a in spec.active_axes:
+        assert lower[..., a, :].tobytes() == spec.partial(values, a).tobytes()
+    for a in (1, 3):
+        assert not np.any(lower[..., a, :])
+
+
 def test_divergence_of_linear_vector_field():
     spec = make_spec()
     points = spec.points()

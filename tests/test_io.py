@@ -162,10 +162,9 @@ def _same_bits(got, want):
 @settings(max_examples=60)
 @given(st.integers(1, 6).flatmap(lambda rows: arrays(np.float64, (rows, 12), elements=_ANY_FLOAT)))
 def test_trajectory_csv_round_trips_any_float64(table):
-    traj = Trajectory(s=table[:, 0], x=table[:, 1:5], u=table[:, 5:9], s_rest=table[:, 9:12])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "traj.csv"
-        save_trajectory_csv(path, traj)
+        save_trajectory_csv(path, Trajectory(table))
         loaded = load_trajectory_csv(path)
     got = np.column_stack([loaded.s, loaded.x, loaded.u, loaded.s_rest])
     assert _same_bits(got, table)
@@ -188,27 +187,42 @@ def test_trajectory_table_rejections(tmp_path):
     bad.write_text("s,t,x\n0.0,0.0,0.0\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(bad)
-    ragged = Trajectory(s=np.zeros(3), x=np.zeros((3, 4)), u=np.zeros((2, 4)),
-                        s_rest=np.zeros((3, 3)))
-    with pytest.raises(ContractError):
-        save_trajectory_csv(tmp_path / "ragged.csv", ragged)
-    assert not (tmp_path / "ragged.csv").exists()
     extra = tmp_path / "extra.csv"
     extra.write_text(",".join(TRAJECTORY_COLUMNS + ("gamma",)) + "\n" + ",".join(["0"] * 13) + "\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(extra)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
+    with pytest.raises(ContractError):
+        load_trajectory_csv(header_only)
+    for shape in [(12,), (3, 11), (3, 13), (2, 3, 12)]:
+        with pytest.raises(ContractError):
+            Trajectory(np.zeros(shape))
+
+
+def test_ragged_trajectory_csv_is_refused_naming_the_row(tmp_path):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(",".join(TRAJECTORY_COLUMNS) + "\n" + ",".join(["0"] * 12) + "\n"
+                      + "0,1,2\n")
+    with pytest.raises(ContractError, match="line 3 has 3 values"):
+        load_trajectory_csv(ragged)
+
+
+def test_trajectory_columns_are_read_only_views_of_the_table():
+    table = np.arange(36.0).reshape(3, 12)
+    traj = Trajectory(table)
+    for column in (traj.s, traj.x, traj.u, traj.s_rest):
+        assert np.shares_memory(column, table)
+        assert not column.flags.writeable
+    np.testing.assert_array_equal(np.column_stack([traj.s, traj.x, traj.u, traj.s_rest]), table)
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                2 * _BLOCK_ROWS + 1])
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, n):
-    traj = Trajectory(
-        s=_edge_fill((n,), 0),
-        x=_edge_fill((n, 4), 1),
-        u=_edge_fill((n, 4), 2),
-        s_rest=_edge_fill((n, 3), 3),
-    )
-    rows = [[traj.s[i], *traj.x[i], *traj.u[i], *traj.s_rest[i]] for i in range(n)]
+    traj = Trajectory(np.column_stack([_edge_fill((n,), 0), _edge_fill((n, 4), 1),
+                                       _edge_fill((n, 4), 2), _edge_fill((n, 3), 3)]))
+    rows = traj.table.tolist()
     path = tmp_path / "traj.csv"
     save_trajectory_csv(path, traj)
     assert path.read_bytes() == _reference_csv(TRAJECTORY_COLUMNS, rows)

@@ -157,9 +157,7 @@ PAIRS = {
         ["hydro.second_order_residuals_bilinear"],
         {"clifford._adjoint": "the Dirac adjoint, checked bitwise against e^dagger gamma^0",
          "hydro.HydroFieldSet.spinors": "the spinor field e(params), part of the state "
-                                        "both sides reconstruct",
-         "hydro._spinor_partials": "partial derivatives along all four axes of a field "
-                                   "of spinors, one grid stencil per axis"},
+                                        "both sides reconstruct"},
     ),
     "squared-expanded": (
         ["hydro.squared_dirac_residual"],

@@ -346,8 +346,7 @@ def _plane_wave_orbit(wave, qm, ds, n_steps, out):
     motion with no 0/0.
     """
     k = wave.wave_vector
-    eps = np.concatenate([[0.0], wave.polarization])
-    G = lower_index(-qm * wave.amplitude * (np.outer(k, eps) - np.outer(eps, k)))
+    G = lower_index(-qm * wave.amplitude * wave._antisym)
     x0, u0 = out[0, :4], out[0, 4:8]
     S0 = spin_to_lab(out[0, 8:], u0[1:] / u0[0])
     k_lower = lower_index(k)

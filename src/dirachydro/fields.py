@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import minkowski_dot, raise_index
 from .errors import ContractError
-from .kinematics import boost_matrix, vorticity_to_rest
+from .kinematics import acceleration_tensor, boost_matrix, vorticity_to_rest
 
 __all__ = [
     "Particle",
@@ -107,19 +107,17 @@ class UniformField:
     """Constant E and B everywhere.
 
     Gauge choice: A^0 = -E . r (electrostatic potential) and A = B x r / 2
-    (symmetric gauge), plus an optional constant pure-gauge offset.
+    (symmetric gauge).
     """
 
     E0: np.ndarray = (0.0, 0.0, 0.0)
     B0: np.ndarray = (0.0, 0.0, 0.0)
-    gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
 
     constant_field = True  # integrators may sample once and reuse F
 
     def __post_init__(self):
         object.__setattr__(self, "E0", _check_finite("E0", self.E0))
         object.__setattr__(self, "B0", _check_finite("B0", self.B0))
-        object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
 
     def sample(self, x):
         x = _as_points(x)
@@ -127,7 +125,6 @@ class UniformField:
         A = np.zeros(x.shape)
         A[..., 0] = -np.einsum("...i,i->...", r, self.E0)
         A[..., 1:4] = 0.5 * np.cross(np.broadcast_to(self.B0, r.shape), r)
-        A += self.gauge_offset
         F = np.broadcast_to(tensor_from_EB(self.E0, self.B0), x.shape[:-1] + (4, 4))
         return A, F
 
@@ -157,17 +154,14 @@ class PlaneWaveField:
     wave_vector: np.ndarray = (1.0, 0.0, 0.0, 1.0)
     polarization: np.ndarray = (1.0, 0.0, 0.0)
     amplitude: float = 1.0
-    gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
-    # the polarization as a four-vector and k^mu eps^nu - eps^mu k^nu, built
-    # once in __post_init__ from the normalised polarization
-    _eps4: np.ndarray = field(init=False, repr=False, compare=False)
+    # k^mu eps^nu - eps^mu k^nu, built once in __post_init__ from the
+    # normalised polarization
     _antisym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _check_finite("wave_vector", self.wave_vector)
         pol = _check_finite("polarization", self.polarization)
         object.__setattr__(self, "wave_vector", k)
-        object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
         object.__setattr__(self, "amplitude", float(self.amplitude))
         if not np.isfinite(self.amplitude):
             raise ContractError("amplitude must be finite")
@@ -184,13 +178,13 @@ class PlaneWaveField:
         eps4 = np.zeros(4)
         eps4[1:4] = self.polarization
         antisym = np.einsum("m,n->mn", k, eps4) - np.einsum("m,n->mn", eps4, k)
-        object.__setattr__(self, "_eps4", eps4)
         object.__setattr__(self, "_antisym", antisym)
 
     def sample(self, x):
         x = _as_points(x)
         phase = minkowski_dot(self.wave_vector, x)
-        A = self.amplitude * np.cos(phase)[..., np.newaxis] * self._eps4 + self.gauge_offset
+        A = np.zeros(x.shape)
+        A[..., 1:4] = self.amplitude * np.cos(phase)[..., np.newaxis] * self.polarization
         F = -self.amplitude * np.sin(phase)[..., np.newaxis, np.newaxis] * self._antisym
         return A, F
 
@@ -258,10 +252,8 @@ class PolynomialField:
     """
 
     terms: dict = field(default_factory=dict)
-    gauge_offset: np.ndarray = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "gauge_offset", _check_finite("gauge", self.gauge_offset))
         components = {}
         for mu, entries in self.terms.items():
             mu = int(mu)
@@ -277,7 +269,6 @@ class PolynomialField:
         for mu, component in self.terms.items():
             A[..., mu] = component.value(x)
             d_lower[..., mu, :] = component.gradient_lower(x)
-        A += self.gauge_offset
         d_upper = raise_index(d_lower)  # d^alpha A^mu
         F = np.swapaxes(d_upper, -1, -2) - d_upper
         return A, F
@@ -285,7 +276,11 @@ class PolynomialField:
 
 @dataclass(frozen=True)
 class GaugeShiftedProvider:
-    """Wraps a provider with A^mu -> A^mu + d^mu(Lambda); F is untouched."""
+    """Wraps a provider with A^mu -> A^mu + d^mu(Lambda); F is untouched.
+
+    This is the package's one way to shift a gauge; a Lambda linear in the
+    coordinates gives a constant shift of A.
+    """
 
     base: object
     gauge_function: ScalarPolynomial
@@ -315,16 +310,7 @@ def field_consistency_residual(provider, x, h=1e-4):
     """Max |F - (dA)_fd| at points x, the provider self-consistency check."""
     x = _as_points(x)
     _, F = provider.sample(x)
-    d_lower = np.zeros(x.shape[:-1] + (4, 4))
-    for alpha in range(4):
-        step = np.zeros(4)
-        step[alpha] = h
-        a_plus, _ = provider.sample(x + step)
-        a_minus, _ = provider.sample(x - step)
-        d_lower[..., alpha, :] = (a_plus - a_minus) / (2.0 * h)
-    d_upper = d_lower.copy()
-    d_upper[..., 1:4, :] *= -1.0
-    F_fd = d_upper - np.swapaxes(d_upper, -1, -2)
+    F_fd = acceleration_tensor(lambda y: provider.sample(y)[0], x, h)
     return float(np.max(np.abs(F - F_fd)))
 
 
@@ -350,8 +336,6 @@ def provider_from_config(config):
         raise ContractError(f"unknown field kind {kind!r}")
     cls, keys = _PROVIDER_KINDS[kind]
     kwargs = {key: config[key] for key in keys if key in config}
-    if "gauge" in config:
-        kwargs["gauge_offset"] = config["gauge"]
     if kind == "custom-polynomial" and "coefficients" in config:
         kwargs["terms"] = {
             int(mu): [(entry["c"], tuple(entry["powers"])) for entry in entries]

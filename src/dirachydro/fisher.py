@@ -46,7 +46,7 @@ import numpy as np
 
 from .clifford import raise_index
 from .errors import ContractError, InsufficientInteriorError, StepSizeError
-from .fields import ELECTRON, electric_field, magnetic_field, rest_frame_B
+from .fields import ELECTRON, magnetic_field
 from .hydro import _expanded_bracket, _expanded_lagrangian, _metric_square, _sample_potential
 from .spinors import rest_spin, species_sign
 
@@ -135,7 +135,7 @@ def pauli_limit_density(fields, provider, particle=ELECTRON):
     q = particle.charge
     params = fields.params
 
-    A, A_lower, F = _sample_potential(provider, spec.points())
+    A_lower, F = _sample_potential(provider, spec.points())[1:]
     theta = np.asarray(params.theta, dtype=np.float64)
 
     weight = np.sin(0.5 * theta) ** 2
@@ -149,9 +149,8 @@ def pauli_limit_density(fields, provider, particle=ELECTRON):
         "...m,...m->...", raise_index(bracket_lower), bracket_lower
     )
 
-    beta = np.zeros(spec.shape + (3,))
-    b_prime = rest_frame_B(electric_field(F), magnetic_field(F), beta)
-    coupling = hbar * q * np.einsum("...i,...i->...", b_prime, rest_spin(params))
+    # at rest the rest-frame field is B itself
+    coupling = hbar * q * np.einsum("...i,...i->...", magnetic_field(F), rest_spin(params))
 
     shape_terms = hbar**2 * (
         0.25 * _metric_square(spec, theta)

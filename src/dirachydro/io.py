@@ -170,7 +170,7 @@ def load_trajectory_csv(path):
     """Read a trajectory table back into a Trajectory."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != TRAJECTORY_COLUMNS:
             raise ContractError(f"unexpected trajectory columns: {header}")
         rows = []

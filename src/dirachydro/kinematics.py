@@ -1,4 +1,4 @@
-"""Boost kinematics: lab-frame spin, rest-frame vorticity, acceleration tensor.
+"""Boost kinematics: lab-frame spin, rest-frame vorticity, the curl of a four-vector field.
 
 Four-vectors are plain (..., 4) float arrays with contravariant components in
 the (+, -, -, -) signature; three-vectors are (..., 3) arrays. Everything
@@ -11,8 +11,6 @@ is algebraically identical and smooth through beta = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
@@ -22,7 +20,6 @@ __all__ = [
     "boost_matrix",
     "spin_to_lab",
     "vorticity_to_rest",
-    "AccelTensor",
     "acceleration_tensor",
     "beta_from_u",
     "beta_hat_rate",
@@ -96,55 +93,33 @@ def vorticity_to_rest(omega, accel, beta):
     )
 
 
-@dataclass(frozen=True)
-class AccelTensor:
-    """Antisymmetric acceleration tensor Omega^{mu nu} = d^mu u^nu - d^nu u^mu.
+def acceleration_tensor(f, x, h=1e-4):
+    """Central-difference curl Omega^{mu nu} = d^mu f^nu - d^nu f^mu of a four-vector field.
 
-    The named views use the decomposition Omega^{0i} = -a_i and
-    Omega^{jk} = -eps_{jki} omega_i, so accel is the local three-acceleration
-    field a = du/dt-like part and vorticity is curl u of the spatial flow.
-    """
+    f maps points of shape (..., 4) to four-vectors of the same shape; x
+    holds the points. Derivatives are taken along all four axes with step h
+    and raised with the metric, so the result, of shape (..., 4, 4), is
+    O(h^2) accurate (exact on fields linear in the coordinates).
 
-    omega: np.ndarray
-
-    @property
-    def accel(self):
-        return -self.omega[..., 0, 1:4]
-
-    @property
-    def vorticity(self):
-        o = self.omega
-        return np.stack(
-            [
-                -o[..., 2, 3],
-                -o[..., 3, 1],
-                -o[..., 1, 2],
-            ],
-            axis=-1,
-        )
-
-
-def acceleration_tensor(u_field, x, h=1e-4):
-    """Central-difference Omega^{mu nu} of a four-velocity field at a point.
-
-    u_field maps a (4,) spacetime point to a (4,) four-velocity. Derivatives
-    are taken along all four axes with step h and raised with the metric, so
-    the result is O(h^2) accurate (exact on fields linear in the coordinates).
+    The tensor splits as the field tensor does: for a four-velocity field
+    f = u, fields.electric_field(Omega) is the acceleration a
+    (Omega^{0i} = -a_i) and fields.magnetic_field(Omega) is the vorticity
+    omega (Omega^{jk} = -eps_{jki} omega_i); for a potential f = A the
+    result is F.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (4,):
-        raise ContractError("x must be a single (4,) spacetime point")
+    if x.ndim == 0 or x.shape[-1] != 4:
+        raise ContractError("x must hold spacetime points of shape (..., 4)")
     if not h > 0:
         raise ContractError("step h must be positive")
-    d_lower = np.empty((4, 4))
+    d_upper = np.empty(x.shape + (4,))  # d^alpha f^nu as [..., alpha, nu]
     for alpha in range(4):
         step = np.zeros(4)
         step[alpha] = h
-        d_lower[alpha] = (np.asarray(u_field(x + step)) - np.asarray(u_field(x - step))) / (2.0 * h)
+        d_upper[..., alpha, :] = (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * h)
     # raise the derivative index: d^0 = d_t, d^i = -d_i
-    d_upper = d_lower.copy()
-    d_upper[1:4] *= -1.0
-    return AccelTensor(omega=d_upper - d_upper.T)
+    d_upper[..., 1:4, :] *= -1.0
+    return d_upper - np.swapaxes(d_upper, -1, -2)
 
 
 def beta_from_u(u):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import lower_both, minkowski_dot, sigma_from_u_s
-from .fields import ELECTRON, ZERO_FIELD
+from .fields import ELECTRON, ZERO_FIELD, electric_field, magnetic_field
 from .kinematics import (
     acceleration_tensor,
     beta_from_u,
@@ -166,12 +166,11 @@ def identity_residuals(params_of, x, h=1e-3):
 
     lhs = float(minkowski_dot(u0, div))
 
-    accel = acceleration_tensor(u_field, x, h=h)
-    omega_lower = lower_both(accel.omega)
+    omega = acceleration_tensor(u_field, x, h=h)
     sigma0 = sigma_component_table(params0)
-    contraction = -0.5 * float(np.einsum("mt,mt->", sigma0, omega_lower))
+    contraction = -0.5 * float(np.einsum("mt,mt->", sigma0, lower_both(omega)))
 
-    omega_prime = vorticity_to_rest(accel.vorticity, accel.accel, beta)
+    omega_prime = vorticity_to_rest(magnetic_field(omega), electric_field(omega), beta)
     rhs = -float(np.dot(omega_prime, s_prime))
 
     return {

@@ -397,6 +397,56 @@ def test_bad_fit_axis_is_refused_before_anything_is_written(tmp_path, capsys, ax
     assert not any(out.iterdir())
 
 
+def test_a_constant_gauge_key_is_refused_by_the_schema(tmp_path, capsys):
+    """A gauge shift is a GaugeShiftedProvider; the fields block has no key for one."""
+    payload = _simulate_config()
+    payload["fields"]["gauge"] = [0.5, 0.0, 0.0, 0.0]
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config key fields: Additional properties are not allowed ('gauge' was unexpected)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({**_simulate_config(), "initial_state": {"spin": [0.0, 0.0, 0.0]}},
+     "initial spin must be a nonzero vector"),
+    ({**_residuals_config(), "configuration": {"type": "plane-wave", "amplitude": 0.1}},
+     "amplitude does not apply to a plane-wave configuration"),
+], ids=["zero-spin", "plane-wave-amplitude"])
+def test_schema_valid_inputs_a_module_refuses(tmp_path, capsys, payload, message):
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"config rejected: {message}" in capsys.readouterr().err
+
+
+def test_rk4_blow_up_exits_3_before_anything_is_written(tmp_path, capsys):
+    payload = _simulate_config(n_steps=2000, fit_frequency=False)
+    payload["fields"] = {"kind": "custom-polynomial",
+                         "coefficients": {"0": [{"c": 50.0, "powers": [0, 2, 0, 0]}]}}
+    payload["initial_state"] = {"x": [0.0, 0.1, 0.0, 0.0], "spin": [0.0, 0.0, 1.0]}
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    assert "dirachydro: failing step index 23" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_s_max_runs_as_its_step_count(tmp_path):
+    """{ds: 0.01, s_max: 7} writes the bytes of {ds: 0.01, n_steps: 700}."""
+    by_steps = _simulate_config()
+    by_s_max = _simulate_config()
+    del by_s_max["evolution"]["n_steps"]
+    by_s_max["evolution"]["s_max"] = 7.0
+    for name, payload in (("steps", by_steps), ("s_max", by_s_max)):
+        path = _write_config(tmp_path, payload, name=f"{name}.json")
+        assert main(["--config", path, "--out", str(tmp_path / name), "--quiet"]) == 0
+    for artifact in ("report.json", "trajectory.csv"):
+        assert ((tmp_path / "s_max" / artifact).read_bytes()
+                == (tmp_path / "steps" / artifact).read_bytes())
+
+
 def test_an_array_too_large_to_allocate_is_a_refused_config(tmp_path, capsys):
     """10^13 steps pass the schema; their trajectory table is refused at allocation."""
     path = _write_config(tmp_path, _simulate_config(n_steps=10_000_000_000_000))

@@ -20,7 +20,7 @@ from dirachydro.dynamics import (
 )
 from dirachydro.errors import ContractError, FitError, InstabilityError
 from dirachydro.fields import (CrossedField, GaugeShiftedProvider, Particle, PlaneWaveField,
-                               ScalarPolynomial, UniformField, tensor_from_EB)
+                               PolynomialField, ScalarPolynomial, UniformField, tensor_from_EB)
 
 B_UNIT = UniformField(B0=np.array([0.0, 0.0, 1.0]))
 REST = DynState(x=np.zeros(4), u=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -261,6 +261,18 @@ def test_instability_reports_step_index():
     with pytest.raises(InstabilityError) as info:
         integrate(REST, violent, ds=10.0, n_steps=50)
     assert info.value.step_index >= 1
+
+
+def test_rk4_blow_up_raises_at_its_step():
+    """A^0 = 50 x^2 pulls a resting electron outward ever harder; RK4 blows up at step 23."""
+    well = PolynomialField(terms={0: [(50.0, (0, 2, 0, 0))]})
+    start = DynState(x=np.array([0.0, 0.1, 0.0, 0.0]), u=np.array([1.0, 0.0, 0.0, 0.0]),
+                     s_rest=np.array([0.0, 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError) as info:
+            integrate(start, well, ds=0.01, n_steps=2000)
+    assert info.value.step_index == 23
 
 
 def test_trajectory_views_and_state():

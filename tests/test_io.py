@@ -195,6 +195,10 @@ def test_trajectory_table_rejections(tmp_path):
     header_only.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
     with pytest.raises(ContractError):
         load_trajectory_csv(header_only)
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    with pytest.raises(ContractError, match="unexpected trajectory columns"):
+        load_trajectory_csv(empty)
     for shape in [(12,), (3, 11), (3, 13), (2, 3, 12)]:
         with pytest.raises(ContractError):
             Trajectory(np.zeros(shape))

@@ -5,7 +5,7 @@ import pytest
 
 from dirachydro.clifford import METRIC, minkowski_dot
 from dirachydro.errors import ContractError
-from dirachydro.fields import boost_field_tensor, magnetic_field, tensor_from_EB
+from dirachydro.fields import boost_field_tensor, electric_field, magnetic_field, tensor_from_EB
 from dirachydro.kinematics import (
     acceleration_tensor,
     beta_from_u,
@@ -117,28 +117,48 @@ def test_acceleration_tensor_exact_on_linear_field():
         return np.array([1.3, 0.1, -0.2, 0.05]) + slope @ x
 
     x0 = np.array([0.2, -0.1, 0.3, 0.4])
-    tensor = acceleration_tensor(u_field, x0, h=1e-3)
+    omega = acceleration_tensor(u_field, x0, h=1e-3)
     d_upper = slope.T.copy()  # slope[nu, alpha] = d_alpha u^nu
     d_upper[1:4] *= -1.0
-    np.testing.assert_allclose(tensor.omega, d_upper - d_upper.T, atol=1e-12)
-    np.testing.assert_allclose(tensor.omega + tensor.omega.T, 0.0, atol=1e-15)
+    np.testing.assert_allclose(omega, d_upper - d_upper.T, atol=1e-12)
+    np.testing.assert_allclose(omega + omega.T, 0.0, atol=1e-15)
 
 
 def test_acceleration_tensor_named_views():
-    # Omega^{0i} = -a_i and Omega^{jk} = -eps_{jki} omega_i
-    omega = np.zeros((4, 4))
+    # Omega^{0i} = -a_i and Omega^{jk} = -eps_{jki} omega_i, the E/B split of F
     a = np.array([0.1, 0.2, 0.3])
     w = np.array([-0.4, 0.5, -0.6])
+    omega = np.zeros((4, 4))
     omega[0, 1:4] = -a
     omega[1:4, 0] = a
     omega[2, 3], omega[3, 2] = -w[0], w[0]
     omega[3, 1], omega[1, 3] = -w[1], w[1]
     omega[1, 2], omega[2, 1] = -w[2], w[2]
-    from dirachydro.kinematics import AccelTensor
+    np.testing.assert_array_equal(omega, tensor_from_EB(a, w))
+    np.testing.assert_array_equal(electric_field(omega), a)
+    np.testing.assert_array_equal(magnetic_field(omega), w)
 
-    tensor = AccelTensor(omega=omega)
-    np.testing.assert_allclose(tensor.accel, a, atol=1e-15)
-    np.testing.assert_allclose(tensor.vorticity, w, atol=1e-15)
+
+def test_acceleration_tensor_of_a_batch_is_its_per_point_tensors():
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=(4, 4, 4))
+
+    def u_field(x):
+        # quadratic in the coordinates, so the stencil is not exact
+        return np.einsum("nab,...a,...b->...n", coeffs, x, x) + x
+
+    points = rng.normal(size=(6, 4))
+    batch = acceleration_tensor(u_field, points, h=1e-3)
+    assert batch.shape == (6, 4, 4)
+    for point, omega in zip(points, batch):
+        np.testing.assert_array_equal(omega, acceleration_tensor(u_field, point, h=1e-3))
+
+
+@pytest.mark.parametrize("x", [np.float64(0.5), np.zeros(3), np.zeros((2, 5))],
+                         ids=["0-d", "three", "five-wide"])
+def test_acceleration_tensor_refuses_points_without_four_components(x):
+    with pytest.raises(ContractError, match="shape"):
+        acceleration_tensor(lambda y: y, x)
 
 
 def test_proper_acceleration_rigid_rotation():
@@ -153,13 +173,14 @@ def test_proper_acceleration_rigid_rotation():
 
     x0 = np.array([0.0, 0.4, 0.2, 0.0])
     u0 = u_field(x0)
-    tensor = acceleration_tensor(u_field, x0, h=1e-4)
+    omega = acceleration_tensor(u_field, x0, h=1e-4)
     u_lower = u0 * np.array([1.0, -1.0, -1.0, -1.0])
-    rate = u_lower @ tensor.omega
+    rate = u_lower @ omega
     # the three-vector form -gamma (a + beta x omega) ties the tensor's
     # split into accel and vorticity to the boost conventions
     gamma = u0[0]
-    cross_form = -gamma * (tensor.accel + np.cross(u0[1:] / gamma, tensor.vorticity))
+    cross_form = -gamma * (electric_field(omega)
+                           + np.cross(u0[1:] / gamma, magnetic_field(omega)))
     np.testing.assert_allclose(rate[1:], cross_form, atol=1e-10)
     # steady flow: du/ds = gamma (v . grad) u, circular at angular speed w
     expected_space = gamma**2 * w * np.array([-u0[2] / u0[0], u0[1] / u0[0], 0.0])

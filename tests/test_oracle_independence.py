@@ -167,10 +167,7 @@ PAIRS = {
     "pauli-lagrangian": (
         ["fisher.pauli_limit_density"],
         ["fisher.lagrangian_density"],
-        {"fields.rest_frame_B": "the one closed-form rest-frame transform, checked "
-                                "against boost_field_tensor",
-         "fields.electric_field": "reads E out of F",
-         "fields.magnetic_field": "reads B out of F",
+        {"fields.magnetic_field": "reads B out of F",
          "spinors.rest_spin": "the rest-frame spin direction of the parametrization",
          "hydro._metric_square": "d^mu f d_mu f of one grid field"},
     ),

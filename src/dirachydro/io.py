@@ -18,16 +18,31 @@ CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
 17 significant digits, masked and non-finite samples as nan/inf.  The
 writer formats ``_BLOCK_ROWS`` rows per string operation, so the text in
-memory is bounded by the block, not by the table.  A grid table's
+memory is bounded by the block, not by the table.  A table of at least
+``2 * _PART_ROWS`` rows is cut into contiguous row ranges, one per core this
+process may run on (at most one per ``_PART_ROWS`` rows): the first is
+formatted into the file by this process, each other one by a forked child
+into an unnamed temporary file, which is then appended in order with a
+small copy buffer.  Each part is held to its own CPU while it is formatted.
+Each process holds one block of text, so memory stays bounded, and the
+bytes are those of a one-process write.  A grid table's
 coordinate columns repeat a few values on every row; each distinct
 coordinate is formatted once and its text reused.  Grids with three or
 more axes have no CSV form; they use the grid container.
+
+The children are started with ``os.fork``.  Python 3.12 and later emit a
+``DeprecationWarning`` for a fork in a process that runs other threads
+(a BLAS thread pool is one); the interpreter this is tested on is 3.11.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +133,75 @@ def load_grid_fields(path):
 
 # rows formatted per string operation: bounds the text in memory
 _BLOCK_ROWS = 64
+# rows per process at least: shorter tables are never split
+_PART_ROWS = 8192
+# characters per read when a child's part is appended to the table
+_COPY_CHARS = 1 << 16
+
+
+def _usable_cores():
+    """Cores this process may run on; 1 where it cannot fork or ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_parts(fh, rows, render):
+    """Write rows ``[0, rows)`` to ``fh`` as ``render(write, start, stop)`` writes them.
+
+    The rows are cut into as many contiguous parts as there are usable
+    cores, but no more than one per ``_PART_ROWS`` rows. Part 0 is rendered
+    here, straight into ``fh``; each other part is rendered by a forked child
+    into an unnamed temporary file, which is appended to ``fh`` once the
+    child has exited, in row order. Part k runs on the k-th CPU this process
+    may use, and this process is held to the first of them until the write
+    ends: a scheduler need not move a fresh fork off its parent's CPU, and
+    then the parts would take turns on one core. A child that fails makes
+    the write raise ``OSError``; every child is reaped, every temporary file
+    closed and the CPU mask restored whether or not the write succeeds.
+    """
+    parts = max(1, min(_usable_cores(), rows // _PART_ROWS))
+    if parts == 1:
+        render(fh.write, 0, rows)
+        return
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    cpus = os.sched_getaffinity(0)
+    # more parts than CPUs only where a test sets the core count
+    order = sorted(cpus) * parts
+    files, pids = [], []  # a temporary file per child; the children not yet reaped
+    try:
+        os.sched_setaffinity(0, {order[0]})
+        for k in range(1, parts):
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # the child: render, then leave without running cleanup
+                status = 1
+                try:
+                    os.sched_setaffinity(0, {order[k]})
+                    render(files[-1].write, bounds[k], bounds[k + 1])
+                    files[-1].flush()
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        render(fh.write, bounds[0], bounds[1])
+        for k, part in enumerate(files, start=1):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+            if status != 0:
+                raise OSError(f"rows {bounds[k]} to {bounds[k + 1]} of the table were not "
+                              f"written: their process exited with status {status}")
+            part.seek(0)
+            shutil.copyfileobj(part, fh, _COPY_CHARS)
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for part in files:
+            part.close()
 
 
 def _write_csv(path, header, columns):
@@ -128,8 +212,10 @@ def _write_csv(path, header, columns):
     entry of its second axis. A float column is written as ``format_float``
     writes it; an object array holds text that is written as it is. Rows end
     in CRLF, which is the csv module's default dialect; names that it would
-    have to quote are refused. The rows are formatted ``_BLOCK_ROWS`` at a
-    time, each block from slices of the columns.
+    have to quote are refused, and so is a header that does not name every
+    column once. The rows are formatted ``_BLOCK_ROWS`` at a time, each block
+    from slices of the columns, and a long table is split between processes
+    by ``_write_parts``.
     """
     for name in header:
         if not set(name).isdisjoint(',"\r\n'):
@@ -140,17 +226,23 @@ def _write_csv(path, header, columns):
     rows, width = len(flat[0]), len(flat)
     if any(len(column) != rows for column in flat):
         raise ContractError("CSV columns must all have one value per row")
+    if len(header) != width:
+        raise ContractError(f"a CSV header of {len(header)} names for {width} columns")
     # one row: format_float's "%.17g" for a number, a text column as it is
     template = ",".join("%s" if c.dtype == object else "%.17g" for c in flat) + "\r\n"
+
+    def render(write, start, stop):
+        for begin in range(start, stop, _BLOCK_ROWS):
+            end = min(begin + _BLOCK_ROWS, stop)
+            # row-major values of the block: column j fills every width-th slot
+            values = [None] * ((end - begin) * width)
+            for j, column in enumerate(flat):
+                values[j::width] = column[begin:end].tolist()
+            write(template * (end - begin) % tuple(values))
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            # row-major values of the block: column j fills every width-th slot
-            values = [None] * ((stop - start) * width)
-            for j, column in enumerate(flat):
-                values[j::width] = column[start:stop].tolist()
-            fh.write(template * (stop - start) % tuple(values))
+        _write_parts(fh, rows, render)
 
 
 def save_trajectory_csv(path, trajectory):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -16,10 +17,14 @@ from hypothesis.extra.numpy import arrays
 from dirachydro.dynamics import DynState, PrecessionFit, Trajectory, integrate
 from dirachydro.errors import ContractError
 from dirachydro.fields import UniformField
+from dirachydro import io as dio
 from dirachydro.grids import GridSpec
 from dirachydro.io import (
     _BLOCK_ROWS,
+    _PART_ROWS,
     _SLICE,
+    _write_csv,
+    _write_parts,
     FIT_COLUMNS,
     GRID_FORMAT,
     TRAJECTORY_COLUMNS,
@@ -310,6 +315,156 @@ def test_csv_rejects_names_that_need_quoting(tmp_path, name):
     with pytest.raises(ContractError, match="quoting"):
         save_slice_csv(path, spec, {name: np.zeros(spec.shape)})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]], ids=["short", "long"])
+def test_csv_refuses_a_header_of_another_width(tmp_path, header):
+    """Its own reader could not read back a table whose header misnames the columns."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ContractError, match="header"):
+        _write_csv(path, header, [np.zeros((3, 2))])
+    assert not path.exists()
+
+
+# a split write forks and places its parts with the CPU-affinity calls
+_splits = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                             reason="needs os.fork and os.sched_setaffinity")
+
+
+def _table_bytes(write, path, cores, part_rows=_PART_ROWS):
+    """The bytes ``write(path)`` leaves with the given core count and part size.
+
+    The write must leave this process's CPU mask as it found it.
+    """
+    cpus = os.sched_getaffinity(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dio, "_usable_cores", lambda: cores)
+        patch.setattr(dio, "_PART_ROWS", part_rows)
+        write(path)
+    assert os.sched_getaffinity(0) == cpus
+    return path.read_bytes()
+
+
+def _trajectory_table(rows, seed):
+    table = np.random.default_rng(seed).normal(size=(rows, 12)) * 1e5
+    return Trajectory(np.where(np.arange(rows * 12).reshape(rows, 12) % 7 == 0,
+                               _edge_fill((rows, 12), seed), table))
+
+
+def _slice_fields(spec, seed):
+    values = np.random.default_rng(seed).normal(size=spec.shape)
+    masked = np.ma.MaskedArray(_edge_fill(spec.shape, seed), mask=values > 1.0)
+    return {"plain": values, "masked": masked}
+
+
+def _assert_parts_do_not_change_bytes(tmp, traj, spec, fields, cores, part_rows):
+    """A table split ``cores`` ways is bitwise the one-process table."""
+    for name, write in (("traj.csv", lambda path: save_trajectory_csv(path, traj)),
+                        ("slice.csv", lambda path: save_slice_csv(path, spec, fields))):
+        one = _table_bytes(write, Path(tmp) / f"one-{name}", 1, part_rows)
+        split = _table_bytes(write, Path(tmp) / f"split-{name}", cores, part_rows)
+        assert split == one
+
+
+@_splits
+@settings(max_examples=30)
+@given(part_rows=st.integers(1, 2 * _BLOCK_ROWS), cores=st.integers(2, 4),
+       parts=st.integers(1, 5), offset=st.integers(-1, 1), n0=st.integers(5, 7),
+       seed=st.integers(0, 2**16))
+def test_csv_bytes_do_not_depend_on_the_part_count(part_rows, cores, parts, offset, n0, seed):
+    """Row counts on and either side of part boundaries, split evenly or not.
+
+    The trajectory has exactly ``parts * part_rows + offset`` rows; the slice
+    has as many when ``n0`` divides them and at least 5 per axis.
+    """
+    rows = max(1, parts * part_rows + offset)
+    spec = GridSpec(active_axes=(1, 2), shape=(n0, max(5, -(-rows // n0))), spacing=(0.1, 0.3),
+                    origin=(0.0, -0.3, 0.7, 0.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_parts_do_not_change_bytes(tmp, _trajectory_table(rows, seed), spec,
+                                          _slice_fields(spec, seed), cores, part_rows)
+
+
+@_splits
+def test_full_size_csv_bytes_do_not_depend_on_the_part_count(tmp_path):
+    """A 45k-row trajectory and a 257^2 slice, split in two at the real part size."""
+    spec = GridSpec(active_axes=(0, 1), shape=(257, 257), spacing=(0.01, 0.01),
+                    origin=(-1.28, -1.28, 0.0, 0.0))
+    _assert_parts_do_not_change_bytes(tmp_path, _trajectory_table(45_000, 9), spec,
+                                      _slice_fields(spec, 9), 2, _PART_ROWS)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class _RenderFailed(Exception):
+    pass
+
+
+@_splits
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fails", ["child", "parent"])
+def test_a_failed_part_reaps_every_child_and_closes_every_file(tmp_path, monkeypatch, fails):
+    """Whichever process fails, the write raises and leaves no child, no open file
+    and this process's CPU mask as it was."""
+    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+
+    def render(write, start, stop):
+        if (start > 0) == (fails == "child"):
+            raise _RenderFailed(f"rows {start} to {stop}")
+        write(f"{start},{stop}\r\n")
+
+    fds, cpus = _open_fds(), os.sched_getaffinity(0)
+    with open(tmp_path / "t.csv", "w", encoding="utf-8", newline="") as fh:
+        with pytest.raises(OSError if fails == "child" else _RenderFailed):
+            _write_parts(fh, 12, render)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == cpus
+
+
+@_splits
+def test_parts_are_appended_in_row_order_each_from_its_own_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    cpus = os.sched_getaffinity(0)
+    path = tmp_path / "t.csv"
+
+    def render(write, start, stop):
+        write(f"{start}-{stop}:{os.getpid()}:{sorted(os.sched_getaffinity(0))};")
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_parts(fh, 14, render)
+    parts = [part.split(":") for part in path.read_text().split(";")[:-1]]
+    assert [bounds for bounds, _, _ in parts] == ["0-4", "4-9", "9-14"]
+    assert parts[0][1] == str(os.getpid()) and len({pid for _, pid, _ in parts}) == 3
+    # part k on the k-th usable CPU, cycling where there are fewer than three
+    assert [mask for _, _, mask in parts] == [str([c]) for c in (sorted(cpus) * 3)[:3]]
+    assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.parametrize("cores, rows", [(1, 50), (4, 7)], ids=["one-core", "short-table"])
+def test_one_part_never_forks(tmp_path, monkeypatch, cores, rows):
+    """One core, or fewer than two parts' rows, is written by this process alone."""
+    def no_fork():
+        raise AssertionError("a one-part write forked")
+
+    monkeypatch.setattr(dio, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    traj = _trajectory_table(rows, 1)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(path, traj)
+    assert path.read_bytes() == _reference_csv(TRAJECTORY_COLUMNS, traj.table.tolist())
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_a_platform_without_fork_or_affinity_has_one_core(monkeypatch, missing):
+    monkeypatch.delattr(os, missing, raising=False)
+    assert dio._usable_cores() == 1
 
 
 def test_json_report_is_deterministic(tmp_path):

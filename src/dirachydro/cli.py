@@ -415,6 +415,10 @@ def main(argv=None):
         # the config asked for something a module refuses or too large to allocate
         print(f"dirachydro: config rejected: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # the output directory could not be made or an artifact not written
+        print(f"dirachydro: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,17 +18,23 @@ CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
 17 significant digits, masked and non-finite samples as nan/inf.  The
 writer formats ``_BLOCK_ROWS`` rows per string operation, so the text in
-memory is bounded by the block, not by the table.  A table of at least
-``2 * _PART_ROWS`` rows is cut into contiguous row ranges, one per core this
-process may run on (at most one per ``_PART_ROWS`` rows): the first is
-formatted into the file by this process, each other one by a forked child
-into an unnamed temporary file, which is then appended in order with a
-small copy buffer.  Each part is held to its own CPU while it is formatted.
-Each process holds one block of text, so memory stays bounded, and the
-bytes are those of a one-process write.  A grid table's
+memory is bounded by the block, not by the table.  A grid table's
 coordinate columns repeat a few values on every row; each distinct
 coordinate is formatted once and its text reused.  Grids with three or
 more axes have no CSV form; they use the grid container.
+
+Both writers go through one part writer, ``_write_parts``, which sees a
+file as a sequence of items: the rows of a table, or the samples of a
+JSON document's arrays taken in document order as one sequence, so a
+document is split once, not once per array.  A file of at least
+``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per core
+this process may run on (at most one per ``_PART_ROWS`` items): the first
+is rendered into the file by this process, each other one by a forked child
+into an unnamed temporary file, which is then appended in order with a
+small copy buffer.  Each part is held to its own CPU while it is rendered.
+Each process holds one block or slice of text, so memory stays bounded,
+and the bytes are those of a one-process write.  A write that fails leaves
+no file behind.
 
 The children are started with ``os.fork``.  Python 3.12 and later emit a
 ``DeprecationWarning`` for a fork in a process that runs other threads
@@ -133,9 +139,9 @@ def load_grid_fields(path):
 
 # rows formatted per string operation: bounds the text in memory
 _BLOCK_ROWS = 64
-# rows per process at least: shorter tables are never split
+# items (table rows, document samples) per process at least: shorter files are never split
 _PART_ROWS = 8192
-# characters per read when a child's part is appended to the table
+# characters per read when a child's part is appended to the file
 _COPY_CHARS = 1 << 16
 
 
@@ -146,25 +152,29 @@ def _usable_cores():
     return len(os.sched_getaffinity(0))
 
 
-def _write_parts(fh, rows, render):
-    """Write rows ``[0, rows)`` to ``fh`` as ``render(write, start, stop)`` writes them.
+def _write_parts(fh, items, render):
+    """Write items ``[0, items)`` to ``fh`` as ``render(write, start, stop)`` writes them.
 
-    The rows are cut into as many contiguous parts as there are usable
-    cores, but no more than one per ``_PART_ROWS`` rows. Part 0 is rendered
-    here, straight into ``fh``; each other part is rendered by a forked child
-    into an unnamed temporary file, which is appended to ``fh`` once the
-    child has exited, in row order. Part k runs on the k-th CPU this process
-    may use, and this process is held to the first of them until the write
-    ends: a scheduler need not move a fresh fork off its parent's CPU, and
-    then the parts would take turns on one core. A child that fails makes
-    the write raise ``OSError``; every child is reaped, every temporary file
-    closed and the CPU mask restored whether or not the write succeeds.
+    An item is a row of a CSV table or a sample of a JSON document. ``render``
+    writes the text of the items ``[start, stop)`` together with the literal
+    text that leads them; a render called with ``stop == items`` also writes
+    what follows the last item. The items are cut into as many contiguous
+    parts as there are usable cores, but no more than one per ``_PART_ROWS``
+    items. Part 0 is rendered here, straight into ``fh``; each other part is
+    rendered by a forked child into an unnamed temporary file, which is
+    appended to ``fh`` once the child has exited, in item order. Part k runs
+    on the k-th CPU this process may use, and this process is held to the
+    first of them until the write ends: a scheduler need not move a fresh
+    fork off its parent's CPU, and then the parts would take turns on one
+    core. A child that fails makes the write raise ``OSError``; every child
+    is reaped, every temporary file closed and the CPU mask restored whether
+    or not the write succeeds.
     """
-    parts = max(1, min(_usable_cores(), rows // _PART_ROWS))
+    parts = max(1, min(_usable_cores(), items // _PART_ROWS))
     if parts == 1:
-        render(fh.write, 0, rows)
+        render(fh.write, 0, items)
         return
-    bounds = [rows * k // parts for k in range(parts + 1)]
+    bounds = [items * k // parts for k in range(parts + 1)]
     cpus = os.sched_getaffinity(0)
     # more parts than CPUs only where a test sets the core count
     order = sorted(cpus) * parts
@@ -192,8 +202,8 @@ def _write_parts(fh, rows, render):
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pids.pop(0)
             if status != 0:
-                raise OSError(f"rows {bounds[k]} to {bounds[k + 1]} of the table were not "
-                              f"written: their process exited with status {status}")
+                raise OSError(f"items {bounds[k]} to {bounds[k + 1]} were not written: "
+                              f"their process exited with status {status}")
             part.seek(0)
             shutil.copyfileobj(part, fh, _COPY_CHARS)
     finally:
@@ -202,6 +212,21 @@ def _write_parts(fh, rows, render):
             os.waitpid(pid, 0)
         for part in files:
             part.close()
+
+
+def _write_file(path, items, render):
+    """Write the file at ``path`` through ``_write_parts``; a failed write leaves no file.
+
+    Whatever raises once the file is open (a failed part, an error in the
+    render, a failed flush or close) removes the file before it propagates.
+    """
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            _write_parts(fh, items, render)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path, header, columns):
@@ -215,7 +240,8 @@ def _write_csv(path, header, columns):
     have to quote are refused, and so is a header that does not name every
     column once. The rows are formatted ``_BLOCK_ROWS`` at a time, each block
     from slices of the columns, and a long table is split between processes
-    by ``_write_parts``.
+    by ``_write_parts``: its items are the rows, and the header goes with
+    row 0.
     """
     for name in header:
         if not set(name).isdisjoint(',"\r\n'):
@@ -232,6 +258,8 @@ def _write_csv(path, header, columns):
     template = ",".join("%s" if c.dtype == object else "%.17g" for c in flat) + "\r\n"
 
     def render(write, start, stop):
+        if start == 0:
+            write(",".join(header) + "\r\n")
         for begin in range(start, stop, _BLOCK_ROWS):
             end = min(begin + _BLOCK_ROWS, stop)
             # row-major values of the block: column j fills every width-th slot
@@ -240,9 +268,7 @@ def _write_csv(path, header, columns):
                 values[j::width] = column[begin:end].tolist()
             write(template * (end - begin) % tuple(values))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        _write_parts(fh, rows, render)
+    _write_file(path, rows, render)
 
 
 def save_trajectory_csv(path, trajectory):
@@ -304,76 +330,103 @@ def write_json_report(path, payload):
     """Sorted-keys JSON indented by 2, with a trailing newline; NaN-free.
 
     The bytes are exactly ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"``, but each piece is written as soon as it is
-    encoded. A 1-D float64 array anywhere in the payload is written as its
-    sample list with null for each non-finite sample, encoded ``_SLICE``
-    samples at a time. Anything else that ``json.dumps`` refuses (NaN or
-    infinity outside such an array, any other array, an object with no
-    JSON form) raises as it would there, and so does a dict key that is not
-    a str, which ``json.dumps`` would turn into one. A refused payload
-    leaves no file behind.
+    allow_nan=False) + "\n"``. A 1-D float64 array anywhere in the payload
+    is written as its sample list with null for each non-finite sample.
+    Anything else that ``json.dumps`` refuses (NaN or infinity outside such
+    an array, any other array, an object with no JSON form) raises as it
+    would there, and so does a dict key that is not a str, which
+    ``json.dumps`` would turn into one. Every refusal is made before the file
+    is opened, and a write that fails later leaves no file behind.
+
+    The document goes through ``_write_parts`` as one sequence of items: the
+    samples of all its arrays in document order. A long document is thus
+    split between processes once, whatever the number of arrays in it. An
+    array's samples are encoded ``_SLICE`` at a time, so the text in memory
+    is bounded by the slice, not by the array.
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh.write, payload, "\n")
-            fh.write("\n")
-    except (TypeError, ValueError):
-        Path(path).unlink(missing_ok=True)
-        raise
+    segments, tail = _json_segments(payload)
+    offsets = [0]
+    for _, samples, _ in segments:
+        offsets.append(offsets[-1] + samples.size)
+
+    def render(write, start, stop):
+        for (text, samples, separator), first in zip(segments, offsets):
+            begin, end = max(start, first), min(stop, first + samples.size)
+            if begin >= end:
+                continue
+            # the text up to an array's "[" goes with its first sample
+            if begin == first:
+                write(text)
+            for index in range(begin - first, end - first, _SLICE):
+                part = samples[index:min(index + _SLICE, end - first)]
+                values = part.tolist()
+                for nonfinite in np.flatnonzero(~np.isfinite(part)).tolist():
+                    values[nonfinite] = None
+                encoded = json.dumps(values, separators=(separator, ": "))[1:-1]
+                write(encoded if index == 0 else separator + encoded)
+        if stop == offsets[-1]:
+            write(tail)
+
+    _write_file(path, offsets[-1], render)
 
 
 # samples of an array encoded per json.dumps call: bounds the text in memory
 _SLICE = 4096
 
 
-def _write_json(write, value, newline):
-    """Write one JSON value; ``newline`` is a line break plus the current indent.
+def _json_segments(payload):
+    """The JSON text of ``payload`` cut at its arrays, with every refusal made here.
 
-    Dicts, lists and tuples are walked here, and an array's samples go to
-    the C encoder a slice at a time: with indent set, ``json.dumps`` would
-    fall back to its pure-Python encoder for the whole document.
+    Returns ``(segments, tail)``. Each segment is ``(text, samples,
+    separator)``: the literal text since the previous array, up to and
+    including the next non-empty 1-D float64 array's opening bracket and
+    indent; that array; and the text between two of its samples. ``tail`` is
+    the text after the last array, the final newline included. Dicts, lists
+    and tuples are walked here, so that only scalars and keys go to
+    ``json.dumps``: with indent set, it would fall back to its pure-Python
+    encoder for the whole document.
     """
-    inner = newline + "  "
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-        if not value:
-            write("{}")
-            return
-        opener = "{"
-        for key in sorted(value):
-            write(opener + inner + json.dumps(key) + ": ")
-            _write_json(write, value[key], inner)
-            opener = ","
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        opener = "["
-        for item in value:
-            write(opener + inner)
-            _write_json(write, item, inner)
-            opener = ","
-        write(newline + "]")
-    elif isinstance(value, np.ndarray):
-        if value.ndim != 1 or value.dtype != np.float64:
-            raise TypeError(
-                f"only 1-D float64 arrays are written, not {value.ndim}-D {value.dtype}"
-            )
-        if not value.size:
-            write("[]")
-            return
-        separator = "," + inner
-        opener = "[" + inner
-        for start in range(0, value.size, _SLICE):
-            part = value[start:start + _SLICE]
-            samples = part.tolist()
-            for index in np.flatnonzero(~np.isfinite(part)).tolist():
-                samples[index] = None
-            write(opener + json.dumps(samples, separators=(separator, ": "))[1:-1])
-            opener = separator
-        write(newline + "]")
-    else:
-        write(json.dumps(value, allow_nan=False))
+    segments, text = [], []
+
+    def walk(value, newline):
+        inner = newline + "  "
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            if not value:
+                text.append("{}")
+                return
+            opener = "{"
+            for key in sorted(value):
+                text.append(opener + inner + json.dumps(key) + ": ")
+                walk(value[key], inner)
+                opener = ","
+            text.append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                text.append("[]")
+                return
+            opener = "["
+            for item in value:
+                text.append(opener + inner)
+                walk(item, inner)
+                opener = ","
+            text.append(newline + "]")
+        elif isinstance(value, np.ndarray):
+            if value.ndim != 1 or value.dtype != np.float64:
+                raise TypeError(
+                    f"only 1-D float64 arrays are written, not {value.ndim}-D {value.dtype}"
+                )
+            if not value.size:
+                text.append("[]")
+                return
+            text.append("[" + inner)
+            segments.append(("".join(text), value, "," + inner))
+            text[:] = [newline + "]"]
+        else:
+            text.append(json.dumps(value, allow_nan=False))
+
+    walk(payload, "\n")
+    text.append("\n")
+    return segments, "".join(text)

@@ -458,6 +458,23 @@ def test_an_array_too_large_to_allocate_is_a_refused_config(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("blocked", ["out-under-a-file", "artifact-is-a-directory"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, blocked):
+    """An output directory that cannot be made, or an artifact that cannot be
+    opened, is reported by its cause with status 2, not as a traceback."""
+    path = _write_config(tmp_path, _simulate_config())
+    if blocked == "out-under-a-file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    else:
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dirachydro: cannot write output: [Errno")
+    assert "Traceback" not in err
+
+
 def test_simulate_writes_trajectory_and_fit(tmp_path, capsys):
     path = _write_config(tmp_path, _simulate_config())
     out = tmp_path / "out"

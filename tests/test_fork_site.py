@@ -1,0 +1,86 @@
+"""The package starts processes in one place only: ``io._write_parts``.
+
+Every bulk artifact, CSV table or JSON document, is split between processes
+by that one part writer, which reaps its children, closes their files and
+restores the CPU mask however the write ends. A second writer that forked
+on its own would have to get all of that right again, so this test reads
+the package's source with ``ast`` and requires that ``os.fork`` is called
+only inside ``io._write_parts``, and that no module reaches another way of
+starting a process or thread: a process-starting name of ``os`` (``fork``,
+``forkpty``, ``spawn*``, ``posix_spawn*``), or the ``subprocess``,
+``multiprocessing``, ``concurrent`` or ``threading`` modules.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "dirachydro"
+FORK_SITE = ("io", "_write_parts")
+PARALLEL_MODULES = ("subprocess", "multiprocessing", "concurrent", "threading")
+
+
+def _starts_processes(name):
+    return name.startswith(("fork", "spawn", "posix_spawn"))
+
+
+def _process_uses(source=SOURCE):
+    """(module, enclosing top-level function or class or None, line, what) for
+    every use of a process- or thread-starting name in the package."""
+    uses = []
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "os" and _starts_processes(node.attr)):
+                    uses.append((path.stem, owner, node.lineno, f"os.{node.attr}"))
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    uses.extend((path.stem, owner, node.lineno, f"from os import {alias.name}")
+                                for alias in node.names if _starts_processes(alias.name))
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                uses.extend((path.stem, owner, node.lineno, f"import {module}")
+                            for module in modules
+                            if module.split(".")[0] in PARALLEL_MODULES)
+    return uses
+
+
+def test_os_fork_is_called_only_by_the_part_writer():
+    uses = _process_uses()
+    elsewhere = [use for use in uses if (use[0], use[1]) != FORK_SITE]
+    assert not elsewhere, f"processes started outside io._write_parts: {elsewhere}"
+    assert [what for _, _, _, what in uses] == ["os.fork"]
+
+
+def test_the_check_sees_every_form_it_refuses(tmp_path):
+    """Each refused form, written into a scratch package, is reported."""
+    (tmp_path / "io.py").write_text(
+        "import os\n"
+        "def _write_parts():\n"
+        "    return os.fork()\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "import os\n"
+        "import subprocess\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from os import forkpty\n"
+        "class Writer:\n"
+        "    def write(self):\n"
+        "        return os.fork(), os.posix_spawn\n"
+        "spawn = os.spawnv\n"
+    )
+    found = {(module, owner, what) for module, owner, _, what in _process_uses(tmp_path)}
+    assert found == {
+        ("io", "_write_parts", "os.fork"),
+        ("other", None, "import subprocess"),
+        ("other", None, "import concurrent.futures"),
+        ("other", None, "from os import forkpty"),
+        ("other", "Writer", "os.fork"),
+        ("other", "Writer", "os.posix_spawn"),
+        ("other", None, "os.spawnv"),
+    }

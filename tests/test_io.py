@@ -35,6 +35,7 @@ from dirachydro.io import (
     save_grid_fields,
     save_slice_csv,
     save_trajectory_csv,
+    save_trajectory_json,
     write_json_report,
 )
 
@@ -541,13 +542,16 @@ def test_grid_container_bytes_match_json_dumps(tmp_path):
     assert path.read_bytes() == _reference_json(json.loads(path.read_text()))
 
 
-@pytest.mark.parametrize("payload, error", [
-    ({"v": [1.0, float("nan")]}, ValueError),
-    ({"a": 1, "b": {"c": float("inf")}}, ValueError),
-    ({1: "int key"}, TypeError),
-    ({"a": [1.0], "b": {None: 1.0}}, TypeError),
-    ({"a": {(1, 2): 1.0}}, TypeError),
-], ids=["nan", "inf", "int-key", "none-key", "tuple-key"])
+REFUSED_PAYLOADS = {
+    "nan": ({"v": [1.0, float("nan")]}, ValueError),
+    "inf": ({"a": 1, "b": {"c": float("inf")}}, ValueError),
+    "int-key": ({1: "int key"}, TypeError),
+    "none-key": ({"a": [1.0], "b": {None: 1.0}}, TypeError),
+    "tuple-key": ({"a": {(1, 2): 1.0}}, TypeError),
+}
+
+
+@pytest.mark.parametrize("payload, error", REFUSED_PAYLOADS.values(), ids=REFUSED_PAYLOADS.keys())
 def test_json_writer_refuses_bad_payloads_and_leaves_no_file(tmp_path, payload, error):
     """NaN and infinity raise as in json.dumps; a key json.dumps would rewrite is refused."""
     path = tmp_path / "refused.json"
@@ -609,7 +613,10 @@ def test_json_writer_encodes_float_arrays_in_slices(size, seed, edge_values, nes
         assert path.read_bytes() == _reference_json(reference)
 
 
-@pytest.mark.parametrize("array", [np.zeros((3, 4)), np.arange(5)], ids=["2-d", "int"])
+OTHER_ARRAYS = {"2-d": np.zeros((3, 4)), "int": np.arange(5)}
+
+
+@pytest.mark.parametrize("array", OTHER_ARRAYS.values(), ids=OTHER_ARRAYS.keys())
 def test_json_writer_refuses_other_arrays_and_leaves_no_file(tmp_path, array):
     """Only 1-D float64 arrays have a JSON form here; json.dumps refuses every array."""
     path = tmp_path / "refused.json"
@@ -638,3 +645,142 @@ def test_grid_writer_memory_does_not_grow_with_the_field(tmp_path):
     # the first write in a process allocates once for good; keep it out of the peaks
     _grid_writer_peak(tmp_path, 5)
     assert _grid_writer_peak(tmp_path, 17) <= 1.5 * _grid_writer_peak(tmp_path, 9)
+
+
+REFUSALS = {**REFUSED_PAYLOADS,
+            **{f"{name}-array": ({"f": array}, TypeError) for name, array in OTHER_ARRAYS.items()}}
+
+
+@pytest.mark.parametrize("payload, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refused_json_payload_opens_no_file_and_forks_nothing(tmp_path, monkeypatch,
+                                                               payload, error):
+    """Every refusal is made before the file is opened, even after samples
+    enough for four parts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused payload was written")
+
+    monkeypatch.setattr(dio, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(dio, "_PART_ROWS", 1)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(dio, "open", refuse, raising=False)
+    path = tmp_path / "refused.json"
+    with pytest.raises(error):
+        write_json_report(path, {"a": np.linspace(0.0, 1.0, 64), "b": payload})
+    assert not path.exists()
+
+
+def _json_samples(size, seed):
+    """``size`` float64 samples over the exponent range, with nan, +-inf and
+    signed zero among them and on both sides of every slice boundary."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    awkward = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+    picked = rng.random(size) < 0.05
+    values[picked] = rng.choice(awkward, size=int(picked.sum()))
+    edges = [i for k in range(0, size + _SLICE, _SLICE) for i in (k - 1, k) if 0 <= i < size]
+    values[edges] = rng.choice(awkward, size=len(edges))
+    return values
+
+
+@st.composite
+def _split_documents(draw):
+    """A payload of several arrays, the document json.dumps must write for it,
+    and a part size: arrays on and either side of part and slice boundaries,
+    some empty, at the top, in dicts and in lists, with scalars between them."""
+    part_rows = draw(st.integers(1, 64))
+    sizes = (st.sampled_from([0, 1, part_rows - 1, part_rows, part_rows + 1,
+                              _SLICE - 1, _SLICE, _SLICE + 1])
+             | st.integers(0, 3 * part_rows))
+    scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+               | st.floats(allow_nan=False, allow_infinity=False))
+    payload, reference = {}, {}
+    for k in range(draw(st.integers(1, 4))):
+        values = _json_samples(draw(sizes), draw(st.integers(0, 2**16)))
+        samples = [v if np.isfinite(v) else None for v in values.tolist()]
+        scalar = draw(scalars)
+        payload[f"a{k}"], reference[f"a{k}"] = draw(st.sampled_from([
+            (values, samples),
+            ({"s": scalar, "v": values}, {"s": scalar, "v": samples}),
+            ([scalar, values, {"w": values}], [scalar, samples, {"w": samples}]),
+        ]))
+    return payload, reference, part_rows
+
+
+@_splits
+@settings(max_examples=30)
+@given(document=_split_documents(), cores=st.integers(2, 4))
+def test_json_bytes_do_not_depend_on_the_part_count(document, cores):
+    payload, reference, part_rows = document
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(path):
+            write_json_report(path, payload)
+
+        one = _table_bytes(write, Path(tmp) / "one.json", 1, part_rows)
+        split = _table_bytes(write, Path(tmp) / "split.json", cores, part_rows)
+    assert split == one == _reference_json(reference)
+
+
+@_splits
+def test_full_size_json_bytes_do_not_depend_on_the_part_count(tmp_path):
+    """A 17^4 container of 7 fields and a 45k-step trajectory, split in two
+    at the real part size."""
+    spec = GridSpec(active_axes=(0, 1, 2, 3), shape=(17,) * 4, spacing=(0.05,) * 4)
+    fields = {f"f{k}": _json_samples(17**4, k).reshape(spec.shape) for k in range(7)}
+    traj = _trajectory_table(45_000, 9)
+    for name, write in (("grid.json", lambda path: save_grid_fields(path, spec, fields)),
+                        ("traj.json", lambda path: save_trajectory_json(path, traj))):
+        one = _table_bytes(write, tmp_path / f"one-{name}", 1)
+        split = _table_bytes(write, tmp_path / f"split-{name}", 2)
+        assert split == one
+
+
+class _FailingSamples(np.ndarray):
+    """Float64 samples whose encoding fails in one process: the one that made
+    them (``in_maker``) or any other."""
+
+    def tolist(self):
+        if (os.getpid() == self.maker) == self.in_maker:
+            raise _RenderFailed(f"encoding in process {os.getpid()}")
+        return super().tolist()
+
+
+@_splits
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fails", ["child", "parent"])
+def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, monkeypatch,
+                                                                      fails):
+    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    monkeypatch.setattr(_FailingSamples, "maker", os.getpid(), raising=False)
+    monkeypatch.setattr(_FailingSamples, "in_maker", fails == "parent", raising=False)
+    samples = np.linspace(0.0, 1.0, 12).view(_FailingSamples)
+    fds, cpus = _open_fds(), os.sched_getaffinity(0)
+    path = tmp_path / "t.json"
+    with pytest.raises(OSError if fails == "child" else _RenderFailed):
+        write_json_report(path, {"a": samples, "b": 1})
+    assert not path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == cpus
+
+
+@_splits
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
+    """A part that fails after the file was opened and part 0 written removes the file."""
+    monkeypatch.setattr(dio, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    maker, pin = os.getpid(), os.sched_setaffinity
+
+    def pin_in_the_maker_only(pid, mask):
+        if os.getpid() != maker:
+            raise OSError("no CPU for this part")
+        pin(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin_in_the_maker_only)
+    path = tmp_path / f"traj.{fmt}"
+    save = save_trajectory_csv if fmt == "csv" else save_trajectory_json
+    with pytest.raises(OSError):
+        save(path, _trajectory_table(20, 3))
+    assert not path.exists()

@@ -21,10 +21,6 @@ class FitError(RuntimeError):
     """Precession fit is underdetermined (no precession or too little data)."""
 
 
-class StepSizeError(RuntimeError):
-    """Numerical functional derivative is dominated by roundoff at the requested step."""
-
-
 class NonFiniteResultError(RuntimeError):
     """A computed result came out NaN or infinite."""
 

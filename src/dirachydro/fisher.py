@@ -18,16 +18,17 @@ Varying A with respect to the phase action reproduces the continuity
 residual; varying with respect to rho0 reproduces the quantum
 Hamilton-Jacobi residual including the density terms that emerge from the
 Fisher piece by parts.  Both functional
-derivatives here are numerical (central differences of the action
-integrand, with a fixed step of 1e-6 relative to the varied field): the
-point is to check the variational claim against the independently coded
-continuity residual and quantum potential, so a symbolic derivation would
-share bugs with the thing under test.  The derivatives weight the
-integrand over the depth-1 trusted interior, where samples three apart
-along every axis do not share a weighted stencil, so the grid is coloured
-with stride 3 and all samples of a colour are perturbed at once: 3^d pairs
-of integrand grids per derivative, whatever the sample count, and one more
-pair at half the step for each colour that holds a step-size probe point.
+derivatives here are numerical (complex-step derivatives of the action
+integrand): the point is to check the variational claim against the
+independently coded continuity residual and quantum potential, so a
+symbolic derivation would share bugs with the thing under test.  The
+integrand is holomorphic in the varied field, so an imaginary step of
+1e-30 gives its derivative with nothing subtracted, exact to roundoff at
+any step size, and no step needs scaling or checking.  The derivatives
+weight the integrand over the depth-1 trusted interior, where samples
+three apart along every axis do not share a weighted stencil, so the grid
+is coloured with stride 3 and all samples of a colour are stepped at once:
+3^d complex integrand grids per derivative, whatever the sample count.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import raise_index
-from .errors import ContractError, InsufficientInteriorError, StepSizeError
+from .errors import ContractError
 from .fields import ELECTRON, magnetic_field
 from .hydro import _expanded_bracket, _expanded_lagrangian, _metric_square, _sample_potential
 from .spinors import rest_spin, species_sign
@@ -101,10 +102,11 @@ def _fisher_density(spec, rho, interior):
     """(1/4) d^mu rho d_mu rho / rho, refused unless rho > 0 on the interior.
 
     No integral reads the density outside it, where a rho <= 0 divides as 1.
+    A complex rho (a complex step) is tested on its real part.
     """
-    if np.any(rho[interior] <= 0.0):
+    if np.any(rho.real[interior] <= 0.0):
         raise ContractError("rho must be positive on the trusted interior")
-    return 0.25 * _metric_square(spec, rho) / np.where(rho > 0.0, rho, 1.0)
+    return 0.25 * _metric_square(spec, rho) / np.where(rho.real > 0.0, rho, 1.0)
 
 
 def lagrangian_density(fields, provider, particle=ELECTRON):
@@ -184,25 +186,6 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     )
 
 
-# interior points at which the Richardson probe repeats the difference
-_PROBE_POINTS = 8
-
-
-def _probe_indices(spec):
-    # deterministic spread of interior points for the step-size check
-    try:
-        interior = spec.interior(3)
-    except InsufficientInteriorError:
-        interior = spec.interior(1)
-    sizes = [s.stop - s.start for s in interior]
-    total = int(np.prod(sizes))
-    picks = np.linspace(0, total - 1, min(_PROBE_POINTS, total)).astype(int)
-    return [
-        tuple(int(i) + s.start for i, s in zip(np.unravel_index(flat, sizes), interior))
-        for flat in picks
-    ]
-
-
 # The derivatives weight the integrand with the trapezoid rule over the
 # interior of this depth.
 _DEPTH = 1
@@ -212,8 +195,9 @@ _DEPTH = 1
 # steps, but only at edge samples, which weigh zero at depth 1.
 _REACH = 1
 _STRIDE = 2 * _REACH + 1
-# Step of the central differences, relative to the varied field's scale.
-_EPSILON = 1e-6
+# Imaginary step of the complex-step derivative.  Nothing is subtracted, so
+# roundoff sets no lower bound on it.
+_STEP = 1e-30
 
 
 def _integrand(fields, provider, particle, wrt):
@@ -272,10 +256,11 @@ def _box_sums(values, offsets):
 def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     """Numerical dA/df(x) per grid point, f one of the phase action or rho0.
 
-    Each sample is perturbed by +/- eps, with eps = 1e-6 times the largest
-    |f|, or 1e-6 where that is below one.  The central difference of the
-    action integrand, trapezoid-weighted over the depth-1 trusted interior,
-    is summed and divided by 2 eps times the volume element.  That
+    Each sample is stepped to f + i h, h = 1e-30.  The imaginary part of
+    the action integrand, trapezoid-weighted over the depth-1 trusted
+    interior, is summed and divided by h times the volume element (Squire
+    & Trapp, SIAM Review 40, 1998): the integrand is holomorphic in f, so
+    no difference is taken and the result does not depend on h.  That
     normalization identifies the derivative with the residual density at
     points whose trapezoid weight is the plain volume element; the
     outermost samples carry edge weights and are reported as computed.
@@ -283,20 +268,11 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     A weighted integrand sample reads samples at most one step away (the
     one-sided formulas that read two steps run only at edge samples, which
     weigh zero), so samples three apart along every axis cannot see each
-    other's changes.  The grid is coloured with stride 3 per active axis: each of
-    the 3^d colours is perturbed all at once, one pair of integrand grids
-    per colour, and the weighted change is summed over the 3^d box around
-    each of its samples.  No difference is taken between two large action
-    totals.
-
-    A Richardson probe checks up to eight interior points: each colour
-    that holds one runs the same pass again with eps/2.  Disagreement
-    beyond ten percent (relative, with an absolute floor) means the step
-    is roundoff-dominated and raises StepSizeError.  So does a probe point
-    whose perturbation leaves the integrand around it bitwise unchanged,
-    which would report a derivative of zero.  The cost is 2 * 3^d
-    integrand evaluations plus 2 per probed colour, whatever the sample
-    count.
+    other's steps.  The grid is coloured with stride 3 per active axis:
+    each of the 3^d colours is stepped all at once, one complex integrand
+    grid per colour, and the weighted imaginary part is summed over the
+    3^d box around each of its samples.  The cost is 3^d integrand
+    evaluations, whatever the sample count.
 
     The derivative with respect to rho0 treats the rest density as the
     independent field at fixed spinor shape, matching the variational
@@ -310,56 +286,15 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     interior = spec.interior(_DEPTH)
     weights = spec.trapezoid_weights(_DEPTH)[interior]
     base_field, integrand = _integrand(fields, provider, particle, wrt)
-    eps = _EPSILON * max(1.0, float(np.max(np.abs(base_field))))
+    field = base_field.astype(np.complex128)
 
-    probes = _probe_indices(spec)
-
-    def weighted_change(where, step, windows):
-        # trapezoid-weighted integrand change under base_field[where] +/- step
-        saved = np.array(base_field[where], copy=True)
-        base_field[where] = saved + step
-        plus = integrand(base_field)
-        base_field[where] = saved - step
-        minus = integrand(base_field)
-        base_field[where] = saved
-        for window in windows:
-            if np.array_equal(plus[window], minus[window]):
-                raise StepSizeError(
-                    f"epsilon={_EPSILON:g} leaves the integrand unchanged around a "
-                    "probe point; the derivative there would be identically zero"
-                )
-        change = np.zeros(spec.shape)
-        change[interior] = weights * (plus - minus)[interior]
-        return change
-
-    def window(index):
-        return tuple(slice(max(i - _REACH, 0), i + _REACH + 1) for i in index)
-
+    change = np.zeros(spec.shape)
     out = np.zeros(spec.shape)
-    halves = {}
     for offsets in np.ndindex(*(_STRIDE,) * spec.ndim):
         colour = tuple(slice(c, None, _STRIDE) for c in offsets)
-        held = [p for p in probes if all(i % _STRIDE == c for i, c in zip(p, offsets))]
-        windows = [window(p) for p in held]
-        out[colour] = _box_sums(weighted_change(colour, eps, windows), offsets)
-        if held:
-            half = _box_sums(weighted_change(colour, 0.5 * eps, windows), offsets)
-            halves.update((p, half[tuple(i // _STRIDE for i in p)]) for p in held)
-    out *= sign / (2.0 * eps * volume)
-
-    # Absolute floor keeps stationary configurations (derivative is pure
-    # noise) and zero crossings from tripping the check; a genuinely
-    # roundoff-dominated step produces large mutually inconsistent values
-    # and is still caught by the relative comparison.
-    floor = max(1e-7, 1e-6 * float(np.max(np.abs(out))))
-    for index in probes:
-        d1 = out[index]
-        d2 = sign * halves[index] / (eps * volume)
-        denom = max(abs(d1), abs(d2), floor)
-        if abs(d1 - d2) > 0.1 * denom:
-            raise StepSizeError(
-                f"functional derivative at {index} changes by "
-                f"{abs(d1 - d2) / denom:.2%} under eps/2; epsilon={_EPSILON:g} "
-                "is roundoff-dominated"
-            )
+        field[colour] += 1j * _STEP
+        change[interior] = weights * integrand(field)[interior].imag
+        field[colour] = base_field[colour]
+        out[colour] = _box_sums(change, offsets)
+    out *= sign / (_STEP * volume)
     return out

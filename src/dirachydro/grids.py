@@ -116,9 +116,9 @@ class GridSpec:
         h = self.spacing[ga]
         v = np.moveaxis(values, ga, 0)
         out = np.empty_like(v)
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
         return np.moveaxis(out, 0, ga)
 
     def gradient_lower(self, values):

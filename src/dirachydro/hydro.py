@@ -366,7 +366,7 @@ def _spinor_gradient_correction(e, de_lower, e_de, scalar):
 
 def _metric_square(spec, field):
     """d^mu f d_mu f of a grid field, contracted with the Minkowski metric."""
-    g_lower = spec.gradient_lower(np.asarray(field, dtype=np.float64))
+    g_lower = spec.gradient_lower(field)
     return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
 
 

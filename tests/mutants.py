@@ -1,0 +1,132 @@
+"""Hand-made mutants of the package and the tests that must kill each one.
+
+Each entry of MUTANTS replaces a source fragment that occurs exactly once
+in its module with a plausible mistake, and names the tests that must fail
+on it.  Run the catalogue with
+
+    python tests/mutants.py
+
+It copies ``src/`` to a temporary directory, applies one mutant at a time
+to the copy, and runs only that mutant's killer tests (``pytest -x``)
+against it.  A mutant whose killers all pass survives; the runner prints
+every survivor and exits 1 if one survives or a killer run errors.  ``tests/test_mutants.py``
+checks that the catalogue still matches the sources, without running it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str          # relative to src/
+    fragment: str      # occurs exactly once in the file
+    replacement: str
+    killers: tuple     # pytest node ids without parameters, "tests/<file>::<function>"
+
+
+# per-sample real central difference: sees any non-holomorphic step, on every grid
+_ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loop"
+
+MUTANTS = (
+    Mutant(
+        name="S integrand contracts the conjugated bracket",
+        path="dirachydro/fisher.py",
+        fragment="raise_index(bracket), bracket)",
+        replacement="raise_index(bracket).conj(), bracket)",
+        killers=(_ORACLE, "tests/test_fisher.py::test_phase_closure_is_exact_to_roundoff"),
+    ),
+    Mutant(
+        name="Fisher density divides by the real part of rho",
+        path="dirachydro/fisher.py",
+        fragment="np.where(rho.real > 0.0, rho, 1.0)",
+        replacement="np.where(rho.real > 0.0, rho.real, 1.0)",
+        killers=(_ORACLE, "tests/test_fisher.py::test_functional_derivatives_reproduce_residual_grids"),
+    ),
+    Mutant(
+        name="derivative reads the real part of the stepped integrand",
+        path="dirachydro/fisher.py",
+        fragment="integrand(field)[interior].imag",
+        replacement="integrand(field)[interior].real",
+        killers=(_ORACLE,),
+    ),
+    Mutant(
+        name="colour keeps its step after its pass",
+        path="dirachydro/fisher.py",
+        fragment="        field[colour] = base_field[colour]\n",
+        replacement="",
+        killers=(_ORACLE, "tests/test_fisher.py::test_phase_closure_is_exact_to_roundoff"),
+    ),
+    Mutant(
+        name="_metric_square casts its field to float64",
+        path="dirachydro/hydro.py",
+        fragment="g_lower = spec.gradient_lower(field)",
+        replacement="g_lower = spec.gradient_lower(np.asarray(field, dtype=np.float64))",
+        killers=(_ORACLE,),
+    ),
+    Mutant(
+        name="second_partial squares the spacing with a float power",
+        path="dirachydro/grids.py",
+        fragment="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)",
+        replacement="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2",
+        killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
+    ),
+)
+
+
+def apply(mutant, source_root):
+    """Write the mutant into the copy of src/ at source_root."""
+    path = Path(source_root) / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.fragment) != 1:
+        raise ValueError(f"{mutant.name}: fragment must occur exactly once in {mutant.path}")
+    path.write_text(text.replace(mutant.fragment, mutant.replacement), encoding="utf-8")
+
+
+def run_killers(mutant, source_root):
+    """pytest's exit status on the mutated copy: 1 killed, 0 survived, else an error."""
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={source_root}", *mutant.killers],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    return child.returncode
+
+
+def main():
+    start = time.perf_counter()
+    survivors, errors = [], []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        copy = Path(scratch) / "src"
+        for mutant in MUTANTS:
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            apply(mutant, copy)
+            began = time.perf_counter()
+            status = run_killers(mutant, copy)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"error (pytest exit {status})")
+            print(f"{verdict:<8}  {time.perf_counter() - began:5.1f} s  {mutant.name}")
+            if status == 0:
+                survivors.append(mutant)
+            elif status != 1:
+                errors.append(mutant)
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, {len(errors)} errors, "
+          f"{time.perf_counter() - start:.1f} s")
+    for mutant in survivors:
+        print(f"survivor: {mutant.name} ({mutant.path})")
+    return 1 if survivors or errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

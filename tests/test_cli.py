@@ -741,6 +741,22 @@ def test_overflow_exits_as_numerical_failure(tmp_path, capsys, payload, quantity
     assert not any(out.iterdir())
 
 
+def test_spacing_whose_square_overflows_names_the_residual(tmp_path):
+    # h**2 of a Python float raised OverflowError, reported as
+    # "(34, 'Numerical result out of range')" with no quantity named
+    payload = _residuals_config()
+    payload["grid"]["spacing"] = [1e300, 0.1]
+    path = _write_config(tmp_path, payload)
+    child = subprocess.run(
+        [sys.executable, "-m", "dirachydro.cli", "--config", path,
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert child.returncode == 3
+    assert "numerical failure" in child.stderr and "qhj_bilinear" in child.stderr
+    assert "Traceback" not in child.stderr
+
+
 @pytest.mark.parametrize("block, key", [("fields", "amplitude"), ("particle", "mass")])
 def test_integer_beyond_float64_exits_as_numerical_failure(tmp_path, capsys, block, key):
     # the particle converts its constants in cli, the plane wave its own amplitude

@@ -37,7 +37,6 @@ import numpy as np
 from .dynamics import DynState, fit_precession_frequency, integrate
 from .errors import ContractError, FitError, InstabilityError, NonFiniteResultError
 from .fields import Particle, ZERO_FIELD, provider_from_config
-from .fisher import action_functional
 from .grids import GridSpec
 from .hydro import (
     first_order_residuals,
@@ -60,7 +59,6 @@ from .manufactured import (
 )
 from .schema import schema_errors
 from .spinors import _PARAM_NAMES, species_sign
-from .verification import run_all
 
 __all__ = ["load_schema", "validate_config", "run", "main"]
 
@@ -122,6 +120,9 @@ def _grid_state(config, seed):
 
 
 def _cmd_verify(config, seed, out_dir, fmt):
+    # imported here: only verify runs the suites, and they pull in lagrangian
+    from .verification import run_all
+
     suites = run_all(seed, **config.get("verify", {}))
     results = [suite.as_dict() for suite in suites]
     max_abs = {suite.name: suite.max_abs_residual for suite in suites}
@@ -282,6 +283,9 @@ def _cmd_residuals(config, seed, out_dir, fmt):
 
 
 def _cmd_fisher(config, seed, out_dir, fmt):
+    # imported here: only fisher evaluates the action functional
+    from .fisher import action_functional
+
     particle, provider, fields = _grid_state(config, seed)
     depth = config.get("fisher", {}).get("depth", 1)
 

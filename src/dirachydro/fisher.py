@@ -146,7 +146,10 @@ def pauli_limit_density(fields, provider, particle=ELECTRON):
         + weight[..., np.newaxis]
         * spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))
     )
-    bracket_lower = spec.gradient_lower(fields.S) + q * A_lower + hbar * internal
+    # the gradients add into the active slots; the inactive ones hold q A_mu
+    bracket_lower = q * A_lower
+    bracket_lower[..., spec.active_slots] += spec.gradient_lower(fields.S)
+    bracket_lower[..., spec.active_slots] += hbar * internal
     bb = np.einsum(
         "...m,...m->...", raise_index(bracket_lower), bracket_lower
     )
@@ -154,12 +157,12 @@ def pauli_limit_density(fields, provider, particle=ELECTRON):
     # at rest the rest-frame field is B itself
     coupling = hbar * q * np.einsum("...i,...i->...", magnetic_field(F), rest_spin(params))
 
-    shape_terms = hbar**2 * (
+    shape_terms = hbar * hbar * (
         0.25 * _metric_square(spec, theta)
         - 0.25 * _metric_square(spec, params.chi)
         + 0.25 * np.sin(theta) ** 2 * _metric_square(spec, params.phi)
     )
-    return bb - particle.mass**2 + coupling + shape_terms
+    return bb - particle.mass * particle.mass + coupling + shape_terms
 
 
 def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
@@ -173,7 +176,7 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
     spec = fields.spec
     rho0 = fields.rho0
     information = fisher_information(spec, rho0, depth=depth)
-    fisher_term = sign * particle.hbar**2 * information
+    fisher_term = sign * (particle.hbar * particle.hbar) * information
     lagr_integrand = rho0 * lagrangian_density(fields, provider, particle)
     lagrangian_term = sign * spec.integrate(lagr_integrand, depth=depth)
     volume = float(np.prod(spec.spacing))
@@ -213,11 +216,13 @@ def _integrand(fields, provider, particle, wrt):
 
     if wrt == "S":
         # only the momentum bracket depends on S, so no other term of L is built
-        bracket_lower = _expanded_bracket(fields, provider, particle)[0]
-        base_lower = bracket_lower - spec.gradient_lower(fields.S)
+        base_lower = _expanded_bracket(fields, provider, particle)[0]
+        base_lower[..., spec.active_slots] -= spec.gradient_lower(fields.S)
 
         def integrand(field):
-            bracket = base_lower + spec.gradient_lower(field)
+            d_field = spec.gradient_lower(field)
+            bracket = base_lower.astype(d_field.dtype)  # complex for a stepped field
+            bracket[..., spec.active_slots] += d_field
             return rho0_base * np.einsum("...m,...m->...", raise_index(bracket), bracket)
 
         return np.array(fields.S, copy=True), integrand
@@ -227,7 +232,7 @@ def _integrand(fields, provider, particle, wrt):
 
     def integrand(field):
         # L is independent of rho0
-        return field * lagrangian + hbar**2 * _fisher_density(spec, field, interior)
+        return field * lagrangian + hbar * hbar * _fisher_density(spec, field, interior)
 
     return np.array(rho0_base, copy=True), integrand
 

@@ -1,11 +1,12 @@
 """Rectangular spacetime grids with second-order differencing.
 
 A GridSpec activates a subset of the four coordinate axes; fields vary
-only along active axes and derivatives along inactive ones are identically
-zero. Interior stencils are central and the boundary layer uses one-sided
-second-order formulas, but boundary values are still less trustworthy in
-compounded expressions, so every consumer states a trusted interior depth
-and reductions respect it.
+only along active axes, so derivatives exist only along them: a gradient
+has one slot per active axis, in active_axes order, and none is formed for
+an inactive axis. Interior stencils are central and the boundary layer
+uses one-sided second-order formulas, but boundary values are still less
+trustworthy in compounded expressions, so every consumer states a trusted
+interior depth and reductions respect it.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class GridSpec:
         return out
 
     def _grid_axis(self, spacetime_axis):
-        if spacetime_axis in self.active_axes:
-            return self.active_axes.index(spacetime_axis)
-        return None
+        if spacetime_axis not in self.active_axes:
+            raise ContractError(f"axis {spacetime_axis} is not active on this grid")
+        return self.active_axes.index(spacetime_axis)
 
     def _check_field(self, values):
         values = np.asarray(values)
@@ -99,20 +100,45 @@ class GridSpec:
             )
         return values
 
+    @property
+    def active_slots(self):
+        """Index of the active axes' components on a four-vector's last axis.
+
+        A basic slice (indexing with it gives a view) when the active axes
+        are contiguous, else their list.  Gradient slot k pairs with
+        four-vector component active_axes[k].
+        """
+        first, last = self.active_axes[0], self.active_axes[-1]
+        if last - first + 1 == self.ndim:
+            return slice(first, last + 1)
+        return list(self.active_axes)
+
+    @property
+    def spatial_slots(self):
+        """The gradient slots that the Minkowski metric negates, as a slice.
+
+        t is the only axis with a plus sign, and when active it is slot 0,
+        so the spatial axes are the slots after it.
+        """
+        return slice(1 if self.active_axes[0] == 0 else 0, None)
+
+    def raise_gradient(self, g_lower):
+        """d^mu f from d_mu f: a copy with the spatial slots (grid axis ndim) negated."""
+        out = np.array(g_lower, copy=True)
+        index = (slice(None),) * self.ndim + (self.spatial_slots,)
+        out[index] = -out[index]
+        return out
+
     def partial(self, values, spacetime_axis):
-        """d/dx^mu with the plain coordinate derivative (no metric sign)."""
+        """d/dx^mu along an active axis, the plain coordinate derivative (no metric sign)."""
         values = self._check_field(values)
         ga = self._grid_axis(spacetime_axis)
-        if ga is None:
-            return np.zeros_like(values)
         return np.gradient(values, self.spacing[ga], axis=ga, edge_order=2)
 
     def second_partial(self, values, spacetime_axis):
-        """Second coordinate derivative, central inside, one-sided at edges."""
+        """Second coordinate derivative along an active axis, central inside, one-sided at edges."""
         values = self._check_field(values)
         ga = self._grid_axis(spacetime_axis)
-        if ga is None:
-            return np.zeros_like(values)
         h = self.spacing[ga]
         v = np.moveaxis(values, ga, 0)
         out = np.empty_like(v)
@@ -122,9 +148,16 @@ class GridSpec:
         return np.moveaxis(out, 0, ga)
 
     def gradient_lower(self, values):
-        """All four d_mu f on a new axis after the grid axes; a spinor's are grid + (4, 4)."""
+        """d_mu f along each active axis, on a new axis after the grid axes.
+
+        The slots follow active_axes, so a scalar field's gradient is
+        grid + (ndim,) and a spinor's grid + (ndim, 4).
+        """
         values = self._check_field(values)
-        return np.stack([self.partial(values, a) for a in range(4)], axis=self.ndim)
+        return np.stack(
+            [np.gradient(values, h, axis=ga, edge_order=2) for ga, h in enumerate(self.spacing)],
+            axis=self.ndim,
+        )
 
     def divergence(self, vec_upper):
         """d_mu V^mu for a field of contravariant four-vectors (..., 4)."""

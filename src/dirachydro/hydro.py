@@ -219,23 +219,26 @@ def first_order_residuals(fields, provider, particle=ELECTRON):
 
     ratio = current / scalar[..., np.newaxis]
     dS_lower = spec.gradient_lower(fields.S)
-    convective = np.einsum("...m,...m->...", ratio, dS_lower)
+    convective = np.einsum("...m,...m->...", ratio[..., spec.active_slots], dS_lower)
 
     coupling = particle.charge * np.einsum("...m,...m->...", ratio, A_lower)
 
-    spinor_term = particle.hbar * np.imag(_slashed(ebar, de_lower)) / scalar
+    spinor_term = particle.hbar * np.imag(_slashed(ebar, de_lower, spec.active_axes)) / scalar
 
     hj = convective + particle.mass + coupling + spinor_term
     return FirstOrderResiduals(continuity=continuity, hamilton_jacobi=hj)
 
 
-def _slashed(ebar, de_lower):
-    """ebar gamma^mu d_mu e, with gamma^mu d_mu e summed from the index tables."""
+def _slashed(ebar, de_lower, axes):
+    """ebar gamma^mu d_mu e over the active axes, gamma^mu d_mu e summed from the index tables.
+
+    Slot k of de_lower is the derivative along spacetime axis axes[k].
+    """
     slashed_e = np.zeros(ebar.shape, dtype=np.complex128)
-    for mu in range(4):
+    for k, mu in enumerate(axes):
         # one component at a time: no temporary larger than one grid
         for a, (b, c) in enumerate(zip(_GAMMA_PERM[mu], _GAMMA_COEFF[mu])):
-            slashed_e[..., a] += c * de_lower[..., mu, b]
+            slashed_e[..., a] += c * de_lower[..., k, b]
     return np.einsum("...a,...a->...", ebar, slashed_e)
 
 
@@ -272,7 +275,8 @@ def quantum_potential(spec, rho0, hbar=1.0):
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
     safe, halo = _vacuum(rho0)
     root = np.sqrt(safe)
-    q = -(0.5 * float(hbar) ** 2) * spec.dalembertian(root) / root
+    hbar = float(hbar)
+    q = -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root
     return np.ma.MaskedArray(q, mask=halo)
 
 
@@ -285,7 +289,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     no use of the closed-form parameter expressions.  This is the reference
     the expanded evaluator is calibrated against.
 
-    Each term with a (grid, 4, 4) temporary is built in a helper of its own,
+    Each term with a (grid, ndim, 4) temporary is built in a helper of its own,
     so those temporaries are freed as soon as the term is formed.
     """
     spec = fields.spec
@@ -299,24 +303,27 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
 
     # ebar d_mu e, read by the momentum bracket and the gradient correction
     e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
-    combo = _spinor_gradient_correction(e, de_lower, e_de, scalar)
+    combo = _spinor_gradient_correction(spec, e, de_lower, e_de, scalar)
     rho_terms, halo = _density_terms(spec, rho0, hbar)
 
     A_lower, F = _sample_potential(provider, spec.points())[1:]
     cterm = _field_coupling(e, ebar, scalar, F, hbar, q)
 
-    # momentum bracket B_mu = d_mu S + q A_mu + hbar Im{ebar d_mu e}/(ebar e)
+    # momentum bracket B_mu = d_mu S + q A_mu + hbar Im{ebar d_mu e}/(ebar e); the
+    # gradients add into the active slots, the inactive ones hold q A_mu
     internal = np.imag(e_de) / scalar[..., np.newaxis]
-    bracket_lower = spec.gradient_lower(fields.S) + q * A_lower + hbar * internal
+    bracket_lower = q * A_lower
+    bracket_lower[..., spec.active_slots] += spec.gradient_lower(fields.S)
+    bracket_lower[..., spec.active_slots] += hbar * internal
     bracket_upper = raise_index(bracket_lower)
 
     continuity = spec.divergence(rho0[..., np.newaxis] * bracket_upper)
 
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
-    qhj = bb - m**2 + np.real(cterm) + rho_terms + hbar**2 * np.real(combo)
+    qhj = bb - m * m + np.real(cterm) + rho_terms + hbar * hbar * np.real(combo)
     qhj[halo] = np.nan
-    qhj_imag = np.imag(cterm) + hbar**2 * np.imag(combo)
+    qhj_imag = np.imag(cterm) + hbar * hbar * np.imag(combo)
     return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
 
 
@@ -344,22 +351,24 @@ def _density_terms(spec, rho0, hbar):
     # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
     # density is ever squared (rho0**2 flushes to zero below about 1e-162)
     drho_norm = spec.gradient_lower(rho0) / safe[..., np.newaxis]
-    drho_sq = np.einsum("...m,...m->...", raise_index(drho_norm), drho_norm)
+    drho_sq = np.einsum("...m,...m->...", spec.raise_gradient(drho_norm), drho_norm)
     box_rho = spec.dalembertian(rho0)
-    return hbar**2 * (0.25 * drho_sq - 0.5 * box_rho / safe), halo
+    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / safe), halo
 
 
-def _spinor_gradient_correction(e, de_lower, e_de, scalar):
+def _spinor_gradient_correction(spec, e, de_lower, e_de, scalar):
     """Spinor-gradient correction, complex, from the differenced spinor field:
 
     d^mu ebar d_mu e / ebar e - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2
+
+    summed over the active axes, the slots of de_lower and e_de.
     """
     debar_lower = _adjoint(de_lower)
     de_bar_e = np.einsum("...ma,...a->...m", debar_lower, e)
-    cross = np.einsum("...m,...m->...", raise_index(de_bar_e), e_de)
+    cross = np.einsum("...m,...m->...", spec.raise_gradient(de_bar_e), e_de)
     # raised in place: debar_lower has no reader left
     debar_upper = debar_lower
-    debar_upper[..., 1:4, :] *= -1.0
+    debar_upper[..., spec.spatial_slots, :] *= -1.0
     grad_sq = np.einsum("...ma,...ma->...", debar_upper, de_lower)
     return grad_sq / scalar - cross / scalar**2
 
@@ -367,7 +376,7 @@ def _spinor_gradient_correction(e, de_lower, e_de, scalar):
 def _metric_square(spec, field):
     """d^mu f d_mu f of a grid field, contracted with the Minkowski metric."""
     g_lower = spec.gradient_lower(field)
-    return np.einsum("...m,...m->...", raise_index(g_lower), g_lower)
+    return np.einsum("...m,...m->...", spec.raise_gradient(g_lower), g_lower)
 
 
 def expanded_terms(fields, provider, particle=ELECTRON):
@@ -396,12 +405,12 @@ def expanded_terms(fields, provider, particle=ELECTRON):
     hbar = particle.hbar
     params = fields.params
     gamma = np.asarray(fields.gamma, dtype=np.float64)
-    h2 = hbar**2
+    h2 = hbar * hbar
 
     bracket_lower, F, sigma12 = _expanded_bracket(fields, provider, particle)
     bb = np.einsum("...m,...m->...", raise_index(bracket_lower), bracket_lower)
     terms = {
-        "momentum": bb - particle.mass**2,
+        "momentum": bb - particle.mass * particle.mass,
         "magnetic": _rest_frame_coupling(params, gamma, F, hbar, particle.charge),
         "theta_gradient": h2 * 0.5 * (gamma + 1.0) * _metric_square(spec, params.theta),
         "kappa_gradient": h2 * 0.5 * (gamma - 1.0) * _metric_square(spec, params.kappa),
@@ -441,7 +450,10 @@ def _expanded_bracket(fields, provider, particle):
     dphi_lower = spec.gradient_lower(np.asarray(params.phi, dtype=np.float64))
     deta0_lower = spec.gradient_lower(np.asarray(params.eta0, dtype=np.float64))
     internal = deta0_lower + weight[..., np.newaxis] * dphi_lower
-    bracket_lower = dS_lower + particle.charge * A_lower + particle.hbar * internal
+    # the gradients add into the active slots; the inactive ones hold q A_mu
+    bracket_lower = particle.charge * A_lower
+    bracket_lower[..., spec.active_slots] += dS_lower
+    bracket_lower[..., spec.active_slots] += particle.hbar * internal
     return bracket_lower, F, sigma12
 
 
@@ -504,20 +516,20 @@ def squared_dirac_residual(fields, provider, particle=ELECTRON):
     box_psi = spec.dalembertian(psi)
     div_A = spec.divergence(A)
     dpsi_lower = spec.gradient_lower(psi)
-    A_dot_dpsi = np.einsum("...m,...mc->...c", A, dpsi_lower)
+    A_dot_dpsi = np.einsum("...m,...mc->...c", A[..., spec.active_slots], dpsi_lower)
     A_sq = minkowski_dot(A, A)
 
     covariant = (
         box_psi
         + 1j * (q / hbar) * (div_A[..., np.newaxis] * psi + 2.0 * A_dot_dpsi)
-        - (q / hbar) ** 2 * A_sq[..., np.newaxis] * psi
+        - (q / hbar) * (q / hbar) * A_sq[..., np.newaxis] * psi
     )
 
     F_lower = lower_both(F)
     matrix = np.einsum("mnab,...mn->...ab", _GAMMA_PAIR, F_lower)
     op_psi = (
-        hbar**2 * covariant
-        + m**2 * psi
+        hbar * hbar * covariant
+        + m * m * psi
         + (0.5j * hbar * q) * np.einsum("...ab,...b->...a", matrix, psi)
     )
     return np.einsum("...a,...a->...", _adjoint(psi), op_psi)

@@ -76,6 +76,44 @@ MUTANTS = (
         killers=(_ORACLE,),
     ),
     Mutant(
+        name="_slashed reads gradient slot k as spacetime axis mu",
+        path="dirachydro/hydro.py",
+        fragment="slashed_e[..., a] += c * de_lower[..., k, b]",
+        replacement="slashed_e[..., a] += c * de_lower[..., mu, b]",
+        killers=("tests/test_hydro.py::test_slashed_term_matches_the_dense_contraction",),
+    ),
+    Mutant(
+        name="the metric negates the time slot too",
+        path="dirachydro/grids.py",
+        fragment="return slice(1 if self.active_axes[0] == 0 else 0, None)",
+        replacement="return slice(0, None)",
+        killers=("tests/test_grids.py::test_gradient_has_one_bitwise_slot_per_active_axis",
+                 "tests/test_hydro.py::test_gradient_contractions_match_a_zero_padded_four_axis_reference",
+                 "tests/test_hydro.py::test_expanded_matches_bilinear_on_smooth_fields"),
+    ),
+    Mutant(
+        name="active slots taken as the first ndim components",
+        path="dirachydro/grids.py",
+        fragment="        return list(self.active_axes)\n",
+        replacement="        return list(range(self.ndim))\n",
+        killers=("tests/test_grids.py::test_gradient_has_one_bitwise_slot_per_active_axis",),
+    ),
+    Mutant(
+        name="expanded bracket adds dS into the first ndim slots",
+        path="dirachydro/hydro.py",
+        fragment="bracket_lower[..., spec.active_slots] += dS_lower",
+        replacement="bracket_lower[..., : spec.ndim] += dS_lower",
+        killers=("tests/test_hydro.py::test_expanded_matches_bilinear_on_smooth_fields",),
+    ),
+    Mutant(
+        name="bilinear bracket adds the internal current into the first ndim slots",
+        path="dirachydro/hydro.py",
+        fragment="bracket_lower[..., spec.active_slots] += hbar * internal",
+        replacement="bracket_lower[..., : spec.ndim] += hbar * internal",
+        killers=("tests/test_hydro.py::test_expanded_matches_bilinear_on_smooth_fields",
+                 "tests/test_hydro.py::test_squared_operator_reproduces_bilinear_residuals"),
+    ),
+    Mutant(
         name="second_partial squares the spacing with a float power",
         path="dirachydro/grids.py",
         fragment="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)",

@@ -757,6 +757,28 @@ def test_spacing_whose_square_overflows_names_the_residual(tmp_path):
     assert "Traceback" not in child.stderr
 
 
+@pytest.mark.parametrize("demo, key, quantity", [
+    ("plane_wave_residuals", "mass", "max_abs_residuals/qhj_bilinear"),
+    ("fisher_perturbed_wave", "hbar", "results/functional/fisher_term"),
+], ids=["residuals-mass", "fisher-hbar"])
+def test_particle_constant_whose_square_overflows_names_the_quantity(tmp_path, capsys, demo,
+                                                                     key, quantity):
+    # m**2 and hbar**2 of a Python float raised OverflowError, reported as
+    # "(34, 'Numerical result out of range')" with no quantity named
+    payload = json.loads((DEMO_CONFIGS / f"{demo}.json").read_text())
+    payload.setdefault("particle", {})[key] = 1e200
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and quantity in err
+    assert "out of range" not in err and "Warning" not in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("block, key", [("fields", "amplitude"), ("particle", "mass")])
 def test_integer_beyond_float64_exits_as_numerical_failure(tmp_path, capsys, block, key):
     # the particle converts its constants in cli, the plane wave its own amplitude

@@ -6,9 +6,13 @@ cases are tested with tight tolerances, smooth-function cases through the
 measured convergence order.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from conftest import measured_order
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirachydro.errors import ContractError, InsufficientInteriorError
 from dirachydro.grids import GridSpec
@@ -55,8 +59,9 @@ def test_partial_exact_on_quadratics():
     f = 1.0 + 2.0 * t - 3.0 * x + 0.5 * t**2 + t * x - 0.25 * x**2
     np.testing.assert_allclose(spec.partial(f, 0), 2.0 + t + x, atol=1e-11)
     np.testing.assert_allclose(spec.partial(f, 1), -3.0 + t - 0.5 * x, atol=1e-11)
-    # inactive axis: derivative vanishes identically
-    np.testing.assert_array_equal(spec.partial(f, 2), np.zeros_like(f))
+    # an inactive axis has no derivative
+    with pytest.raises(ContractError):
+        spec.partial(f, 2)
 
 
 def test_second_partial_exact_on_quadratics():
@@ -66,7 +71,8 @@ def test_second_partial_exact_on_quadratics():
     f = 0.5 * t**2 - 0.25 * x**2 + t * x
     np.testing.assert_allclose(spec.second_partial(f, 0), 1.0, atol=1e-10)
     np.testing.assert_allclose(spec.second_partial(f, 1), -0.5, atol=1e-10)
-    np.testing.assert_array_equal(spec.second_partial(f, 3), np.zeros_like(f))
+    with pytest.raises(ContractError):
+        spec.second_partial(f, 3)
 
 
 def test_gradient_index_placement():
@@ -84,12 +90,43 @@ def test_gradient_of_a_spinor_field_puts_mu_before_the_components():
     rng = np.random.default_rng(4)
     values = rng.normal(size=spec.shape + (4,)) + 1j * rng.normal(size=spec.shape + (4,))
     lower = spec.gradient_lower(values)
-    assert lower.shape == spec.shape + (4, 4)
+    # one slot per active axis, none for the inactive x and z
+    assert lower.shape == spec.shape + (2, 4)
     assert lower.dtype == np.complex128
-    for a in spec.active_axes:
-        assert lower[..., a, :].tobytes() == spec.partial(values, a).tobytes()
-    for a in (1, 3):
-        assert not np.any(lower[..., a, :])
+    for k, h in enumerate(spec.spacing):
+        expected = np.gradient(values, h, axis=k, edge_order=2)
+        assert lower[..., k, :].tobytes() == expected.tobytes()
+
+
+_AXIS_SUBSETS = [axes for n in range(1, 5) for axes in combinations(range(4), n)]
+
+
+@settings(max_examples=60)
+@given(axes=st.sampled_from(_AXIS_SUBSETS), data=st.data())
+def test_gradient_has_one_bitwise_slot_per_active_axis(axes, data):
+    """Every increasing subset of 1-4 axes, (0, 2) and (1, 3) among them.
+
+    Slot k is np.gradient along grid axis k, bit for bit, and lies at
+    four-vector component axes[k] of the active slots.
+    """
+    shape = tuple(data.draw(st.integers(5, 8)) for _ in axes)
+    spacing = tuple(data.draw(st.floats(0.01, 2.0)) for _ in axes)
+    spinor = data.draw(st.booleans())
+    spec = GridSpec(active_axes=axes, shape=shape, spacing=spacing)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape + ((4,) if spinor else ()))
+    if spinor:
+        values = values + 1j * rng.normal(size=values.shape)
+    lower = spec.gradient_lower(values)
+    assert lower.shape == shape + (len(axes),) + values.shape[len(axes):]
+    assert lower.dtype == values.dtype
+    for k, (axis, h) in enumerate(zip(axes, spacing)):
+        expected = np.gradient(values, h, axis=k, edge_order=2)
+        assert np.take(lower, k, axis=len(axes)).tobytes() == expected.tobytes()
+        assert spec.partial(values, axis).tobytes() == expected.tobytes()
+    assert np.arange(4)[spec.active_slots].tolist() == list(axes)
+    signs = spec.raise_gradient(np.ones(shape + (len(axes),)))[(0,) * len(axes)]
+    assert signs.tolist() == [1.0 if axis == 0 else -1.0 for axis in axes]
 
 
 def test_divergence_of_linear_vector_field():

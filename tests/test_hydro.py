@@ -1,5 +1,6 @@
 """Grid field sets, hydrodynamic residual evaluators, quantum potential."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirachydro import hydro
-from dirachydro.clifford import GAMMA, _GAMMA_PAIR, lower_both
+from dirachydro.clifford import GAMMA, METRIC, _GAMMA_PAIR, _adjoint, lower_both
 from dirachydro.errors import ContractError
 from dirachydro.fields import (
     ELECTRON,
@@ -149,12 +150,13 @@ def test_expanded_matches_bilinear_on_smooth_fields():
     differ only through products of finite-difference errors, far below the
     size of either residual's own truncation error.
     """
-    spec = GridSpec(active_axes=(0, 1), shape=(25, 25), spacing=(0.01, 0.01))
     provider = UniformField(
         E0=np.array([0.02, 0.0, 0.01]), B0=np.array([0.0, 0.0, 0.6])
     )
-    interior = spec.trusted_mask(depth=3)
-    for seed in (0, 3, 11):
+    # (0, 2) and (1, 3) put the gradient slots apart from the four-vector components
+    for axes, seed in itertools.product([(0, 1), (0, 2), (1, 3)], (0, 3, 11)):
+        spec = GridSpec(active_axes=axes, shape=(25, 25), spacing=(0.01, 0.01))
+        interior = spec.trusted_mask(depth=3)
         fields = seeded_manufactured_fields(spec, seed=seed)
         bil = second_order_residuals_bilinear(fields, provider)
         exp = second_order_residuals_expanded(fields, provider)
@@ -175,23 +177,25 @@ def test_squared_operator_reproduces_bilinear_residuals(kind, sign):
     differences psi itself, so this is an independent check of the
     bilinear evaluator.
     """
-    spec = GridSpec(active_axes=(0, 1), shape=(25, 25), spacing=(0.01, 0.01))
     provider = UniformField(
         E0=np.array([0.02, 0.0, 0.01]), B0=np.array([0.0, 0.0, 0.6])
     )
-    fields = seeded_manufactured_fields(spec, seed=3, kind=kind)
-    op = squared_dirac_residual(fields, provider)
-    bil = second_order_residuals_bilinear(fields, provider)
-    interior = spec.trusted_mask(depth=3)
-    qhj_from_op = -op.real / (sign * fields.rho0)
-    np.testing.assert_allclose(
-        qhj_from_op[interior], bil.qhj[interior], atol=1e-4
-    )
-    np.testing.assert_allclose(
-        (sign * op.imag / ELECTRON.hbar)[interior],
-        bil.continuity[interior],
-        atol=1e-6,
-    )
+    for axes in [(0, 1), (0, 2), (1, 3)]:
+        spec = GridSpec(active_axes=axes, shape=(25, 25), spacing=(0.01, 0.01))
+        fields = seeded_manufactured_fields(spec, seed=3, kind=kind)
+        op = squared_dirac_residual(fields, provider)
+        bil = second_order_residuals_bilinear(fields, provider)
+        interior = spec.trusted_mask(depth=3)
+        qhj_from_op = -op.real / (sign * fields.rho0)
+        np.testing.assert_allclose(
+            qhj_from_op[interior], bil.qhj[interior], atol=1e-4, err_msg=str(axes)
+        )
+        np.testing.assert_allclose(
+            (sign * op.imag / ELECTRON.hbar)[interior],
+            bil.continuity[interior],
+            atol=1e-6,
+            err_msg=str(axes),
+        )
 
 
 @pytest.mark.parametrize("kind", ["particle", "antiparticle"])
@@ -424,15 +428,58 @@ def _random_spinors(rng, shape):
 
 
 def test_slashed_term_matches_the_dense_contraction():
-    """ebar gamma^mu d_mu e against the dense gamma table it no longer reads."""
+    """ebar gamma^mu d_mu e over the active mu, against the dense gamma table it no longer reads."""
     rng = np.random.default_rng(23)
-    for shape in [(), (40,), (5, 6)]:
+    for axes, shape in itertools.product([(0, 1, 2, 3), (0, 1), (0, 2), (1, 3), (2,)],
+                                         [(), (40,), (5, 6)]):
         ebar = _random_spinors(rng, shape) @ GAMMA[0]
-        de = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
-        dense = np.einsum("...a,mab,...mb->...", ebar, GAMMA, de)
+        slots = shape + (len(axes), 4)
+        de = rng.normal(size=slots) + 1j * rng.normal(size=slots)
+        dense = np.einsum("...a,mab,...mb->...", ebar, GAMMA[list(axes)], de)
         # sixteen products of two operands: a few ulps of that scale
         scale = 16 * np.max(np.abs(ebar)) * np.max(np.abs(de))
-        np.testing.assert_allclose(hydro._slashed(ebar, de), dense, rtol=0,
+        np.testing.assert_allclose(hydro._slashed(ebar, de, axes), dense, rtol=0,
+                                   atol=8 * np.finfo(float).eps * scale)
+
+
+def _zero_padded(spec, g_lower):
+    """A gradient over the active axes put into all four slots, zero along the others."""
+    out = np.zeros(spec.shape + (4,) + g_lower.shape[spec.ndim + 1:], g_lower.dtype)
+    grid = (slice(None),) * spec.ndim
+    for k, axis in enumerate(spec.active_axes):
+        out[grid + (axis,)] = g_lower[grid + (k,)]
+    return out
+
+
+@pytest.mark.parametrize("axes", [(0, 2), (1, 3)], ids=["t-y", "x-z"])
+def test_gradient_contractions_match_a_zero_padded_four_axis_reference(axes):
+    """Contractions over the active axes equal the dense four-axis forms on padded gradients."""
+    spec = GridSpec(active_axes=axes, shape=(9, 11), spacing=(0.1, 0.07))
+    rng = np.random.default_rng(31)
+    e = _random_spinors(rng, spec.shape)
+    ebar = _adjoint(e)
+    # unit scalar density, so the comparison is of the sums themselves
+    scalar = np.ones(spec.shape)
+    de_lower = spec.gradient_lower(e)
+    e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
+
+    de4 = _zero_padded(spec, de_lower)
+    debar4 = _adjoint(de4)
+    de_bar_e = np.einsum("...ma,...a->...m", debar4, e)
+    e_de4 = np.einsum("...a,...ma->...m", ebar, de4)
+    cross = np.einsum("...m,mn,...n->...", de_bar_e, METRIC, e_de4)
+    grad_sq = np.einsum("...ma,mn,...na->...", debar4, METRIC, de4)
+    reference = grad_sq - cross
+    combo = hydro._spinor_gradient_correction(spec, e, de_lower, e_de, scalar)
+    # eight products in grad_sq, two sums of four products times four in cross
+    scale = 32 * np.max(np.abs(de4)) ** 2 * (1.0 + np.max(np.abs(e)) ** 2)
+    np.testing.assert_allclose(combo, reference, rtol=0, atol=8 * np.finfo(float).eps * scale)
+
+    for field in (rng.normal(size=spec.shape), _random_spinors(rng, spec.shape)[..., 0]):
+        g4 = _zero_padded(spec, spec.gradient_lower(field))
+        reference = np.einsum("...m,mn,...n->...", g4, METRIC, g4)
+        scale = np.max(np.abs(g4)) ** 2
+        np.testing.assert_allclose(hydro._metric_square(spec, field), reference, rtol=0,
                                    atol=8 * np.finfo(float).eps * scale)
 
 

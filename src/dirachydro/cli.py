@@ -14,6 +14,15 @@ Commands
     residuals  first- and second-order residual grids for a configured state
     fisher     information and action functionals of a configured state
 
+residuals evaluates its grids in slabs of rows along the grid's first
+active axis, one per core this process may run on (more on a grid too
+large for that many slabs of ``_SLAB_POINTS`` points).  Each slab reads a
+halo of ``_HALO`` = 3 rows on each side: the stencils reach 2 rows and the
+vacuum mask of the quantum potential 3, so the grids kept from its own rows
+are bitwise those of one evaluation of the whole grid.  This process
+evaluates the first run of slabs; a child forked by ``io._fork_parts`` and
+pinned to its own CPU evaluates each other core's run into a shared map.
+
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
 rejected (unreadable, malformed, schema violation, a value a module
 refused with a ContractError, or an array too large to allocate), 3 a
@@ -28,6 +37,7 @@ import datetime
 import importlib.resources
 import json
 import math
+import mmap
 import sys
 import time
 from pathlib import Path
@@ -44,6 +54,8 @@ from .hydro import (
     second_order_residuals_expanded,
 )
 from .io import (
+    _fork_parts,
+    _usable_cores,
     save_fit_csv,
     save_grid_fields,
     save_slice_csv,
@@ -211,19 +223,97 @@ def _cmd_simulate(config, seed, out_dir, fmt):
     return 0, results, max_abs, lines
 
 
-def _residual_grids(fields, provider, particle):
+_RESIDUAL_NAMES = (
+    "continuity_first_order",
+    "hamilton_jacobi_first_order",
+    "continuity_bilinear",
+    "qhj_bilinear",
+    "qhj_imag_bilinear",
+    "continuity_expanded",
+    "qhj_expanded",
+)
+# rows a slab reads beyond its own on each side: the stencils reach 2 rows,
+# and the vacuum mask of hydro._vacuum grows 3 rows from a vacuum point
+_HALO = 3
+# points a slab holds at most, halo included, where a row is small enough;
+# every benchmark and demo grid fits in one slab this size
+_SLAB_POINTS = 1 << 17
+
+
+def _evaluated_grids(fields, provider, particle):
+    """The grids of the three evaluators on the whole of ``fields``."""
     first = first_order_residuals(fields, provider, particle)
     bilinear = second_order_residuals_bilinear(fields, provider, particle)
     expanded = second_order_residuals_expanded(fields, provider, particle)
-    return {
-        "continuity_first_order": first.continuity,
-        "hamilton_jacobi_first_order": first.hamilton_jacobi,
-        "continuity_bilinear": bilinear.continuity,
-        "qhj_bilinear": bilinear.qhj,
-        "qhj_imag_bilinear": bilinear.qhj_imag,
-        "continuity_expanded": expanded.continuity,
-        "qhj_expanded": expanded.qhj,
-    }
+    return dict(zip(_RESIDUAL_NAMES, (
+        first.continuity,
+        first.hamilton_jacobi,
+        bilinear.continuity,
+        bilinear.qhj,
+        bilinear.qhj_imag,
+        expanded.continuity,
+        expanded.qhj,
+    )))
+
+
+def _slab_count(shape, cores):
+    """Slabs the first axis is cut into: one per core, more where a slab would
+    hold over ``_SLAB_POINTS`` points, but none owning fewer than ``_HALO`` rows."""
+    rows, row = shape[0], math.prod(shape[1:])
+    owned = max(_HALO, _SLAB_POINTS // row - 2 * _HALO)
+    return min(max(cores, -(-rows // owned)), rows // _HALO)
+
+
+def _residual_grids(fields, provider, particle):
+    """The residual grids, evaluated in slabs of rows along the first active axis.
+
+    Every residual at a point reads only the rows within ``_HALO`` of it, so
+    each slab is evaluated on its rows and a halo of ``_HALO`` rows on each
+    side (fewer at a grid edge), and only its own rows are kept: the grids
+    are bitwise those of one evaluation of the whole grid. There is a slab
+    per usable core, or more on a grid too large for that many slabs of
+    ``_SLAB_POINTS`` points. The slabs are split into one contiguous run per
+    core and the runs go through ``io._fork_parts``: the first run, which
+    starts with slab 0, here, each other one in a child pinned to its core,
+    which writes its rows into an anonymous shared map that holds the grids.
+    A run whose child fails is evaluated again here, so its error raises
+    here with its own type. One slab is the whole grid, evaluated here.
+    """
+    spec = fields.spec
+    cores = _usable_cores()
+    slabs = _slab_count(spec.shape, cores)
+    if slabs == 1:
+        return _evaluated_grids(fields, provider, particle)
+    rows = spec.shape[0]
+    bounds = [rows * k // slabs for k in range(slabs + 1)]
+    runs = min(cores, slabs)
+    firsts = [slabs * j // runs for j in range(runs + 1)]
+    try:
+        buffer = mmap.mmap(-1, len(_RESIDUAL_NAMES) * math.prod(spec.shape) * 8)
+    except OSError as exc:
+        raise MemoryError(f"cannot map the residual grids: {exc}") from exc
+    out = np.frombuffer(buffer, dtype=np.float64).reshape((len(_RESIDUAL_NAMES),) + spec.shape)
+
+    def run(j):
+        for k in range(firsts[j], firsts[j + 1]):
+            lo, hi = bounds[k], bounds[k + 1]
+            below, above = max(0, lo - _HALO), min(rows, hi + _HALO)
+            grids = _evaluated_grids(fields.slab(below, above), provider, particle)
+            # indexed, not iterated, so no view of the map outlives the statement
+            for index, grid in enumerate(grids.values()):
+                out[index, lo:hi] = grid[lo - below:hi - below]
+
+    def join(j, status):
+        if status != 0:
+            run(j)
+
+    try:
+        _fork_parts(runs, run, join)
+    except BaseException:
+        del out
+        buffer.close()
+        raise
+    return dict(zip(_RESIDUAL_NAMES, out))
 
 
 def _floats(value, path):

@@ -29,13 +29,16 @@ class GridSpec:
 
     active_axes lists spacetime axis indices in increasing order; shape and
     spacing give the sample count and step along each, and origin pins all
-    four coordinates of the first grid point.
+    four coordinates of the first grid point.  A slab of rows cut from a
+    grid (see ``slab``) keeps that grid's origin and counts its rows from
+    ``start``, so its coordinates are the grid's to the last bit.
     """
 
     active_axes: tuple
     shape: tuple
     spacing: tuple
     origin: tuple = (0.0, 0.0, 0.0, 0.0)
+    start: int = 0
 
     def __post_init__(self):
         axes = tuple(int(a) for a in self.active_axes)
@@ -54,10 +57,14 @@ class GridSpec:
         origin = tuple(float(c) for c in self.origin)
         if len(origin) != 4 or any(not np.isfinite(c) for c in origin):
             raise ContractError("origin must be 4 finite coordinates")
+        start = int(self.start)
+        if start < 0:
+            raise ContractError("start must be nonnegative")
         object.__setattr__(self, "active_axes", axes)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "start", start)
 
     @property
     def ndim(self):
@@ -69,10 +76,22 @@ class GridSpec:
 
     def axis_coordinates(self):
         """1-d coordinate arrays along each active axis."""
+        firsts = (self.start,) + (0,) * (self.ndim - 1)
         return [
-            self.origin[a] + h * np.arange(n)
-            for a, n, h in zip(self.active_axes, self.shape, self.spacing)
+            self.origin[a] + h * np.arange(first, first + n)
+            for a, n, h, first in zip(self.active_axes, self.shape, self.spacing, firsts)
         ]
+
+    def slab(self, lo, hi):
+        """The grid of rows lo..hi-1 along the first active axis.
+
+        Its coordinates, and so its points, are bitwise those rows of this
+        grid: origin + h * k for the same row index k, not a shifted origin.
+        """
+        if not 0 <= lo < hi <= self.shape[0]:
+            raise ContractError(f"rows {lo} to {hi} are not within {self.shape[0]}")
+        return GridSpec(self.active_axes, (hi - lo,) + self.shape[1:], self.spacing,
+                        self.origin, self.start + lo)
 
     def points(self):
         """All grid points as an array of shape self.shape + (4,)."""

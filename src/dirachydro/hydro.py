@@ -159,6 +159,13 @@ class HydroFieldSet:
         e = self.spinors()
         return e, _adjoint(e), self.spec.gradient_lower(e), bilinears(e)
 
+    def slab(self, lo, hi):
+        """The field set on rows lo..hi-1 along the first active axis (views, no copies)."""
+        params = KinematicParams(**{name: getattr(self.params, name)[lo:hi]
+                                    for name in _PARAM_NAMES})
+        return HydroFieldSet(self.spec.slab(lo, hi), self.rho[lo:hi], self.S[lo:hi], params,
+                             self.kind)
+
     def psi(self, hbar=1.0):
         """Reconstructed wave function sqrt(rho) exp(iS/hbar) e."""
         amplitude = np.sqrt(self.rho) * np.exp(1j * self.S / float(hbar))

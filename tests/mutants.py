@@ -38,6 +38,8 @@ class Mutant:
 
 # per-sample real central difference: sees any non-holomorphic step, on every grid
 _ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loop"
+# slabbed residual grids against one evaluation of the whole grid, bitwise
+_SLAB_ORACLE = "tests/test_cli.py::test_slabbed_residual_grids_are_bitwise_the_whole_grid"
 
 MUTANTS = (
     Mutant(
@@ -119,6 +121,48 @@ MUTANTS = (
         fragment="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)",
         replacement="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2",
         killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
+    ),
+    Mutant(
+        name="slabs read a halo of 2 rows",
+        path="dirachydro/cli.py",
+        fragment="below, above = max(0, lo - _HALO), min(rows, hi + _HALO)",
+        replacement="below, above = max(0, lo - 2), min(rows, hi + 2)",
+        # only a vacuum point 2 or 3 rows from a cut tells a halo of 2 from one of 3
+        killers=("tests/test_cli.py::test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid",
+                 _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="slab coordinates from a shifted origin",
+        path="dirachydro/grids.py",
+        fragment="self.origin, self.start + lo)",
+        replacement=("tuple(c + lo * self.spacing[0] * (a == self.active_axes[0])"
+                     " for a, c in enumerate(self.origin)), self.start)"),
+        killers=("tests/test_grids.py::test_a_slab_has_the_bitwise_points_of_its_rows",
+                 _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="slab rows stitched one row off",
+        path="dirachydro/cli.py",
+        fragment="out[index, lo:hi] = grid[lo - below:hi - below]",
+        replacement="out[index, lo:hi] = grid[lo - below + 1:hi - below + 1]",
+        killers=("tests/test_cli.py::test_benchmark_residual_grids_are_bitwise_the_whole_grid",
+                 _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="a failed child slab is not evaluated again",
+        path="dirachydro/cli.py",
+        fragment="        if status != 0:\n            run(j)\n",
+        replacement="        pass\n",
+        killers=("tests/test_cli.py::test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind",
+                 "tests/test_cli.py::test_a_slab_whose_child_fails_is_evaluated_again_here"),
+    ),
+    Mutant(
+        name="the fork helper leaves this process pinned",
+        path="dirachydro/io.py",
+        fragment="        os.sched_setaffinity(0, cpus)\n",
+        replacement="        pass\n",
+        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",
+                 "tests/test_cli.py::test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind"),
     ),
 )
 

@@ -2,12 +2,17 @@
 
 import contextlib
 import copy
+import dataclasses
+import filecmp
 import importlib.util
 import io
 import json
+import mmap
+import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -18,8 +23,10 @@ from conftest import child_env, draw_transverse_unit, draw_unit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirachydro import cli
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
+from dirachydro.errors import ContractError, NonFiniteResultError
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
 from dirachydro.io import TRAJECTORY_COLUMNS, load_grid_fields
 from dirachydro.kinematics import gamma_of_beta
@@ -120,10 +127,15 @@ def _oracle_messages(config):
             for e in errors]
 
 
-def _bench_round_configs(seed=0):
+def _bench_workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_round_configs(seed=0):
+    workloads = _bench_workloads()
     return [job["config"] for workload in workloads.WORKLOADS
             for job in workloads.round_jobs(workload, seed, 0)]
 
@@ -928,3 +940,246 @@ def test_extreme_grid_commands_exit_by_cause_without_warnings(payload):
     # main maps only a module's ContractError to 2; anything else would escape it
     assert status in (0, 2, 3)
     assert (status == 2) == ("config rejected" in err)
+
+
+# --- residual grids in slabs ------------------------------------------------
+
+# a slab split forks and pins its runs with the CPU-affinity calls
+_slabs = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                            reason="needs os.fork and os.sched_setaffinity")
+
+_SLAB_FIELDS = {
+    "uniform": {"kind": "uniform", "E0": [0.01, -0.03, 0.02], "B0": [0.2, -0.5, 0.7]},
+    "plane-wave": {"kind": "plane-wave", "wave_vector": [1.5, 0.0, 0.0, 1.5],
+                   "polarization": [1.0, 0.0, 0.0], "amplitude": 0.05},
+    "custom-polynomial": {"kind": "custom-polynomial", "coefficients": {
+        "0": [{"c": 0.3, "powers": [0, 1, 0, 0]}],
+        "2": [{"c": 0.2, "powers": [1, 0, 0, 2]}, {"c": -0.1, "powers": [0, 1, 1, 0]}]}},
+}
+
+
+def _slab_state(axes, rows, config_type, field, kind="particle", seed=0):
+    """(fields, provider, particle) of a residuals config whose first axis has ``rows`` rows."""
+    config = {
+        "command": "residuals", "seed": seed,
+        "grid": {"active_axes": list(axes), "shape": [rows] + [5] * (len(axes) - 1),
+                 "spacing": [0.05 + 0.01 * k for k in range(len(axes))],
+                 "origin": [0.3, -0.7, 0.1, 1.9]},
+        "configuration": {"type": config_type, "kind": kind},
+        "fields": _SLAB_FIELDS[field],
+    }
+    if config_type != "plane-wave":
+        config["configuration"]["amplitude"] = 1e-3
+    if config_type != "manufactured" and 1 not in axes:
+        # a plane wave moves along x unless at rest
+        config["configuration"]["chi"] = 0.0
+    assert validate_config(config) == []
+    particle, provider, fields = cli._grid_state(config, seed)
+    return fields, provider, particle
+
+
+def _with_vacuum(fields, row, seed):
+    """The field set with rho = 0 at one point of the given row."""
+    rho = fields.rho.copy()
+    rng = np.random.default_rng(seed)
+    rho[(row,) + tuple(int(rng.integers(0, n)) for n in fields.spec.shape[1:])] = 0.0
+    return dataclasses.replace(fields, rho=rho)
+
+
+def _whole_and_slabbed(fields, provider, particle, cores, slab_points, slabs):
+    """The grids of one evaluation of the whole grid, and those of ``slabs`` slabs
+    with the core count and slab size set."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        whole = cli._evaluated_grids(fields, provider, particle)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_usable_cores", lambda: cores)
+            patch.setattr(cli, "_SLAB_POINTS", slab_points)
+            assert cli._slab_count(fields.spec.shape, cores) == slabs
+            slabbed = cli._residual_grids(fields, provider, particle)
+    return whole, slabbed
+
+
+def _assert_bitwise(whole, slabbed):
+    """Equal as int64 views: the values, the NaN masks and the signs of zeros."""
+    assert list(slabbed) == list(whole) == list(RESIDUAL_FIELD_NAMES)
+    for name, grid in whole.items():
+        np.testing.assert_array_equal(np.asarray(slabbed[name]).view(np.int64),
+                                      np.asarray(grid).view(np.int64), err_msg=name)
+
+
+@_slabs
+@settings(max_examples=40)
+@given(axes=st.sampled_from([(0,), (1,), (0, 1), (1, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2, 3)]),
+       slabs=st.integers(2, 4), data=st.data(),
+       config_type=st.sampled_from(["plane-wave", "perturbed-plane-wave", "manufactured"]),
+       field=st.sampled_from(sorted(_SLAB_FIELDS)),
+       kind=st.sampled_from(["particle", "antiparticle"]), seed=st.integers(0, 2**16))
+def test_slabbed_residual_grids_are_bitwise_the_whole_grid(axes, slabs, data, config_type,
+                                                           field, kind, seed):
+    """2 to 4 slabs, as many cores or fewer (several slabs to a core), on 1-D to
+    4-D grids, with a vacuum point within 4 rows of a cut or none."""
+    rows = data.draw(st.integers(max(5, 3 * slabs), 40), label="rows")
+    fields, provider, particle = _slab_state(axes, rows, config_type, field, kind, seed)
+    cores = data.draw(st.integers(1, slabs), label="cores")
+    row_points = int(np.prod(fields.spec.shape[1:]))
+    # fewer cores than slabs: slabs of ceil(rows / slabs) rows, halo included, by size
+    slab_points = 1 << 40 if cores == slabs else (-(-rows // slabs) + 6) * row_points
+    # rows from the cut to the vacuum point, or no vacuum point
+    offset = data.draw(st.sampled_from([None, -4, -3, -2, -1, 0, 1, 2, 3]), label="offset")
+    if offset is not None:
+        cut = rows * data.draw(st.integers(1, slabs - 1), label="cut") // slabs
+        fields = _with_vacuum(fields, min(rows - 1, max(0, cut + offset)), seed)
+    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, cores, slab_points, slabs))
+
+
+@_slabs
+@pytest.mark.parametrize("offset", range(-4, 4))
+def test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid(offset):
+    """The vacuum mask reaches 3 rows from a vacuum point, so a slab must read 3 rows
+    past its own: a vacuum point 3 rows before the cut masks the slab's first row."""
+    fields, provider, particle = _slab_state((0, 1), 24, "perturbed-plane-wave", "uniform")
+    fields = _with_vacuum(fields, 12 + offset, 1)
+    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 2, 1 << 40, 2))
+
+
+@_slabs
+@pytest.mark.parametrize("job", range(4), ids=["2d0", "2d1", "4d", "2d2"])
+def test_benchmark_residual_grids_are_bitwise_the_whole_grid(job):
+    """The four jobs of a grid-residuals round at full size, in three slabs."""
+    config = _bench_workloads().round_jobs("grid-residuals", 101, 0)[job]["config"]
+    particle, provider, fields = cli._grid_state(config, config["seed"])
+    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 3, cli._SLAB_POINTS, 3))
+
+
+def _artifacts(out):
+    """Every artifact but metadata.json, by name."""
+    return sorted(path.name for path in Path(out).iterdir() if path.name != "metadata.json")
+
+
+@_slabs
+@pytest.mark.parametrize("job", [0, 2], ids=["257^2", "17^4"])
+def test_residual_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, job):
+    """A run held to one CPU and a run split between several write the same bytes."""
+    config = _bench_workloads().round_jobs("grid-residuals", 101, 0)[job]["config"]
+    path = _write_config(tmp_path, config)
+    cpu = min(os.sched_getaffinity(0))
+    child = subprocess.run(
+        [sys.executable, "-m", "dirachydro.cli", "--config", path,
+         "--out", str(tmp_path / "one"), "--quiet"],
+        capture_output=True, text=True, env=child_env(),
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert child.returncode == 0, child.stderr
+    # split even where this host has one CPU
+    monkeypatch.setattr(cli, "_usable_cores", lambda: max(2, len(os.sched_getaffinity(0))))
+    assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
+    names = _artifacts(tmp_path / "one")
+    assert names == _artifacts(tmp_path / "split") and len(names) == 2
+    for name in names:
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@_slabs
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("error, status, message", [
+    (ContractError, 2, "config rejected"),
+    (NonFiniteResultError, 3, "numerical failure"),
+], ids=["refused", "non-finite"])
+@pytest.mark.parametrize("where", ["every-slab", "child-slabs"])
+def test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind(tmp_path, monkeypatch,
+                                                                    capsys, error, status,
+                                                                    message, where):
+    """A slab that fails in a child is evaluated again here, so its error reaches
+    main with its own type; no child, open file or CPU pin is left, and the map
+    of the grids is closed."""
+    evaluate = cli.second_order_residuals_bilinear
+
+    def failing(fields, provider, particle):
+        if where == "every-slab" or fields.spec.start > 0:
+            raise error(f"slab from row {fields.spec.start}")
+        return evaluate(fields, provider, particle)
+
+    maps = []
+
+    def recorded(*args):
+        maps.append(mmap.mmap(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(cli, "second_order_residuals_bilinear", failing)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=recorded))
+    path = _write_config(tmp_path, _residuals_config())
+    fds, cpus = _open_fds(), os.sched_getaffinity(0)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == status
+    err = capsys.readouterr().err
+    assert err.startswith(f"dirachydro: {message}: slab from row ")
+    assert "cannot write output" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == cpus
+    assert len(maps) == 1 and maps[0].closed
+
+
+@_slabs
+def test_a_map_too_large_to_make_is_an_allocation_refusal(tmp_path, monkeypatch, capsys):
+    """The map of the grids is refused as an array too large to allocate is
+    (status 2, "config rejected"), not as an output that cannot be written."""
+    def refuse(*args):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=refuse))
+    path = _write_config(tmp_path, _residuals_config())
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dirachydro: config rejected: cannot map the residual grids")
+    assert "Traceback" not in err
+
+
+@_slabs
+def test_a_slab_whose_child_fails_is_evaluated_again_here(tmp_path, monkeypatch):
+    """A child that fails where this process would not leaves the bytes as they were."""
+    path = _write_config(tmp_path, _residuals_config())
+    assert main(["--config", path, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    evaluate, maker = cli.first_order_residuals, os.getpid()
+
+    def failing_in_a_child(fields, provider, particle):
+        if os.getpid() != maker:
+            raise MemoryError("no memory for this slab")
+        return evaluate(fields, provider, particle)
+
+    monkeypatch.setattr(cli, "first_order_residuals", failing_in_a_child)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
+    for name in ("report.json", "residual_fields.csv"):
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)
+
+
+@pytest.mark.parametrize("cores, shape, slab_points", [
+    (1, [17, 17], None), (1, [40, 9], 60), (4, [5, 9], None),
+], ids=["one-cpu", "one-cpu-many-slabs", "short-first-axis"])
+def test_one_cpu_or_a_short_first_axis_never_forks(tmp_path, monkeypatch, cores, shape,
+                                                   slab_points):
+    """Slabs on one CPU run here one after another; a first axis of fewer than
+    two slabs' rows is one slab. Either way the bytes are those of a split run."""
+    payload = _residuals_config()
+    payload["grid"].update(shape=shape, spacing=[0.02, 0.03])
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
+
+    def no_fork():
+        raise AssertionError("the residual grids forked")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    if slab_points is not None:
+        monkeypatch.setattr(cli, "_SLAB_POINTS", slab_points)
+        assert cli._slab_count(tuple(shape), cores) > 1
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert main(["--config", path, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    for name in ("report.json", "residual_fields.csv"):
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)

@@ -1,21 +1,24 @@
-"""The package starts processes in one place only: ``io._write_parts``.
+"""The package starts processes in one place only: ``io._fork_parts``.
 
-Every bulk artifact, CSV table or JSON document, is split between processes
-by that one part writer, which reaps its children, closes their files and
-restores the CPU mask however the write ends. A second writer that forked
-on its own would have to get all of that right again, so this test reads
-the package's source with ``ast`` and requires that ``os.fork`` is called
-only inside ``io._write_parts``, and that no module reaches another way of
-starting a process or thread: a process-starting name of ``os`` (``fork``,
-``forkpty``, ``spawn*``, ``posix_spawn*``), or the ``subprocess``,
-``multiprocessing``, ``concurrent`` or ``threading`` modules.
+Two users go through that one helper: the part writer ``io._write_parts``,
+which splits every bulk artifact, CSV table or JSON document, between
+processes, and ``cli._residual_grids``, which evaluates the residual grids
+in slabs, one run of slabs per usable CPU. The helper pins each part to its
+CPU, reaps every child and restores the CPU mask however the parts end. A
+second site that forked on its own would have to get all of that right
+again, so this test reads the package's source with ``ast`` and requires
+that ``os.fork`` is called only inside ``io._fork_parts``, and that no
+module reaches another way of starting a process or thread: a
+process-starting name of ``os`` (``fork``, ``forkpty``, ``spawn*``,
+``posix_spawn*``), or the ``subprocess``, ``multiprocessing``,
+``concurrent`` or ``threading`` modules.
 """
 
 import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "dirachydro"
-FORK_SITE = ("io", "_write_parts")
+FORK_SITE = ("io", "_fork_parts")
 PARALLEL_MODULES = ("subprocess", "multiprocessing", "concurrent", "threading")
 
 
@@ -50,10 +53,10 @@ def _process_uses(source=SOURCE):
     return uses
 
 
-def test_os_fork_is_called_only_by_the_part_writer():
+def test_os_fork_is_called_only_by_the_shared_fork_helper():
     uses = _process_uses()
     elsewhere = [use for use in uses if (use[0], use[1]) != FORK_SITE]
-    assert not elsewhere, f"processes started outside io._write_parts: {elsewhere}"
+    assert not elsewhere, f"processes started outside io._fork_parts: {elsewhere}"
     assert [what for _, _, _, what in uses] == ["os.fork"]
 
 
@@ -61,7 +64,7 @@ def test_the_check_sees_every_form_it_refuses(tmp_path):
     """Each refused form, written into a scratch package, is reported."""
     (tmp_path / "io.py").write_text(
         "import os\n"
-        "def _write_parts():\n"
+        "def _fork_parts():\n"
         "    return os.fork()\n"
     )
     (tmp_path / "other.py").write_text(
@@ -76,7 +79,7 @@ def test_the_check_sees_every_form_it_refuses(tmp_path):
     )
     found = {(module, owner, what) for module, owner, _, what in _process_uses(tmp_path)}
     assert found == {
-        ("io", "_write_parts", "os.fork"),
+        ("io", "_fork_parts", "os.fork"),
         ("other", None, "import subprocess"),
         ("other", None, "import concurrent.futures"),
         ("other", None, "from os import forkpty"),

@@ -37,6 +37,40 @@ def test_spec_validation():
         GridSpec(active_axes=(0,), shape=(9,), spacing=(0.1,), origin=(0.0, 0.0))
 
 
+@settings(max_examples=60)
+@given(axes=st.sampled_from([(0,), (2,), (0, 1), (1, 3), (0, 1, 3), (0, 1, 2, 3)]),
+       rows=st.integers(5, 40), data=st.data(),
+       origin=st.tuples(*[st.floats(-50.0, 50.0)] * 4),
+       step=st.floats(1e-3, 10.0))
+def test_a_slab_has_the_bitwise_points_of_its_rows(axes, rows, data, origin, step):
+    """A slab's coordinates are origin + h * k for the parent's row index k, so its
+    points are the parent's rows to the last bit, and a slab of a slab too."""
+    spec = GridSpec(active_axes=axes, shape=(rows,) + (5,) * (len(axes) - 1),
+                    spacing=tuple(step * (1.0 + 0.1 * k) for k in range(len(axes))),
+                    origin=origin)
+    lo = data.draw(st.integers(0, rows - 5))
+    hi = data.draw(st.integers(lo + 5, rows))
+    slab = spec.slab(lo, hi)
+    assert slab.shape == (hi - lo,) + spec.shape[1:] and slab.start == lo
+    assert slab.origin == spec.origin and slab.spacing == spec.spacing
+    np.testing.assert_array_equal(slab.points().view(np.int64),
+                                  spec.points()[lo:hi].view(np.int64))
+    inner = data.draw(st.integers(0, hi - lo - 5))
+    np.testing.assert_array_equal(slab.slab(inner, inner + 5).points().view(np.int64),
+                                  spec.points()[lo + inner:lo + inner + 5].view(np.int64))
+
+
+def test_slab_refusals():
+    spec = GridSpec(active_axes=(0, 1), shape=(9, 7), spacing=(0.1, 0.1))
+    for lo, hi in ((-1, 6), (0, 10), (4, 4)):
+        with pytest.raises(ContractError, match="rows"):
+            spec.slab(lo, hi)
+    with pytest.raises(ContractError, match="at least 5"):
+        spec.slab(0, 4)
+    with pytest.raises(ContractError, match="start"):
+        GridSpec(active_axes=(0,), shape=(9,), spacing=(0.1,), start=-1)
+
+
 def test_points_and_axis_names():
     spec = GridSpec(
         active_axes=(0, 2), shape=(5, 7), spacing=(0.5, 0.25), origin=(1.0, 2.0, 3.0, 4.0)

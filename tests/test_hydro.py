@@ -337,6 +337,21 @@ def _smooth_fields():
     return seeded_manufactured_fields(spec, seed=5)
 
 
+def test_a_field_set_slab_views_its_rows():
+    """A slab shares its rows with the field set and carries its kind."""
+    fields = seeded_manufactured_fields(
+        GridSpec(active_axes=(0, 1), shape=(21, 9), spacing=(0.01, 0.02)), seed=5,
+        kind="antiparticle")
+    slab = fields.slab(4, 11)
+    assert slab.kind == "antiparticle" and slab.spec == fields.spec.slab(4, 11)
+    for name in ("rho", "S"):
+        assert np.shares_memory(getattr(slab, name), getattr(fields, name))
+        np.testing.assert_array_equal(getattr(slab, name), getattr(fields, name)[4:11])
+    for name in ("chi", "theta_u", "phi", "theta", "eta0"):
+        np.testing.assert_array_equal(getattr(slab.params, name),
+                                      getattr(fields.params, name)[4:11])
+
+
 def test_evaluators_build_spinor_data_once_per_field_set(monkeypatch):
     """The three evaluators share one spinor field and one bilinear set."""
     calls = {"spinors": 0, "bilinears": 0}

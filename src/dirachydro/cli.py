@@ -19,9 +19,9 @@ active axis, one per core this process may run on (more on a grid too
 large for that many slabs of ``_SLAB_POINTS`` points).  Each slab reads a
 halo of ``_HALO`` = 3 rows on each side: the stencils reach 2 rows and the
 vacuum mask of the quantum potential 3, so the grids kept from its own rows
-are bitwise those of one evaluation of the whole grid.  This process
-evaluates the first run of slabs; a child forked by ``io._fork_parts`` and
-pinned to its own CPU evaluates each other core's run into a shared map.
+are bitwise those of one evaluation of the whole grid.  The slabs are cut
+into one run per core, and the runs go through ``_parts.fork_parts`` into a
+shared map of the grids.
 
 Exit status: 0 success, 1 a verification suite failed, 2 the config was
 rejected (unreadable, malformed, schema violation, a value a module
@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _parts
 from .dynamics import DynState, fit_precession_frequency, integrate
 from .errors import ContractError, FitError, InstabilityError, NonFiniteResultError
 from .fields import Particle, ZERO_FIELD, provider_from_config
@@ -54,8 +55,6 @@ from .hydro import (
     second_order_residuals_expanded,
 )
 from .io import (
-    _fork_parts,
-    _usable_cores,
     save_fit_csv,
     save_grid_fields,
     save_slice_csv,
@@ -273,21 +272,20 @@ def _residual_grids(fields, provider, particle):
     are bitwise those of one evaluation of the whole grid. There is a slab
     per usable core, or more on a grid too large for that many slabs of
     ``_SLAB_POINTS`` points. The slabs are split into one contiguous run per
-    core and the runs go through ``io._fork_parts``: the first run, which
-    starts with slab 0, here, each other one in a child pinned to its core,
-    which writes its rows into an anonymous shared map that holds the grids.
-    A run whose child fails is evaluated again here, so its error raises
-    here with its own type. One slab is the whole grid, evaluated here.
+    core and the runs go through ``_parts.fork_parts``: the first run, which
+    starts with slab 0, here, each other one in a child, which writes its rows
+    into an anonymous shared map that holds the grids. A run that no child
+    finished is evaluated again here, so its error raises here with its own
+    type. One slab is the whole grid, evaluated here.
     """
     spec = fields.spec
-    cores = _usable_cores()
-    slabs = _slab_count(spec.shape, cores)
+    slabs = _slab_count(spec.shape, _parts.usable_cores())
     if slabs == 1:
         return _evaluated_grids(fields, provider, particle)
     rows = spec.shape[0]
-    bounds = [rows * k // slabs for k in range(slabs + 1)]
-    runs = min(cores, slabs)
-    firsts = [slabs * j // runs for j in range(runs + 1)]
+    bounds = _parts.cuts(rows, slabs)
+    runs = _parts.per_core(slabs)
+    firsts = _parts.cuts(slabs, runs)
     try:
         buffer = mmap.mmap(-1, len(_RESIDUAL_NAMES) * math.prod(spec.shape) * 8)
     except OSError as exc:
@@ -303,12 +301,8 @@ def _residual_grids(fields, provider, particle):
             for index, grid in enumerate(grids.values()):
                 out[index, lo:hi] = grid[lo - below:hi - below]
 
-    def join(j, status):
-        if status != 0:
-            run(j)
-
     try:
-        _fork_parts(runs, run, join)
+        _parts.fork_parts(runs, run)
     except BaseException:
         del out
         buffer.close()

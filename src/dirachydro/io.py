@@ -27,38 +27,27 @@ Both writers go through one part writer, ``_write_parts``, which sees a
 file as a sequence of items: the rows of a table, or the samples of a
 JSON document's arrays taken in document order as one sequence, so a
 document is split once, not once per array.  A file of at least
-``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per core
-this process may run on (at most one per ``_PART_ROWS`` items): the first
-is rendered into the file by this process, each other one by a forked child
-into an unnamed temporary file, which is then appended in order with a
-small copy buffer.  Each part is held to its own CPU while it is rendered.
-Each process holds one block or slice of text, so memory stays bounded,
-and the bytes are those of a one-process write.  A write that fails leaves
-no file behind.
-
-The forking, the pinning of each part to its CPU, the reaping and the
-restoring of the CPU mask live in ``_fork_parts``, the package's one place
-that starts processes.  It has two users: ``_write_parts`` here, and
-``cli._residual_grids``, which evaluates the residual grids in slabs of
-rows, one run of slabs per usable CPU, each child writing its rows into a
-shared map.  The children are started with ``os.fork``.  Python 3.12 and
-later emit a ``DeprecationWarning`` for a fork in a process that runs other
-threads (a BLAS thread pool is one); the interpreter this is tested on is
-3.11.
+``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per usable
+core but no more than one per ``_PART_ROWS`` items, which run through
+``_parts.fork_parts``: the first is rendered into the file by this process,
+each other one into an unnamed temporary file, which is then appended in
+order with a small copy buffer.  Each process holds one block or slice of
+text, so memory stays bounded, and the bytes are those of a one-process
+write, also where a part is rendered again in this process (see
+``_parts``).  A write that fails leaves no file behind.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ._parts import cuts, fork_parts, per_core
 from .dynamics import TRAJECTORY_COLUMNS, Trajectory
 from .errors import ContractError
 from .grids import GridSpec
@@ -134,9 +123,7 @@ def load_grid_fields(path):
     spec = GridSpec(**payload["grid"])
     fields = {}
     for name, flat in payload["fields"].items():
-        arr = np.array(
-            [np.nan if v is None else float(v) for v in flat], dtype=np.float64
-        )
+        arr = np.array(flat, dtype=np.float64)
         if arr.size != int(np.prod(spec.shape)):
             raise ContractError(f"field {name!r} sample count does not match grid")
         fields[name] = arr.reshape(spec.shape)
@@ -151,62 +138,6 @@ _PART_ROWS = 8192
 _COPY_CHARS = 1 << 16
 
 
-def _usable_cores():
-    """Cores this process may run on; 1 where it cannot fork or ask."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_parts(parts, run, join):
-    """Run ``run(k)`` for each part ``k`` in ``range(parts)``, part 0 here, each other one
-    in a forked child.
-
-    This is the package's one place that starts processes; the part writer
-    below and ``cli._residual_grids`` both go through it. Part k runs on the
-    k-th CPU this process may use, and this process is held to the first of
-    them until the parts end: a scheduler need not move a fresh fork off its
-    parent's CPU, and then the parts would take turns on one core. A child
-    exits with status 0 when its ``run`` returns, else it prints the traceback
-    and exits with status 1. Once part 0 has run, ``join(k, status)`` is
-    called for k = 1, 2, ... in order, each as soon as child k has exited.
-    One part runs here alone: no fork, no pinning. Every child is reaped and
-    the CPU mask restored however the parts end.
-    """
-    if parts == 1:
-        run(0)
-        return
-    cpus = os.sched_getaffinity(0)
-    # more parts than CPUs only where a test sets the core count
-    order = sorted(cpus) * parts
-    pids = []  # the children not yet reaped, in part order
-    try:
-        os.sched_setaffinity(0, {order[0]})
-        for k in range(1, parts):
-            pid = os.fork()
-            if pid == 0:  # the child: run its part, then leave without running cleanup
-                status = 1
-                try:
-                    os.sched_setaffinity(0, {order[k]})
-                    run(k)
-                    status = 0
-                except BaseException:
-                    sys.excepthook(*sys.exc_info())
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        run(0)
-        for k in range(1, parts):
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            pids.pop(0)
-            join(k, status)
-    finally:
-        os.sched_setaffinity(0, cpus)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
 def _write_parts(fh, items, render):
     """Write items ``[0, items)`` to ``fh`` as ``render(write, start, stop)`` writes them.
 
@@ -215,33 +146,34 @@ def _write_parts(fh, items, render):
     text that leads them; a render called with ``stop == items`` also writes
     what follows the last item. The items are cut into as many contiguous
     parts as there are usable cores, but no more than one per ``_PART_ROWS``
-    items, and the parts run through ``_fork_parts``. Part 0 is rendered
-    straight into ``fh``; each other part is rendered by its child into an
-    unnamed temporary file, which is appended to ``fh`` once the child has
-    exited, in item order. A child that fails makes the write raise
-    ``OSError``; every temporary file is closed whether or not the write
-    succeeds.
+    items, and the parts run through ``_parts.fork_parts``. Part 0 is rendered
+    straight into ``fh``; each other part is rendered into an unnamed
+    temporary file, emptied first in case a child that failed left text in
+    it, and appended to ``fh`` in item order. Every temporary file is closed
+    whether or not the write succeeds.
     """
-    parts = max(1, min(_usable_cores(), items // _PART_ROWS))
-    bounds = [items * k // parts for k in range(parts + 1)]
-    files = []  # a temporary file per child part
+    parts = per_core(items, _PART_ROWS)
+    bounds = cuts(items, parts)
+    files = []  # a temporary file per part after the first
     try:
         for _ in range(1, parts):
             files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
 
         def run(k):
-            render(fh.write if k == 0 else files[k - 1].write, bounds[k], bounds[k + 1])
-            if k:
-                files[k - 1].flush()
+            if k == 0:
+                render(fh.write, bounds[0], bounds[1])
+                return
+            part = files[k - 1]
+            part.seek(0)
+            part.truncate()
+            render(part.write, bounds[k], bounds[k + 1])
+            part.flush()
 
-        def join(k, status):
-            if status != 0:
-                raise OSError(f"items {bounds[k]} to {bounds[k + 1]} were not written: "
-                              f"their process exited with status {status}")
+        def join(k):
             files[k - 1].seek(0)
             shutil.copyfileobj(files[k - 1], fh, _COPY_CHARS)
 
-        _fork_parts(parts, run, join)
+        fork_parts(parts, run, join)
     finally:
         for part in files:
             part.close()

@@ -40,6 +40,8 @@ class Mutant:
 _ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loop"
 # slabbed residual grids against one evaluation of the whole grid, bitwise
 _SLAB_ORACLE = "tests/test_cli.py::test_slabbed_residual_grids_are_bitwise_the_whole_grid"
+# parts that fail in a child, one after writing text, or here
+_FAILED_PART = "tests/test_io.py::test_a_failed_part_reaps_every_child_and_closes_every_file"
 
 MUTANTS = (
     Mutant(
@@ -149,20 +151,54 @@ MUTANTS = (
                  _SLAB_ORACLE),
     ),
     Mutant(
-        name="a failed child slab is not evaluated again",
-        path="dirachydro/cli.py",
-        fragment="        if status != 0:\n            run(j)\n",
-        replacement="        pass\n",
-        killers=("tests/test_cli.py::test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind",
-                 "tests/test_cli.py::test_a_slab_whose_child_fails_is_evaluated_again_here"),
+        name="fork_parts drops the rerun of a part no child finished",
+        path="dirachydro/_parts.py",
+        fragment="            if not finished:\n                run(k)\n",
+        replacement="",
+        killers=("tests/test_cli.py::test_a_slab_whose_child_fails_is_evaluated_again_here",
+                 "tests/test_cli.py::test_a_fork_that_fails_runs_its_slabs_and_parts_here"),
     ),
     Mutant(
         name="the fork helper leaves this process pinned",
-        path="dirachydro/io.py",
+        path="dirachydro/_parts.py",
         fragment="        os.sched_setaffinity(0, cpus)\n",
         replacement="        pass\n",
-        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",
-                 "tests/test_cli.py::test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind"),
+        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="the fork helper does not reap the children of a failed part",
+        path="dirachydro/_parts.py",
+        fragment="        for pid in pids:\n            os.waitpid(pid, 0)\n",
+        replacement="        pass\n",
+        killers=(_FAILED_PART,),
+    ),
+    Mutant(
+        name="a part after the first drops its first row",
+        path="dirachydro/io.py",
+        fragment="render(part.write, bounds[k], bounds[k + 1])",
+        replacement="render(part.write, bounds[k] + 1, bounds[k + 1])",
+        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="a part is appended from where its file was left",
+        path="dirachydro/io.py",
+        fragment="            files[k - 1].seek(0)\n",
+        replacement="",
+        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="a part rendered again here keeps the text its child left",
+        path="dirachydro/io.py",
+        fragment="            part.truncate()\n",
+        replacement="",
+        killers=(_FAILED_PART,),
+    ),
+    Mutant(
+        name="a failed write leaves its file",
+        path="dirachydro/io.py",
+        fragment="        Path(path).unlink(missing_ok=True)\n",
+        replacement="        pass\n",
+        killers=("tests/test_io.py::test_a_failed_write_leaves_no_file",),
     ),
 )
 

@@ -23,7 +23,7 @@ from conftest import child_env, draw_transverse_unit, draw_unit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirachydro import cli
+from dirachydro import _parts, cli
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
 from dirachydro.errors import ContractError, NonFiniteResultError
@@ -992,7 +992,7 @@ def _whole_and_slabbed(fields, provider, particle, cores, slab_points, slabs):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         whole = cli._evaluated_grids(fields, provider, particle)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_usable_cores", lambda: cores)
+            patch.setattr(_parts, "usable_cores", lambda: cores)
             patch.setattr(cli, "_SLAB_POINTS", slab_points)
             assert cli._slab_count(fields.spec.shape, cores) == slabs
             slabbed = cli._residual_grids(fields, provider, particle)
@@ -1071,7 +1071,7 @@ def test_residual_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch
     )
     assert child.returncode == 0, child.stderr
     # split even where this host has one CPU
-    monkeypatch.setattr(cli, "_usable_cores", lambda: max(2, len(os.sched_getaffinity(0))))
+    monkeypatch.setattr(_parts, "usable_cores", lambda: max(2, len(os.sched_getaffinity(0))))
     assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
     names = _artifacts(tmp_path / "one")
     assert names == _artifacts(tmp_path / "split") and len(names) == 2
@@ -1110,7 +1110,7 @@ def test_a_failed_slab_exits_by_its_cause_and_leaves_nothing_behind(tmp_path, mo
         return maps[-1]
 
     monkeypatch.setattr(cli, "second_order_residuals_bilinear", failing)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=recorded))
     path = _write_config(tmp_path, _residuals_config())
     fds, cpus = _open_fds(), os.sched_getaffinity(0)
@@ -1132,7 +1132,7 @@ def test_a_map_too_large_to_make_is_an_allocation_refusal(tmp_path, monkeypatch,
     def refuse(*args):
         raise OSError(12, "Cannot allocate memory")
 
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
     monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=refuse))
     path = _write_config(tmp_path, _residuals_config())
     assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
@@ -1154,19 +1154,21 @@ def test_a_slab_whose_child_fails_is_evaluated_again_here(tmp_path, monkeypatch)
         return evaluate(fields, provider, particle)
 
     monkeypatch.setattr(cli, "first_order_residuals", failing_in_a_child)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
     for name in ("report.json", "residual_fields.csv"):
         assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)
 
 
 @pytest.mark.parametrize("cores, shape, slab_points", [
-    (1, [17, 17], None), (1, [40, 9], 60), (4, [5, 9], None),
-], ids=["one-cpu", "one-cpu-many-slabs", "short-first-axis"])
+    (1, [17, 17], None), (1, [40, 9], 60), (4, [5, 9], None), (1, [257, 257], None),
+], ids=["one-cpu", "one-cpu-many-slabs", "short-first-axis", "one-cpu-257^2-csv"])
 def test_one_cpu_or_a_short_first_axis_never_forks(tmp_path, monkeypatch, cores, shape,
                                                    slab_points):
     """Slabs on one CPU run here one after another; a first axis of fewer than
-    two slabs' rows is one slab. Either way the bytes are those of a split run."""
+    two slabs' rows is one slab. Either way the bytes are those of a split run.
+    One core count holds for the slabs and the writer: a 257^2 table, long
+    enough to be written in parts, is written here alone too."""
     payload = _residuals_config()
     payload["grid"].update(shape=shape, spacing=[0.02, 0.03])
     path = _write_config(tmp_path, payload)
@@ -1175,11 +1177,41 @@ def test_one_cpu_or_a_short_first_axis_never_forks(tmp_path, monkeypatch, cores,
     def no_fork():
         raise AssertionError("the residual grids forked")
 
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: cores)
     if slab_points is not None:
         monkeypatch.setattr(cli, "_SLAB_POINTS", slab_points)
         assert cli._slab_count(tuple(shape), cores) > 1
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert main(["--config", path, "--out", str(tmp_path / "one"), "--quiet"]) == 0
     for name in ("report.json", "residual_fields.csv"):
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)
+
+
+@_slabs
+def test_a_fork_that_fails_runs_its_slabs_and_parts_here(tmp_path, monkeypatch):
+    """With no process to be had (``os.fork`` raises EAGAIN, as at a process limit),
+    a 257^2 CSV job on two cores evaluates every slab and writes every part here,
+    with the bytes of a one-CPU run."""
+    config = _bench_workloads().round_jobs("grid-residuals", 101, 0)[0]["config"]
+    assert config["grid"]["shape"] == [257, 257]
+    assert config.get("output", {}).get("format", "csv") == "csv"
+    path = _write_config(tmp_path, config)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 1)
+    assert main(["--config", path, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    forks = []
+
+    def no_process():
+        forks.append(os.getpid())
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    cpus = os.sched_getaffinity(0)
+    assert main(["--config", path, "--out", str(tmp_path / "split"), "--quiet"]) == 0
+    assert os.sched_getaffinity(0) == cpus
+    # one fork tried for the slabs and one for the table
+    assert len(forks) == 2
+    names = _artifacts(tmp_path / "one")
+    assert names == _artifacts(tmp_path / "split") and len(names) == 2
+    for name in names:
         assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)

@@ -1,13 +1,15 @@
-"""The package starts processes in one place only: ``io._fork_parts``.
+"""The package starts processes in one place only: ``_parts.fork_parts``.
 
 Two users go through that one helper: the part writer ``io._write_parts``,
 which splits every bulk artifact, CSV table or JSON document, between
 processes, and ``cli._residual_grids``, which evaluates the residual grids
 in slabs, one run of slabs per usable CPU. The helper pins each part to its
-CPU, reaps every child and restores the CPU mask however the parts end. A
-second site that forked on its own would have to get all of that right
-again, so this test reads the package's source with ``ast`` and requires
-that ``os.fork`` is called only inside ``io._fork_parts``, and that no
+CPU, reaps every child, runs again any part that no child finished, and
+restores the CPU mask however the parts end. A second site that forked on
+its own would have to get all of that right again, so this test reads the
+package's source with ``ast`` and requires that ``os.fork``, and the calls
+that place, reap and end a child (``os.sched_setaffinity``, ``os.waitpid``,
+``os._exit``), are made only inside ``_parts.fork_parts``, and that no
 module reaches another way of starting a process or thread: a
 process-starting name of ``os`` (``fork``, ``forkpty``, ``spawn*``,
 ``posix_spawn*``), or the ``subprocess``, ``multiprocessing``,
@@ -18,17 +20,20 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "dirachydro"
-FORK_SITE = ("io", "_fork_parts")
+FORK_SITE = ("_parts", "fork_parts")
+# the calls that place, reap and end a forked child
+CHILD_CALLS = ("sched_setaffinity", "waitpid", "_exit")
 PARALLEL_MODULES = ("subprocess", "multiprocessing", "concurrent", "threading")
 
 
-def _starts_processes(name):
-    return name.startswith(("fork", "spawn", "posix_spawn"))
+def _guarded(name):
+    return name.startswith(("fork", "spawn", "posix_spawn")) or name in CHILD_CALLS
 
 
 def _process_uses(source=SOURCE):
     """(module, enclosing top-level function or class or None, line, what) for
-    every use of a process- or thread-starting name in the package."""
+    every use of a process- or thread-starting name, or of a child call, in the
+    package."""
     uses = []
     for path in sorted(source.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -36,11 +41,11 @@ def _process_uses(source=SOURCE):
             owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             for node in ast.walk(top):
                 if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                        and node.value.id == "os" and _starts_processes(node.attr)):
+                        and node.value.id == "os" and _guarded(node.attr)):
                     uses.append((path.stem, owner, node.lineno, f"os.{node.attr}"))
                 elif isinstance(node, ast.ImportFrom) and node.module == "os":
                     uses.extend((path.stem, owner, node.lineno, f"from os import {alias.name}")
-                                for alias in node.names if _starts_processes(alias.name))
+                                for alias in node.names if _guarded(alias.name))
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -56,15 +61,18 @@ def _process_uses(source=SOURCE):
 def test_os_fork_is_called_only_by_the_shared_fork_helper():
     uses = _process_uses()
     elsewhere = [use for use in uses if (use[0], use[1]) != FORK_SITE]
-    assert not elsewhere, f"processes started outside io._fork_parts: {elsewhere}"
-    assert [what for _, _, _, what in uses] == ["os.fork"]
+    assert not elsewhere, f"processes started outside _parts.fork_parts: {elsewhere}"
+    assert sorted({what for _, _, _, what in uses}) == [
+        "os._exit", "os.fork", "os.sched_setaffinity", "os.waitpid"]
+    assert [what for _, _, _, what in uses].count("os.fork") == 1
 
 
 def test_the_check_sees_every_form_it_refuses(tmp_path):
     """Each refused form, written into a scratch package, is reported."""
-    (tmp_path / "io.py").write_text(
+    (tmp_path / "_parts.py").write_text(
         "import os\n"
-        "def _fork_parts():\n"
+        "def fork_parts():\n"
+        "    os.sched_setaffinity(0, {0})\n"
         "    return os.fork()\n"
     )
     (tmp_path / "other.py").write_text(
@@ -76,14 +84,23 @@ def test_the_check_sees_every_form_it_refuses(tmp_path):
         "    def write(self):\n"
         "        return os.fork(), os.posix_spawn\n"
         "spawn = os.spawnv\n"
+        "from os import waitpid\n"
+        "def reap(pid):\n"
+        "    os.sched_setaffinity(0, {0})\n"
+        "    os._exit(os.waitpid(pid, 0)[1])\n"
     )
     found = {(module, owner, what) for module, owner, _, what in _process_uses(tmp_path)}
     assert found == {
-        ("io", "_fork_parts", "os.fork"),
+        ("_parts", "fork_parts", "os.fork"),
+        ("_parts", "fork_parts", "os.sched_setaffinity"),
         ("other", None, "import subprocess"),
         ("other", None, "import concurrent.futures"),
         ("other", None, "from os import forkpty"),
         ("other", "Writer", "os.fork"),
         ("other", "Writer", "os.posix_spawn"),
         ("other", None, "os.spawnv"),
+        ("other", None, "from os import waitpid"),
+        ("other", "reap", "os.sched_setaffinity"),
+        ("other", "reap", "os._exit"),
+        ("other", "reap", "os.waitpid"),
     }

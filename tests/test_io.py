@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from dirachydro.dynamics import DynState, PrecessionFit, Trajectory, integrate
 from dirachydro.errors import ContractError
 from dirachydro.fields import UniformField
+from dirachydro import _parts
 from dirachydro import io as dio
 from dirachydro.grids import GridSpec
 from dirachydro.io import (
@@ -339,7 +340,7 @@ def _table_bytes(write, path, cores, part_rows=_PART_ROWS):
     """
     cpus = os.sched_getaffinity(0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dio, "_usable_cores", lambda: cores)
+        patch.setattr(_parts, "usable_cores", lambda: cores)
         patch.setattr(dio, "_PART_ROWS", part_rows)
         write(path)
     assert os.sched_getaffinity(0) == cpus
@@ -405,22 +406,35 @@ class _RenderFailed(Exception):
 
 @_splits
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("fails", ["child", "parent"])
+@pytest.mark.parametrize("fails", ["child", "child-after-text", "parent"])
 def test_a_failed_part_reaps_every_child_and_closes_every_file(tmp_path, monkeypatch, fails):
-    """Whichever process fails, the write raises and leaves no child, no open file
-    and this process's CPU mask as it was."""
-    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    """A part that fails only in its child is rendered again here, over any text
+    the child left, so the write has the one-process bytes; a part that fails
+    here raises. Either way no child, no open file and no CPU pin is left."""
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    maker = os.getpid()
 
     def render(write, start, stop):
-        if (start > 0) == (fails == "child"):
+        if fails != "parent" and os.getpid() != maker:
+            if fails == "child-after-text":
+                # more than the file's buffers hold, so it reaches the file
+                write("x" * (1 << 16))
+            raise _RenderFailed(f"rows {start} to {stop}")
+        if fails == "parent" and start == 0:
             raise _RenderFailed(f"rows {start} to {stop}")
         write(f"{start},{stop}\r\n")
 
     fds, cpus = _open_fds(), os.sched_getaffinity(0)
-    with open(tmp_path / "t.csv", "w", encoding="utf-8", newline="") as fh:
-        with pytest.raises(OSError if fails == "child" else _RenderFailed):
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fails == "parent":
+            with pytest.raises(_RenderFailed):
+                _write_parts(fh, 12, render)
+        else:
             _write_parts(fh, 12, render)
+    if fails != "parent":
+        assert path.read_bytes() == b"0,4\r\n4,8\r\n8,12\r\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
@@ -429,7 +443,7 @@ def test_a_failed_part_reaps_every_child_and_closes_every_file(tmp_path, monkeyp
 
 @_splits
 def test_parts_are_appended_in_row_order_each_from_its_own_cpu(tmp_path, monkeypatch):
-    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
     cpus = os.sched_getaffinity(0)
     path = tmp_path / "t.csv"
@@ -453,7 +467,7 @@ def test_one_part_never_forks(tmp_path, monkeypatch, cores, rows):
     def no_fork():
         raise AssertionError("a one-part write forked")
 
-    monkeypatch.setattr(dio, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: cores)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     traj = _trajectory_table(rows, 1)
@@ -465,7 +479,7 @@ def test_one_part_never_forks(tmp_path, monkeypatch, cores, rows):
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_a_platform_without_fork_or_affinity_has_one_core(monkeypatch, missing):
     monkeypatch.delattr(os, missing, raising=False)
-    assert dio._usable_cores() == 1
+    assert _parts.usable_cores() == 1
 
 
 def test_json_report_is_deterministic(tmp_path):
@@ -659,7 +673,7 @@ def test_a_refused_json_payload_opens_no_file_and_forks_nothing(tmp_path, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a refused payload was written")
 
-    monkeypatch.setattr(dio, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 4)
     monkeypatch.setattr(dio, "_PART_ROWS", 1)
     monkeypatch.setattr(os, "fork", refuse, raising=False)
     monkeypatch.setattr(dio, "open", refuse, raising=False)
@@ -749,38 +763,81 @@ class _FailingSamples(np.ndarray):
 @pytest.mark.parametrize("fails", ["child", "parent"])
 def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, monkeypatch,
                                                                       fails):
-    monkeypatch.setattr(dio, "_usable_cores", lambda: 3)
+    """Samples whose encoding fails only in a child are encoded again here, and the
+    document has the one-process bytes; where it fails here, the write raises and
+    leaves no file."""
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
     monkeypatch.setattr(_FailingSamples, "maker", os.getpid(), raising=False)
     monkeypatch.setattr(_FailingSamples, "in_maker", fails == "parent", raising=False)
     samples = np.linspace(0.0, 1.0, 12).view(_FailingSamples)
     fds, cpus = _open_fds(), os.sched_getaffinity(0)
     path = tmp_path / "t.json"
-    with pytest.raises(OSError if fails == "child" else _RenderFailed):
+    if fails == "parent":
+        with pytest.raises(_RenderFailed):
+            write_json_report(path, {"a": samples, "b": 1})
+        assert not path.exists()
+    else:
         write_json_report(path, {"a": samples, "b": 1})
-    assert not path.exists()
+        assert path.read_bytes() == _reference_json(
+            {"a": np.linspace(0.0, 1.0, 12).tolist(), "b": 1})
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
     assert os.sched_getaffinity(0) == cpus
 
 
+class _FailingText:
+    """A CSV text value whose text cannot be made, in any process."""
+
+    def __str__(self):
+        raise _RenderFailed("no text for this value")
+
+
+class _LateSamples(np.ndarray):
+    """Float64 samples whose encoding fails, in any process, past the first ten."""
+
+    def tolist(self):
+        if self.size and self[0] >= 10.0:
+            raise _RenderFailed("no text for these samples")
+        return super().tolist()
+
+
 @_splits
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
-    """A part that fails after the file was opened and part 0 written removes the file."""
-    monkeypatch.setattr(dio, "_usable_cores", lambda: 2)
+    """A part that fails after the file was opened and part 0 rendered, in its child
+    and again here, makes the write raise and removes the file."""
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
-    maker, pin = os.getpid(), os.sched_setaffinity
-
-    def pin_in_the_maker_only(pid, mask):
-        if os.getpid() != maker:
-            raise OSError("no CPU for this part")
-        pin(pid, mask)
-
-    monkeypatch.setattr(os, "sched_setaffinity", pin_in_the_maker_only)
-    path = tmp_path / f"traj.{fmt}"
-    save = save_trajectory_csv if fmt == "csv" else save_trajectory_json
-    with pytest.raises(OSError):
-        save(path, _trajectory_table(20, 3))
+    path = tmp_path / f"t.{fmt}"
+    with pytest.raises(_RenderFailed):
+        if fmt == "csv":
+            text = np.array([f"{k}" for k in range(10)] + [_FailingText()] * 10, dtype=object)
+            _write_csv(path, ["v"], [text])
+        else:
+            write_json_report(path, {"a": np.arange(20.0).view(_LateSamples)})
     assert not path.exists()
+
+
+@_splits
+def test_a_fork_that_fails_writes_the_one_process_bytes(tmp_path):
+    """With no process to be had, a 45k-row trajectory CSV and a 17^4 grid container
+    are written here, part after part, with the bytes of a one-CPU write."""
+    spec = GridSpec(active_axes=(0, 1, 2, 3), shape=(17,) * 4, spacing=(0.05,) * 4)
+    fields = {f"f{k}": _json_samples(17**4, k).reshape(spec.shape) for k in range(7)}
+    traj = _trajectory_table(45_000, 9)
+    forks = []
+
+    def no_process():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    for name, write in (("traj.csv", lambda path: save_trajectory_csv(path, traj)),
+                        ("grid.json", lambda path: save_grid_fields(path, spec, fields))):
+        one = _table_bytes(write, tmp_path / f"one-{name}", 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", no_process)
+            split = _table_bytes(write, tmp_path / f"split-{name}", 2)
+        assert split == one
+    assert len(forks) == 2

@@ -43,8 +43,10 @@ def fork_parts(parts, run, join=None):
     k-th CPU this process may use, and this process is held to the first of
     them until the parts end: a scheduler need not move a fresh fork off its
     parent's CPU, and then the parts would take turns on one core. A child
-    exits with status 0 when its ``run`` returns, else it prints the traceback
-    and exits with status 1. Once part 0 has run, the parts k = 1, 2, ... are
+    exits with status 0 when its ``run`` returns, else it prints one line to
+    stderr, naming the part and the error and saying that the part runs again
+    in the calling process, and exits with status 1; a traceback comes only
+    from a rerun that fails. Once part 0 has run, the parts k = 1, 2, ... are
     taken in order: a part that no child finished is run here, so its error
     raises here with its own type, and then ``join(k)`` is called, if given.
     No child finished a part whose child exited with another status, or one
@@ -73,8 +75,11 @@ def fork_parts(parts, run, join=None):
                     os.sched_setaffinity(0, {order[k]})
                     run(k)
                     status = 0
-                except BaseException:
-                    sys.excepthook(*sys.exc_info())
+                except BaseException as exc:
+                    # the part runs again in the parent, which raises its own error if it fails
+                    print(f"dirachydro: part {k} of {parts} failed in a child process"
+                          f" ({type(exc).__name__}: {exc});"
+                          " it runs again in the calling process", file=sys.stderr)
                     sys.stderr.flush()
                 finally:
                     os._exit(status)

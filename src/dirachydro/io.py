@@ -16,19 +16,22 @@ neither a file nor a field's sample list is ever held in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
-17 significant digits, masked and non-finite samples as nan/inf.  The
-writer formats ``_BLOCK_ROWS`` rows per string operation, so the text in
-memory is bounded by the block, not by the table.  A grid table's
-coordinate columns repeat a few values on every row; each distinct
-coordinate is formatted once and its text reused.  Grids with three or
-more axes have no CSV form; they use the grid container.
+every value as ``format_float`` writes it (17 significant digits, masked
+and non-finite samples as nan/inf).  The writer copies
+``_floattext.BLOCK_VALUES`` values at a time from slices of the float
+columns, a grid table's coordinate columns included, and
+``_floattext.rows_bytes`` renders each block in NumPy, bitwise as
+``format_float`` would, so the text in memory is bounded by the block, not
+by the table.  Grids with three or more axes have no CSV form; they use the
+grid container.
 
-Both writers go through one part writer, ``_write_parts``, which sees a
-file as a sequence of items: the rows of a table, or the samples of a
-JSON document's arrays taken in document order as one sequence, so a
-document is split once, not once per array.  A file of at least
-``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per usable
-core but no more than one per ``_PART_ROWS`` items, which run through
+Both writers go through one part writer, ``_write_parts``, which writes
+bytes: the CSV renderer's ASCII as it comes, the JSON text encoded a slice
+at a time.  It sees a file as a sequence of items: the rows of a table, or
+the samples of a JSON document's arrays taken in document order as one
+sequence, so a document is split once, not once per array.  A file of at
+least ``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per
+usable core but no more than one per ``_PART_ROWS`` items, which run through
 ``_parts.fork_parts``: the first is rendered into the file by this process,
 each other one into an unnamed temporary file, which is then appended in
 order with a small copy buffer.  Each process holds one block or slice of
@@ -72,7 +75,12 @@ FIT_COLUMNS = ("frequency", "axis_x", "axis_y", "axis_z", "rms_residual", "total
 
 
 def format_float(value):
-    """17 significant digits; round-trips float64 bit-exactly."""
+    """17 significant digits; round-trips float64 bit-exactly.
+
+    This is the ``"%.17g"`` that the CSV renderer, ``_floattext.rows_bytes``,
+    reproduces: tests compare the two, and the renderer reads from here the
+    digits of the rare values it cannot round with certainty.
+    """
     return f"{float(value):.17g}"
 
 
@@ -130,12 +138,10 @@ def load_grid_fields(path):
     return spec, fields
 
 
-# rows formatted per string operation: bounds the text in memory
-_BLOCK_ROWS = 64
 # items (table rows, document samples) per process at least: shorter files are never split
 _PART_ROWS = 8192
-# characters per read when a child's part is appended to the file
-_COPY_CHARS = 1 << 16
+# bytes per read when a child's part is appended to the file
+_COPY_BYTES = 1 << 16
 
 
 def _write_parts(fh, items, render):
@@ -157,7 +163,7 @@ def _write_parts(fh, items, render):
     files = []  # a temporary file per part after the first
     try:
         for _ in range(1, parts):
-            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            files.append(tempfile.TemporaryFile("w+b"))
 
         def run(k):
             if k == 0:
@@ -171,7 +177,7 @@ def _write_parts(fh, items, render):
 
         def join(k):
             files[k - 1].seek(0)
-            shutil.copyfileobj(files[k - 1], fh, _COPY_CHARS)
+            shutil.copyfileobj(files[k - 1], fh, _COPY_BYTES)
 
         fork_parts(parts, run, join)
     finally:
@@ -185,7 +191,7 @@ def _write_file(path, items, render):
     Whatever raises once the file is open (a failed part, an error in the
     render, a failed flush or close) removes the file before it propagates.
     """
-    fh = open(path, "w", encoding="utf-8", newline="")
+    fh = open(path, "wb")
     try:
         with fh:
             _write_parts(fh, items, render)
@@ -197,13 +203,13 @@ def _write_file(path, items, render):
 def _write_csv(path, header, columns):
     """Write one CSV table: a header row, then one row per sample.
 
-    ``columns`` are the table's columns side by side, as ``np.column_stack``
-    would stack them: a 1-D array is one column, a 2-D array one column per
-    entry of its second axis. A float column is written as ``format_float``
-    writes it; an object array holds text that is written as it is. Rows end
-    in CRLF, which is the csv module's default dialect; names that it would
-    have to quote are refused, and so is a header that does not name every
-    column once. The rows are formatted ``_BLOCK_ROWS`` at a time, each block
+    ``columns`` are the table's float columns side by side, as
+    ``np.column_stack`` would stack them: a 1-D array is one column, a 2-D
+    array one column per entry of its second axis. Every value is written as
+    ``format_float`` writes it, and rows end in CRLF, which is the csv
+    module's default dialect; names that it would have to quote are refused,
+    and so is a header that does not name every column once. The rows are
+    rendered ``_floattext.BLOCK_VALUES`` values at a time, each block copied
     from slices of the columns, and a long table is split between processes
     by ``_write_parts``: its items are the rows, and the header goes with
     row 0.
@@ -212,26 +218,27 @@ def _write_csv(path, header, columns):
         if not set(name).isdisjoint(',"\r\n'):
             raise ContractError(f"column name {name!r} would need CSV quoting")
     flat = []
-    for column in map(np.asarray, columns):
+    for column in (np.asarray(column, dtype=np.float64) for column in columns):
         flat.extend([column] if column.ndim == 1 else list(column.T))
     rows, width = len(flat[0]), len(flat)
     if any(len(column) != rows for column in flat):
         raise ContractError("CSV columns must all have one value per row")
     if len(header) != width:
         raise ContractError(f"a CSV header of {len(header)} names for {width} columns")
-    # one row: format_float's "%.17g" for a number, a text column as it is
-    template = ",".join("%s" if c.dtype == object else "%.17g" for c in flat) + "\r\n"
+    # imported here: only CSV tables use the renderer, so other runs start without it
+    from ._floattext import BLOCK_VALUES, rows_bytes
+
+    block_rows = max(1, BLOCK_VALUES // width)
 
     def render(write, start, stop):
         if start == 0:
-            write(",".join(header) + "\r\n")
-        for begin in range(start, stop, _BLOCK_ROWS):
-            end = min(begin + _BLOCK_ROWS, stop)
-            # row-major values of the block: column j fills every width-th slot
-            values = [None] * ((end - begin) * width)
+            write((",".join(header) + "\r\n").encode("utf-8"))
+        block = np.empty((min(block_rows, stop - start), width))
+        for begin in range(start, stop, block_rows):
+            end = min(begin + block_rows, stop)
             for j, column in enumerate(flat):
-                values[j::width] = column[begin:end].tolist()
-            write(template * (end - begin) % tuple(values))
+                block[:end - begin, j] = column[begin:end]
+            write(rows_bytes(block[:end - begin]))
 
     _write_file(path, rows, render)
 
@@ -281,11 +288,7 @@ def save_slice_csv(path, spec, fields):
         raise ContractError(
             f"a CSV table holds a 1-D or 2-D grid, this one has {spec.ndim} axes"
         )
-    # each coordinate formatted once; the text is shared by every row it is on
-    texts = [np.array([format_float(v) for v in axis], dtype=object)
-             for axis in spec.axis_coordinates()]
-    mesh = np.meshgrid(*(np.arange(n) for n in spec.shape), indexing="ij")
-    columns = [text[index.ravel()] for text, index in zip(texts, mesh)]
+    columns = [axis.ravel() for axis in np.meshgrid(*spec.axis_coordinates(), indexing="ij")]
     for name, values in fields.items():
         columns.append(_real_field(spec, name, values).ravel())
     _write_csv(path, list(spec.axis_names) + list(fields), columns)
@@ -321,16 +324,16 @@ def write_json_report(path, payload):
                 continue
             # the text up to an array's "[" goes with its first sample
             if begin == first:
-                write(text)
+                write(text.encode())
             for index in range(begin - first, end - first, _SLICE):
                 part = samples[index:min(index + _SLICE, end - first)]
                 values = part.tolist()
                 for nonfinite in np.flatnonzero(~np.isfinite(part)).tolist():
                     values[nonfinite] = None
                 encoded = json.dumps(values, separators=(separator, ": "))[1:-1]
-                write(encoded if index == 0 else separator + encoded)
+                write((encoded if index == 0 else separator + encoded).encode())
         if stop == offsets[-1]:
-            write(tail)
+            write(tail.encode())
 
     _write_file(path, offsets[-1], render)
 

@@ -42,8 +42,62 @@ _ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loo
 _SLAB_ORACLE = "tests/test_cli.py::test_slabbed_residual_grids_are_bitwise_the_whole_grid"
 # parts that fail in a child, one after writing text, or here
 _FAILED_PART = "tests/test_io.py::test_a_failed_part_reaps_every_child_and_closes_every_file"
+# every power of ten and its neighbours through the CSV renderer
+_POWERS = ("tests/test_floattext.py::"
+           "test_every_power_of_ten_and_its_neighbours_renders_as_percent_17g")
+_CARRY = "tests/test_floattext.py::test_digits_that_round_up_to_the_next_decade"
 
 MUTANTS = (
+    Mutant(
+        name="one sign of the gamma-pair coefficients flipped",
+        path="dirachydro/clifford.py",
+        fragment="[-1j, -1j, -1j, -1j],",
+        replacement="[-1j, -1j, -1j, 1j],",
+        killers=("tests/test_clifford.py::test_anticommutator_is_twice_metric",),
+    ),
+    Mutant(
+        name="the Dirac adjoint keeps its negative zeros",
+        path="dirachydro/clifford.py",
+        fragment="    out += 0.0\n",
+        replacement="",
+        killers=("tests/test_clifford.py::test_adjoint_is_the_matrix_product_bitwise",),
+    ),
+    Mutant(
+        name="the CSV renderer rounds every value itself, ties included",
+        path="dirachydro/_floattext.py",
+        fragment="_TIE = 1e-6",
+        replacement="_TIE = 0.0",
+        killers=("tests/test_floattext.py::test_an_exact_tie_takes_the_scalar_fallback",),
+    ),
+    Mutant(
+        name="the CSV renderer takes the decade from log10 alone",
+        path="dirachydro/_floattext.py",
+        fragment='upper = a >= _tables["threshold"].take(row)',
+        replacement='upper = np.floor(np.log10(a)) > _tables["low_decade"].take(row)',
+        killers=(_CARRY, _POWERS),
+    ),
+    Mutant(
+        name="digits that round up to 10**17 stay in their decade",
+        path="dirachydro/_floattext.py",
+        fragment="    carry = d == 10**17\n    d[carry] = 10**16\n    x += carry\n",
+        replacement="",
+        killers=(_CARRY,),
+    ),
+    Mutant(
+        name="the CSV renderer keeps trailing zeros",
+        path="dirachydro/_floattext.py",
+        fragment="    key -= trailing\n",
+        replacement="",
+        killers=("tests/test_floattext.py::"
+                 "test_integers_near_the_ends_of_exact_doubles_and_of_17_digits",),
+    ),
+    Mutant(
+        name="exponents of three digits written with two",
+        path="dirachydro/_floattext.py",
+        fragment="np.where(np.abs(x) >= 100, _SCI3, _SCI2)",
+        replacement="_SCI2",
+        killers=(_POWERS,),
+    ),
     Mutant(
         name="S integrand contracts the conjugated bracket",
         path="dirachydro/fisher.py",

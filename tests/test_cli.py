@@ -1160,6 +1160,30 @@ def test_a_slab_whose_child_fails_is_evaluated_again_here(tmp_path, monkeypatch)
         assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "split" / name, shallow=False)
 
 
+def test_a_child_failure_that_the_rerun_mends_leaves_one_line_on_stderr(tmp_path, monkeypatch,
+                                                                        capfd):
+    """A 40x9 run whose slab fails only in its child exits 0; the child says in one line
+    which part failed and how, and that it runs again, with no traceback."""
+    payload = _residuals_config()
+    payload["grid"].update(shape=[40, 9], spacing=[0.02, 0.03])
+    path = _write_config(tmp_path, payload)
+    evaluate, maker = cli.first_order_residuals, os.getpid()
+
+    def failing_in_a_child(fields, provider, particle):
+        if os.getpid() != maker:
+            raise MemoryError("no memory for this slab")
+        return evaluate(fields, provider, particle)
+
+    monkeypatch.setattr(cli, "first_order_residuals", failing_in_a_child)
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
+    capfd.readouterr()
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    err = capfd.readouterr().err
+    assert err == ("dirachydro: part 1 of 2 failed in a child process (MemoryError: no memory"
+                   " for this slab); it runs again in the calling process\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cores, shape, slab_points", [
     (1, [17, 17], None), (1, [40, 9], 60), (4, [5, 9], None), (1, [257, 257], None),
 ], ids=["one-cpu", "one-cpu-many-slabs", "short-first-axis", "one-cpu-257^2-csv"])

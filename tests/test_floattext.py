@@ -1,0 +1,108 @@
+"""The NumPy CSV renderer writes every float64 bitwise as ``"%.17g" % v`` writes it."""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from conftest import child_env
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dirachydro import _floattext
+from dirachydro._floattext import BLOCK_VALUES, rows_bytes
+
+
+def _reference(block):
+    """The CSV bytes of a (rows, columns) block, one ``"%.17g"`` per value."""
+    return "".join(",".join("%.17g" % v for v in row) + "\r\n"
+                   for row in block.tolist()).encode()
+
+
+def _assert_renders(values, width):
+    """``values`` as rows of ``width``, the last one padded with -0.0, render as "%.17g"."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    block = np.concatenate([values, np.full(-values.size % width, -0.0)]).reshape(-1, width)
+    assert rows_bytes(block) == _reference(block)
+
+
+def _is_below_power_of_ten(value, k):
+    """Whether the double ``value`` is below 10**k, compared exactly."""
+    p, q = value.as_integer_ratio()
+    return p * 10 ** max(-k, 0) < 10 ** max(k, 0) * q
+
+
+# every power of ten the doubles reach, as the nearest double, and its neighbours
+_POWERS = [float(f"1e{k}") for k in range(-323, 309)]
+_SWEEP = [v for p in _POWERS for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))]
+
+
+@settings(max_examples=60)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3 * BLOCK_VALUES),
+       width=st.integers(1, 13))
+@example(bits=[0x7FF8000000000000, 0xFFF8000000000000, 1, 0x7FEFFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF],
+         width=2)
+def test_any_bit_pattern_renders_as_percent_17g(bits, width):
+    """Subnormals, extremes, NaN payloads of both signs: every float64 there is."""
+    _assert_renders(np.array(bits, dtype=np.uint64).view(np.float64), width)
+
+
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_every_power_of_ten_and_its_neighbours_renders_as_percent_17g(width):
+    assert len(_SWEEP) == 1896
+    _assert_renders(_SWEEP + [-v for v in _SWEEP], width)
+
+
+def test_signed_zeros_nan_and_infinities():
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+    _assert_renders(values, 6)
+    assert rows_bytes(np.array([values])) == b"0,-0,nan,nan,inf,-inf\r\n"
+
+
+def test_integers_near_the_ends_of_exact_doubles_and_of_17_digits():
+    centres = [2.0**53, 1e16, 1e17, 2.0**63, 123456789012345678.0]
+    values = [c + step * math.ulp(c) for c in centres for step in range(-3, 4)]
+    _assert_renders(values + [-v for v in values], 5)
+
+
+def test_digits_that_round_up_to_the_next_decade():
+    """1e-14 is a double below 10**-14 whose 17 digits round up to 10**17; the double
+    nearest 1e23 is below it too, but keeps its decade."""
+    carried = [v for k, p in zip(range(-323, 309), _POWERS)
+               for v in (p, math.nextafter(p, 0.0))
+               if _is_below_power_of_ten(v, k)
+               and ("%.17g" % v).partition("e")[0].replace(".", "").strip("0") == "1"]
+    assert len(carried) == 14 and 1e-14 in carried
+    _assert_renders(carried, 4)
+    assert rows_bytes(np.array([[1e-14, 1e23, -1e16, 1e17]])) == (
+        b"1e-14,9.9999999999999992e+22,-10000000000000000,1e+17\r\n")
+
+
+def test_an_exact_tie_takes_the_scalar_fallback(monkeypatch):
+    """1000000000000000.25 is a double whose 18th digit is an exact 5: its 17 digits
+    round half to even, which only the scalar oracle decides."""
+    tie = 4000000000000001 / 4
+    assert tie == 1000000000000000.25
+    fallback, asked = _floattext.format_float, []
+
+    def recorded(value):
+        asked.append(value)
+        return fallback(value)
+
+    monkeypatch.setattr(_floattext, "format_float", recorded)
+    assert rows_bytes(np.array([[tie, -tie, 0.5]])) == (
+        b"1000000000000000.2,-1000000000000000.2,0.5\r\n")
+    assert asked == [tie, tie]
+
+
+def test_importing_the_cli_builds_no_table_and_imports_no_rational_arithmetic():
+    """Start-up stays as it was: the renderer is imported by the first CSV write, and
+    importing it builds no table."""
+    probe = ("import sys, dirachydro.cli\n"
+             "print(sorted({'fractions', 'decimal', 'dirachydro._floattext'} & set(sys.modules)))\n"
+             "from dirachydro import _floattext\n"
+             "print(_floattext._tables)\n")
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=child_env(), check=True)
+    assert child.stdout == "[]\n{}\n"

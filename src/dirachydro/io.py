@@ -1,9 +1,10 @@
 """File formats: grid field containers, CSV tables, trajectory JSON, reports.
 
-Everything here is deterministic: keys are sorted, floats are written with
-17 significant digits (enough to round-trip float64 exactly), and nothing
-records wall-clock state.  Rerunning the same computation must reproduce
-the same bytes.
+Everything here is deterministic: keys are sorted, every float is written
+so that it reads back as the same float64 (CSV values with 17 significant
+digits, JSON values as the shortest such text, which is what ``repr`` and
+``json.dumps`` write), and nothing records wall-clock state.  Rerunning the
+same computation must reproduce the same bytes.
 
 Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
@@ -11,8 +12,9 @@ to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
 writer that streams the document as it encodes it.  Bulk samples reach it
-as 1-D float64 arrays, which it encodes a fixed-size slice at a time, so
-neither a file nor a field's sample list is ever held in memory whole.
+as 1-D float64 arrays, which ``_floattext.json_bytes`` renders in NumPy a
+fixed-size slice at a time, bitwise as ``json.dumps`` would, so neither a
+file nor a field's sample list is ever held in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
@@ -309,13 +311,18 @@ def write_json_report(path, payload):
     The document goes through ``_write_parts`` as one sequence of items: the
     samples of all its arrays in document order. A long document is thus
     split between processes once, whatever the number of arrays in it. An
-    array's samples are encoded ``_SLICE`` at a time, so the text in memory
-    is bounded by the slice, not by the array.
+    array's samples are rendered ``_SLICE`` at a time by
+    ``_floattext.json_bytes``, each as ``float.__repr__`` writes it, which is
+    how ``json.dumps`` writes a float, so the text in memory is bounded by
+    the slice, not by the array.
     """
     segments, tail = _json_segments(payload)
     offsets = [0]
     for _, samples, _ in segments:
         offsets.append(offsets[-1] + samples.size)
+    if segments:
+        # imported here: only documents with arrays use the renderer
+        from ._floattext import json_bytes
 
     def render(write, start, stop):
         for (text, samples, separator), first in zip(segments, offsets):
@@ -326,20 +333,18 @@ def write_json_report(path, payload):
             if begin == first:
                 write(text.encode())
             for index in range(begin - first, end - first, _SLICE):
-                part = samples[index:min(index + _SLICE, end - first)]
-                values = part.tolist()
-                for nonfinite in np.flatnonzero(~np.isfinite(part)).tolist():
-                    values[nonfinite] = None
-                encoded = json.dumps(values, separators=(separator, ": "))[1:-1]
-                write((encoded if index == 0 else separator + encoded).encode())
+                if index:
+                    write(separator)
+                write(json_bytes(samples[index:min(index + _SLICE, end - first)], separator))
         if stop == offsets[-1]:
             write(tail.encode())
 
     _write_file(path, offsets[-1], render)
 
 
-# samples of an array encoded per json.dumps call: bounds the text in memory
-_SLICE = 4096
+# samples of an array rendered per call, three of the renderer's blocks: bounds the
+# text in memory
+_SLICE = 4608
 
 
 def _json_segments(payload):
@@ -348,7 +353,7 @@ def _json_segments(payload):
     Returns ``(segments, tail)``. Each segment is ``(text, samples,
     separator)``: the literal text since the previous array, up to and
     including the next non-empty 1-D float64 array's opening bracket and
-    indent; that array; and the text between two of its samples. ``tail`` is
+    indent; that array; and the bytes between two of its samples. ``tail`` is
     the text after the last array, the final newline included. Dicts, lists
     and tuples are walked here, so that only scalars and keys go to
     ``json.dumps``: with indent set, it would fall back to its pure-Python
@@ -390,7 +395,7 @@ def _json_segments(payload):
                 text.append("[]")
                 return
             text.append("[" + inner)
-            segments.append(("".join(text), value, "," + inner))
+            segments.append(("".join(text), value, ("," + inner).encode()))
             text[:] = [newline + "]"]
         else:
             text.append(json.dumps(value, allow_nan=False))

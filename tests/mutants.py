@@ -46,6 +46,10 @@ _FAILED_PART = "tests/test_io.py::test_a_failed_part_reaps_every_child_and_close
 _POWERS = ("tests/test_floattext.py::"
            "test_every_power_of_ten_and_its_neighbours_renders_as_percent_17g")
 _CARRY = "tests/test_floattext.py::test_digits_that_round_up_to_the_next_decade"
+# every power of ten and of two and their neighbours through the JSON renderer
+_JSON_POWERS = ("tests/test_floattext.py::"
+                "test_every_power_of_ten_and_of_two_and_their_neighbours_render_as_json_dumps")
+_JSON_EDGES = "tests/test_floattext.py::test_integers_edges_and_extremes_render_as_json_dumps"
 
 MUTANTS = (
     Mutant(
@@ -97,6 +101,44 @@ MUTANTS = (
         fragment="np.where(np.abs(x) >= 100, _SCI3, _SCI2)",
         replacement="_SCI2",
         killers=(_POWERS,),
+    ),
+    Mutant(
+        name="no narrow gap below a power of two",
+        path="dirachydro/_floattext.py",
+        fragment="gap, gap / 2 if e > -1021 else gap",
+        replacement="gap, gap",
+        killers=(_JSON_POWERS,),
+    ),
+    Mutant(
+        name="no fallback at an end of the interval",
+        path="dirachydro/_floattext.py",
+        fragment=("    near |= np.abs(up - np.rint(up)) < _TIE\n"
+                  "    near |= np.abs(down - np.rint(down)) < _TIE\n"),
+        replacement=("    near |= np.abs(up - np.rint(up)) < 0.0\n"
+                     "    near |= np.abs(down - np.rint(down)) < 0.0\n"),
+        killers=("tests/test_floattext.py::"
+                 "test_an_end_of_the_interval_on_an_integer_takes_the_fallback",),
+    ),
+    Mutant(
+        name="JSON fixed point up to a decimal exponent of 16",
+        path="dirachydro/_floattext.py",
+        fragment='_JSON = _Output("json", 15,',
+        replacement='_JSON = _Output("json", 16,',
+        killers=(_JSON_EDGES,),
+    ),
+    Mutant(
+        name="no .0 after an integral JSON value",
+        path="dirachydro/_floattext.py",
+        fragment='"json", 15, (_POINT, _ZERO),',
+        replacement='"json", 15, (),',
+        killers=(_JSON_EDGES,),
+    ),
+    Mutant(
+        name="the lowest multiple of ten in the interval, not the nearest",
+        path="dirachydro/_floattext.py",
+        fragment="np.minimum(np.maximum(r1, low1), high1)",
+        replacement="low1",
+        killers=(_JSON_POWERS,),
     ),
     Mutant(
         name="S integrand contracts the conjugated bracket",

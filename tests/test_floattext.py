@@ -1,5 +1,7 @@
-"""The NumPy CSV renderer writes every float64 bitwise as ``"%.17g" % v`` writes it."""
+"""The NumPy renderers write every float64 bitwise as ``"%.17g" % v`` writes it (CSV)
+and as ``json.dumps`` writes it (JSON)."""
 
+import json
 import math
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirachydro import _floattext
-from dirachydro._floattext import BLOCK_VALUES, rows_bytes
+from dirachydro._floattext import BLOCK_VALUES, json_bytes, rows_bytes
 
 
 def _reference(block):
@@ -96,13 +98,80 @@ def test_an_exact_tie_takes_the_scalar_fallback(monkeypatch):
     assert asked == [tie, tie]
 
 
-def test_importing_the_cli_builds_no_table_and_imports_no_rational_arithmetic():
-    """Start-up stays as it was: the renderer is imported by the first CSV write, and
-    importing it builds no table."""
+def test_importing_the_cli_builds_no_table_and_imports_no_rational_arithmetic(tmp_path):
+    """Start-up stays as it was: the renderer is imported by the first CSV table or
+    JSON array written, not by a report without arrays, and importing it builds no
+    table."""
     probe = ("import sys, dirachydro.cli\n"
-             "print(sorted({'fractions', 'decimal', 'dirachydro._floattext'} & set(sys.modules)))\n"
+             "modules = {'fractions', 'decimal', 'dirachydro._floattext'}\n"
+             "print(sorted(modules & set(sys.modules)))\n"
+             "from dirachydro.io import write_json_report\n"
+             "write_json_report(sys.argv[1], {'a': [1.5, {'b': None}], 'c': 0.1})\n"
+             "print(sorted(modules & set(sys.modules)))\n"
              "from dirachydro import _floattext\n"
              "print(_floattext._tables)\n")
-    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                           env=child_env(), check=True)
-    assert child.stdout == "[]\n{}\n"
+    child = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "report.json")],
+                           capture_output=True, text=True, env=child_env(), check=True)
+    assert child.stdout == "[]\n[]\n{}\n"
+
+
+# the separators of JSON sample arrays: at the writer's depth (grid fields, trajectory
+# columns), one deeper and one shallower
+_SEPARATORS = [",\n      ", ",\n        ", ",\n    "]
+
+
+def _assert_json(values, separator=_SEPARATORS[0]):
+    """``values`` render as json.dumps writes them, null where not finite."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    reference = json.dumps([v if math.isfinite(v) else None for v in values.tolist()],
+                           separators=(separator, ": "))[1:-1]
+    assert json_bytes(values, separator.encode()) == reference.encode()
+
+
+@settings(max_examples=60)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3 * BLOCK_VALUES),
+       separator=st.sampled_from(_SEPARATORS))
+@example(bits=[0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+               1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+               0x8000000000000000, 0],
+         separator=_SEPARATORS[0])
+def test_any_bit_pattern_renders_as_json_dumps(bits, separator):
+    """Subnormals, extremes, NaN payloads of both signs: every float64 there is."""
+    _assert_json(np.array(bits, dtype=np.uint64).view(np.float64), separator)
+
+
+def test_every_power_of_ten_and_of_two_and_their_neighbours_render_as_json_dumps():
+    """The powers of two from 2**-1074 to 2**1023 have a gap below half the gap above,
+    except 2**-1022 and the subnormals."""
+    twos = [2.0**k for k in range(-1074, 1024)]
+    assert len(twos) == 2098 and twos[0] == 5e-324
+    values = _SWEEP + twos
+    _assert_json(values + [-v for v in values])
+
+
+def test_integers_edges_and_extremes_render_as_json_dumps():
+    integers = [float(n) for n in range(2001)] + [2.0**53 + n for n in range(-5, 6)]
+    edges = [9999999999999998.0, 1e16, 1e15, 0.0001, 1e-05, 1e23, 5e-324,
+             1.7976931348623157e308, 0.0, -0.0]
+    _assert_json(integers + edges + [-v for v in edges])
+    assert json_bytes(np.array(edges), b",") == (
+        b"9999999999999998.0,1e+16,1000000000000000.0,0.0001,1e-05,1e+23,5e-324,"
+        b"1.7976931348623157e+308,0.0,-0.0")
+    assert json_bytes(np.array([math.nan, -math.inf, math.inf, 2.0]), b", ") == (
+        b"null, null, null, 2.0")
+
+
+def test_an_end_of_the_interval_on_an_integer_takes_the_fallback(monkeypatch):
+    """Half the gaps from 2**53 to its neighbours are 1 above and 1/2 below, so both
+    ends of the interval that reads back as it are exact decimals: whether such an end
+    reads back as 2**53 is a round-half-even tie, which only ``repr`` decides."""
+    fallback, asked = _floattext._fallback, []
+
+    def recorded(values, text):
+        asked.extend(values.tolist())
+        return fallback(values, text)
+
+    monkeypatch.setattr(_floattext, "_fallback", recorded)
+    assert json_bytes(np.array([2.0**53, -2.0**53, 0.5]), b",") == (
+        b"9007199254740992.0,-9007199254740992.0,0.5")
+    assert asked == [2.0**53, 2.0**53]

@@ -664,11 +664,11 @@ def test_grid_writer_memory_does_not_grow_with_the_field(tmp_path):
     assert _grid_writer_peak(tmp_path, 17) <= 1.5 * _grid_writer_peak(tmp_path, 9)
 
 
-def _trajectory_writer_peak(tmp_path, rows):
+def _trajectory_writer_peak(tmp_path, rows, save=save_trajectory_csv):
     traj = _trajectory_table(rows, 5)
     tracemalloc.start()
     try:
-        save_trajectory_csv(tmp_path / "t.csv", traj)
+        save(tmp_path / "t.out", traj)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -687,6 +687,20 @@ def test_trajectory_writer_memory_does_not_grow_with_the_table(tmp_path, monkeyp
     _trajectory_writer_peak(tmp_path, 100)
     small, large = (_trajectory_writer_peak(tmp_path, rows) for rows in (4_500, 45_000))
     assert large <= 1.1 * small
+
+
+def test_trajectory_json_writer_memory_does_not_grow_with_the_table(tmp_path, monkeypatch):
+    """Columns are rendered a slice at a time, so ten times the rows is not ten times
+    the peak.
+
+    Measured 0.61 and 0.64 MB at 4,500 and 45,000 rows (Python 3.11, NumPy 2.4);
+    ``json.dumps`` of ``tolist()`` slices took 0.61 and 0.71 MB.
+    """
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 1)
+    _trajectory_writer_peak(tmp_path, 100, save_trajectory_json)
+    small, large = (_trajectory_writer_peak(tmp_path, rows, save_trajectory_json)
+                    for rows in (4_500, 45_000))
+    assert large <= 1.25 * small
 
 
 REFUSALS = {**REFUSED_PAYLOADS,
@@ -776,16 +790,6 @@ def test_full_size_json_bytes_do_not_depend_on_the_part_count(tmp_path):
         assert split == one
 
 
-class _FailingSamples(np.ndarray):
-    """Float64 samples whose encoding fails in one process: the one that made
-    them (``in_maker``) or any other."""
-
-    def tolist(self):
-        if (os.getpid() == self.maker) == self.in_maker:
-            raise _RenderFailed(f"encoding in process {os.getpid()}")
-        return super().tolist()
-
-
 @_splits
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("fails", ["child", "parent"])
@@ -796,9 +800,16 @@ def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, mo
     leaves no file."""
     monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
-    monkeypatch.setattr(_FailingSamples, "maker", os.getpid(), raising=False)
-    monkeypatch.setattr(_FailingSamples, "in_maker", fails == "parent", raising=False)
-    samples = np.linspace(0.0, 1.0, 12).view(_FailingSamples)
+    maker, render = os.getpid(), _floattext.json_bytes
+
+    def failing_json_bytes(values, separator):
+        """Samples whose rendering fails in one process: this one or any other."""
+        if (os.getpid() == maker) == (fails == "parent"):
+            raise _RenderFailed(f"rendering in process {os.getpid()}")
+        return render(values, separator)
+
+    monkeypatch.setattr(_floattext, "json_bytes", failing_json_bytes)
+    samples = np.linspace(0.0, 1.0, 12)
     fds, cpus = _open_fds(), os.sched_getaffinity(0)
     path = tmp_path / "t.json"
     if fails == "parent":
@@ -815,15 +826,6 @@ def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, mo
     assert os.sched_getaffinity(0) == cpus
 
 
-class _LateSamples(np.ndarray):
-    """Float64 samples whose encoding fails, in any process, past the first ten."""
-
-    def tolist(self):
-        if self.size and self[0] >= 10.0:
-            raise _RenderFailed("no text for these samples")
-        return super().tolist()
-
-
 @_splits
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
@@ -832,20 +834,21 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
     path = tmp_path / f"t.{fmt}"
-    render = _floattext.rows_bytes
+    name = {"csv": "rows_bytes", "json": "json_bytes"}[fmt]
+    render = getattr(_floattext, name)
 
-    def late_rows_bytes(block):
-        """Rows whose rendering fails, in any process, past the first ten."""
-        if block.max() >= 10.0:
-            raise _RenderFailed("no text for these rows")
-        return render(block)
+    def late_render(values, *separator):
+        """Values whose rendering fails, in any process, past the first ten."""
+        if values.max() >= 10.0:
+            raise _RenderFailed("no text for these values")
+        return render(values, *separator)
 
-    monkeypatch.setattr(_floattext, "rows_bytes", late_rows_bytes)
+    monkeypatch.setattr(_floattext, name, late_render)
     with pytest.raises(_RenderFailed):
         if fmt == "csv":
             _write_csv(path, ["v"], [np.arange(20.0)])
         else:
-            write_json_report(path, {"a": np.arange(20.0).view(_LateSamples)})
+            write_json_report(path, {"a": np.arange(20.0)})
     assert not path.exists()
 
 

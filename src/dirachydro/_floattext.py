@@ -1,15 +1,20 @@
 """Float64 values as text, rendered by NumPy a block at a time, in two forms.
 
-``rows_bytes(block)`` takes a (rows, columns) float64 block and returns its
-CSV bytes: the values of a row joined by ``,``, every row ended by CRLF,
-and each value bitwise ``format_float(value)``, the 17 significant digits
-in ``%g`` layout (``nan``, ``inf``, ``-inf``, ``0`` and ``-0`` included).
+``csv_blocks(columns, start, stop)`` yields the CSV bytes of the rows
+``[start, stop)`` of 1-D float64 columns side by side: the values of a row
+joined by ``,``, every row ended by CRLF, and each value bitwise its 17
+significant digits in ``%g`` layout (``nan``, ``inf``, ``-inf``, ``0`` and
+``-0`` included).
 
-``json_bytes(values, separator)`` takes a 1-D float64 array and returns its
-JSON text: each value bitwise ``float.__repr__(value)``, the shortest
-digits that read back as the value, ``null`` for NaN and infinities, the
-values joined by ``separator``.  These are the samples ``json.dumps``
-writes for the list with None in place of each non-finite value.
+``json_blocks(values, separator)`` yields the JSON text of a 1-D float64
+array: each value bitwise ``float.__repr__(value)``, the shortest digits
+that read back as the value, ``null`` for NaN and infinities, the values
+joined by ``separator``.  These are the samples ``json.dumps`` writes for
+the list with None in place of each non-finite value.
+
+Each yields one gather of at most ``BLOCK_VALUES`` values at a time, so the
+text in memory is bounded by the block; this module is the one place that
+block size is decided.
 
 The scale.  A finite nonzero ``|x| = m * 2**e`` with m in [0.5, 1) lies in
 the decade k with ``10**k <= |x| < 10**(k + 1)``.  For a given e, k is one
@@ -41,8 +46,9 @@ integers (``delta <= 11.1`` for a normal double), so where it holds a
 multiple of 100, that one is the multiple of ``10**j`` for the largest j,
 and the layout's count of its trailing zeros gives j.
 
-Either form leaves a value to the scalar oracle, ``format_float`` for CSV
-and ``float.__repr__`` for JSON, where its digits are too close to call:
+Either form leaves a value to the scalar oracle, Python's own formatting
+(``%g`` with 17 digits for CSV, ``float.__repr__`` for JSON), where its
+digits are too close to call:
 a rounding within ``_TIE`` of a tie, an end of [L, H] within ``_TIE`` of an
 integer, or a half gap wider than ``_WIDE`` (subnormals below 1e-309).  A
 value whose digits reach ``10**17`` moves to the next decade.
@@ -61,7 +67,7 @@ fixed-point value in ``.0``, and writes ``0.0`` and ``null``.
 The tables are filled on first use, each form's layouts with its first
 call and the scales only for the binary exponents a block holds, so that
 importing this module costs nothing; the writers import it with their
-first table or array.
+first table or array.  It imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -70,8 +76,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-from .io import format_float
 
 # a rounding or an end of [L, H] this close to a tie or an integer is left to the
 # scalar oracle, far above the error bound
@@ -233,7 +237,7 @@ def _build_tables():
 
 def _fallback(values, text):
     """The 17 digits, padded with zeros, and decimal exponents of ``values``, read from
-    ``text(value)``: ``format_float``'s ``%g`` layout or ``repr``'s."""
+    ``text(value)``: the ``%g`` layout or ``repr``'s."""
     digits, exponents = [], []
     for value in values.tolist():
         mantissa, _, exponent = text(value).lstrip("-").partition("e")
@@ -286,7 +290,7 @@ def _digits(a):
     _carry(d, x)
     near = np.flatnonzero(np.abs(t - r - 0.5) > 0.5 - _TIE)
     if near.size:
-        d[near], x[near] = _fallback(a[near], format_float)
+        d[near], x[near] = _fallback(a[near], "%.17g".__mod__)
     return d, x
 
 
@@ -337,7 +341,7 @@ def _output_tables(output):
     return _tables[output.name]
 
 
-def _chunk_bytes(values, row_end, tables, digits):
+def _gather(values, row_end, tables, digits):
     """The bytes of at most ``BLOCK_VALUES`` values in the output form of the layout
     ``tables``, their digits from ``digits``; ``row_end`` is the key offset of each,
     nonzero for those that end a row."""
@@ -383,30 +387,41 @@ def _chunk_bytes(values, row_end, tables, digits):
     return src.ravel()[index].tobytes()
 
 
-def rows_bytes(block):
-    """The CSV bytes of a (rows, columns) float64 block; see the module docstring.
+def csv_blocks(columns, start, stop):
+    """The CSV bytes of the rows ``[start, stop)`` of the 1-D float64 ``columns`` side
+    by side, one gather at a time; see the module docstring.
 
-    Calls share one source buffer, so two may not run at once in one process;
-    the package starts no threads, and a forked child has its own copy.
+    Each block of rows is copied from slices of the columns, and a row wider than
+    a gather is rendered a gather of its values at a time.  Gathers share one
+    source buffer, so two may not run at once in one process; the package starts
+    no threads, and a forked child has its own copy.
     """
     tables = _output_tables(_CSV)
-    values = block.ravel()
-    width = block.shape[1]
-    row_end = (np.arange(values.size) % width == width - 1) * _ROW_END
-    return b"".join(_chunk_bytes(values[i:i + BLOCK_VALUES], row_end[i:i + BLOCK_VALUES],
-                                 tables, _digits)
-                    for i in range(0, values.size, BLOCK_VALUES))
+    width = len(columns)
+    block_rows = max(1, BLOCK_VALUES // width)
+    block = np.empty((min(block_rows, stop - start), width))
+    row_end = (np.arange(block.size) % width == width - 1) * _ROW_END
+    for begin in range(start, stop, block_rows):
+        end = min(begin + block_rows, stop)
+        for j, column in enumerate(columns):
+            block[:end - begin, j] = column[begin:end]
+        values = block[:end - begin].ravel()
+        for i in range(0, values.size, BLOCK_VALUES):
+            j = min(i + BLOCK_VALUES, values.size)
+            yield _gather(values[i:j], row_end[i:j], tables, _digits)
 
 
-def json_bytes(values, separator):
-    """The JSON text of the 1-D float64 ``values`` joined by the bytes ``separator``;
-    see the module docstring.  Shares ``rows_bytes``'s source buffer."""
+def json_blocks(values, separator):
+    """The JSON text of the 1-D float64 ``values`` joined by the bytes ``separator``,
+    one gather at a time; see the module docstring.  Shares ``csv_blocks``'s
+    source buffer.
+
+    A block that does not end the array ends in ``separator``.
+    """
     tables = _output_tables(_JSON)
-    # the last value ends the one row, and every other one is followed by a comma,
-    # which no value's text holds
-    row_end = np.zeros(values.size, dtype=np.int64)
-    row_end[-1:] = _ROW_END
-    text = b"".join(_chunk_bytes(values[i:i + BLOCK_VALUES], row_end[i:i + BLOCK_VALUES],
-                                 tables, _shortest)
-                    for i in range(0, values.size, BLOCK_VALUES))
-    return text if separator == b"," else text.replace(b",", separator)
+    for i in range(0, values.size, BLOCK_VALUES):
+        block = values[i:i + BLOCK_VALUES]
+        # the last value ends the one row, and every other one is followed by a
+        # comma, which no value's text holds
+        row_end = (np.arange(i, i + block.size) == values.size - 1) * _ROW_END
+        yield _gather(block, row_end, tables, _shortest).replace(b",", separator)

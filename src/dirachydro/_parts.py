@@ -4,10 +4,11 @@
 in parts, and ``cli._residual_grids`` evaluates runs of residual slabs.
 Each asks ``per_core`` how many parts to make, cuts its units with
 ``cuts`` and hands the parts to ``fork_parts``, which also holds the one
-failure rule.  The children are started with ``os.fork``.  Python 3.12 and
-later emit a ``DeprecationWarning`` for a fork in a process that runs other
-threads (a BLAS thread pool is one); the interpreter this is tested on is
-3.11.
+failure rule; what the parts leave (text in temporary files, rows in a
+shared map) the caller takes up once ``fork_parts`` returns.  The children
+are started with ``os.fork``.  Python 3.12 and later emit a
+``DeprecationWarning`` for a fork in a process that runs other threads (a
+BLAS thread pool is one); the interpreter this is tested on is 3.11.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def cuts(units, parts):
     return [units * k // parts for k in range(parts + 1)]
 
 
-def fork_parts(parts, run, join=None):
+def fork_parts(parts, run):
     """Run ``run(k)`` for each part ``k`` in ``range(parts)``, part 0 here, each other one
     in a forked child.
 
@@ -48,12 +49,11 @@ def fork_parts(parts, run, join=None):
     in the calling process, and exits with status 1; a traceback comes only
     from a rerun that fails. Once part 0 has run, the parts k = 1, 2, ... are
     taken in order: a part that no child finished is run here, so its error
-    raises here with its own type, and then ``join(k)`` is called, if given.
-    No child finished a part whose child exited with another status, or one
-    left without a child because a fork raised ``OSError`` (as at a process
-    limit); once a fork fails, no more are tried. One part runs here alone:
-    no fork, no pinning. Every child is reaped and the CPU mask restored
-    however the parts end.
+    raises here with its own type. No child finished a part whose child
+    exited with another status, or one left without a child because a fork
+    raised ``OSError`` (as at a process limit); once a fork fails, no more
+    are tried. One part runs here alone: no fork, no pinning. Every child is
+    reaped and the CPU mask restored however the parts end.
     """
     if parts == 1:
         run(0)
@@ -92,8 +92,6 @@ def fork_parts(parts, run, join=None):
                 pids.pop(0)
             if not finished:
                 run(k)
-            if join is not None:
-                join(k)
     finally:
         os.sched_setaffinity(0, cpus)
         for pid in pids:

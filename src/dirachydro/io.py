@@ -12,31 +12,29 @@ to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
 writer that streams the document as it encodes it.  Bulk samples reach it
-as 1-D float64 arrays, which ``_floattext.json_bytes`` renders in NumPy a
-fixed-size slice at a time, bitwise as ``json.dumps`` would, so neither a
-file nor a field's sample list is ever held in memory whole.
+as 1-D float64 arrays, whose text ``_floattext.json_blocks`` yields in
+NumPy a block at a time, bitwise as ``json.dumps`` would write it, so
+neither a file nor a field's sample list is ever held in memory whole.
 
 CSV tables (trajectories, precession fits, fields of 1-D and 2-D grids) all
 come from one writer: a header row, then one row per sample, CRLF row ends,
-every value as ``format_float`` writes it (17 significant digits, masked
-and non-finite samples as nan/inf).  The writer copies
-``_floattext.BLOCK_VALUES`` values at a time from slices of the float
-columns, a grid table's coordinate columns included, and
-``_floattext.rows_bytes`` renders each block in NumPy, bitwise as
-``format_float`` would, so the text in memory is bounded by the block, not
-by the table.  Grids with three or more axes have no CSV form; they use the
-grid container.
+every value with 17 significant digits in ``%g`` layout (masked and
+non-finite samples as nan/inf).  ``_floattext.csv_blocks`` yields the rows'
+text in NumPy a block at a time, copied from slices of the float columns, a
+grid table's coordinate columns included, so the text in memory is bounded
+by the block, not by the table.  Grids with three or more axes have no CSV
+form; they use the grid container.
 
-Both writers go through one part writer, ``_write_parts``, which writes
-bytes: the CSV renderer's ASCII as it comes, the JSON text encoded a slice
-at a time.  It sees a file as a sequence of items: the rows of a table, or
+The renderer decides the block size; the writers only write what it yields.
+Both go through one part writer, ``_write_parts``, which writes bytes.  It
+sees a file as a sequence of items: the rows of a table, or
 the samples of a JSON document's arrays taken in document order as one
 sequence, so a document is split once, not once per array.  A file of at
 least ``2 * _PART_ROWS`` items is cut into contiguous item ranges, one per
 usable core but no more than one per ``_PART_ROWS`` items, which run through
 ``_parts.fork_parts``: the first is rendered into the file by this process,
-each other one into an unnamed temporary file, which is then appended in
-order with a small copy buffer.  Each process holds one block or slice of
+each other one into an unnamed temporary file, and once every part has run
+the temporary files are appended in order.  Each process holds one block of
 text, so memory stays bounded, and the bytes are those of a one-process
 write, also where a part is rendered again in this process (see
 ``_parts``).  A write that fails leaves no file behind.
@@ -67,23 +65,12 @@ __all__ = [
     "save_fit_csv",
     "save_slice_csv",
     "write_json_report",
-    "format_float",
 ]
 
 GRID_FORMAT = "dirachydro-grid-v1"
 TRAJECTORY_FORMAT = "dirachydro-trajectory-v1"
 
 FIT_COLUMNS = ("frequency", "axis_x", "axis_y", "axis_z", "rms_residual", "total_angle")
-
-
-def format_float(value):
-    """17 significant digits; round-trips float64 bit-exactly.
-
-    This is the ``"%.17g"`` that the CSV renderer, ``_floattext.rows_bytes``,
-    reproduces: tests compare the two, and the renderer reads from here the
-    digits of the rare values it cannot round with certainty.
-    """
-    return f"{float(value):.17g}"
 
 
 def _real_field(spec, name, values):
@@ -142,8 +129,6 @@ def load_grid_fields(path):
 
 # items (table rows, document samples) per process at least: shorter files are never split
 _PART_ROWS = 8192
-# bytes per read when a child's part is appended to the file
-_COPY_BYTES = 1 << 16
 
 
 def _write_parts(fh, items, render):
@@ -157,8 +142,9 @@ def _write_parts(fh, items, render):
     items, and the parts run through ``_parts.fork_parts``. Part 0 is rendered
     straight into ``fh``; each other part is rendered into an unnamed
     temporary file, emptied first in case a child that failed left text in
-    it, and appended to ``fh`` in item order. Every temporary file is closed
-    whether or not the write succeeds.
+    it. Once every part has run, the temporary files are appended to ``fh``
+    in item order. Every temporary file is closed whether or not the write
+    succeeds.
     """
     parts = per_core(items, _PART_ROWS)
     bounds = cuts(items, parts)
@@ -177,11 +163,10 @@ def _write_parts(fh, items, render):
             render(part.write, bounds[k], bounds[k + 1])
             part.flush()
 
-        def join(k):
-            files[k - 1].seek(0)
-            shutil.copyfileobj(files[k - 1], fh, _COPY_BYTES)
-
-        fork_parts(parts, run, join)
+        fork_parts(parts, run)
+        for part in files:
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
     finally:
         for part in files:
             part.close()
@@ -207,14 +192,13 @@ def _write_csv(path, header, columns):
 
     ``columns`` are the table's float columns side by side, as
     ``np.column_stack`` would stack them: a 1-D array is one column, a 2-D
-    array one column per entry of its second axis. Every value is written as
-    ``format_float`` writes it, and rows end in CRLF, which is the csv
-    module's default dialect; names that it would have to quote are refused,
-    and so is a header that does not name every column once. The rows are
-    rendered ``_floattext.BLOCK_VALUES`` values at a time, each block copied
-    from slices of the columns, and a long table is split between processes
-    by ``_write_parts``: its items are the rows, and the header goes with
-    row 0.
+    array one column per entry of its second axis. Every value is written
+    with 17 significant digits in ``%g`` layout, and rows end in CRLF, which
+    is the csv module's default dialect; names that it would have to quote
+    are refused, and so is a header that does not name every column once.
+    ``_floattext.csv_blocks`` yields the rows' text, and a long table is split
+    between processes by ``_write_parts``: its items are the rows, and the
+    header goes with row 0.
     """
     for name in header:
         if not set(name).isdisjoint(',"\r\n'):
@@ -228,19 +212,13 @@ def _write_csv(path, header, columns):
     if len(header) != width:
         raise ContractError(f"a CSV header of {len(header)} names for {width} columns")
     # imported here: only CSV tables use the renderer, so other runs start without it
-    from ._floattext import BLOCK_VALUES, rows_bytes
-
-    block_rows = max(1, BLOCK_VALUES // width)
+    from ._floattext import csv_blocks
 
     def render(write, start, stop):
         if start == 0:
             write((",".join(header) + "\r\n").encode("utf-8"))
-        block = np.empty((min(block_rows, stop - start), width))
-        for begin in range(start, stop, block_rows):
-            end = min(begin + block_rows, stop)
-            for j, column in enumerate(flat):
-                block[:end - begin, j] = column[begin:end]
-            write(rows_bytes(block[:end - begin]))
+        for block in csv_blocks(flat, start, stop):
+            write(block)
 
     _write_file(path, rows, render)
 
@@ -310,11 +288,11 @@ def write_json_report(path, payload):
 
     The document goes through ``_write_parts`` as one sequence of items: the
     samples of all its arrays in document order. A long document is thus
-    split between processes once, whatever the number of arrays in it. An
-    array's samples are rendered ``_SLICE`` at a time by
-    ``_floattext.json_bytes``, each as ``float.__repr__`` writes it, which is
-    how ``json.dumps`` writes a float, so the text in memory is bounded by
-    the slice, not by the array.
+    split between processes once, whatever the number of arrays in it.
+    ``_floattext.json_blocks`` yields an array's text a block at a time, each
+    sample as ``float.__repr__`` writes it, which is how ``json.dumps``
+    writes a float, so the text in memory is bounded by the block, not by
+    the array.
     """
     segments, tail = _json_segments(payload)
     offsets = [0]
@@ -322,29 +300,22 @@ def write_json_report(path, payload):
         offsets.append(offsets[-1] + samples.size)
     if segments:
         # imported here: only documents with arrays use the renderer
-        from ._floattext import json_bytes
+        from ._floattext import json_blocks
 
     def render(write, start, stop):
         for (text, samples, separator), first in zip(segments, offsets):
             begin, end = max(start, first), min(stop, first + samples.size)
             if begin >= end:
                 continue
-            # the text up to an array's "[" goes with its first sample
-            if begin == first:
-                write(text.encode())
-            for index in range(begin - first, end - first, _SLICE):
-                if index:
-                    write(separator)
-                write(json_bytes(samples[index:min(index + _SLICE, end - first)], separator))
+            # the text up to an array's "[" goes with its first sample, and a part
+            # that starts inside an array starts with the separator
+            write(text.encode() if begin == first else separator)
+            for block in json_blocks(samples[begin - first:end - first], separator):
+                write(block)
         if stop == offsets[-1]:
             write(tail.encode())
 
     _write_file(path, offsets[-1], render)
-
-
-# samples of an array rendered per call, three of the renderer's blocks: bounds the
-# text in memory
-_SLICE = 4608
 
 
 def _json_segments(payload):

@@ -278,9 +278,16 @@ MUTANTS = (
     Mutant(
         name="a part is appended from where its file was left",
         path="dirachydro/io.py",
-        fragment="            files[k - 1].seek(0)\n",
-        replacement="",
+        fragment="            part.seek(0)\n            shutil.copyfileobj(part, fh)\n",
+        replacement="            shutil.copyfileobj(part, fh)\n",
         killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="a part that starts inside an array writes no separator",
+        path="dirachydro/io.py",
+        fragment="write(text.encode() if begin == first else separator)",
+        replacement='write(text.encode() if begin == first else b"")',
+        killers=("tests/test_io.py::test_a_part_cut_near_a_block_boundary_inside_an_array",),
     ),
     Mutant(
         name="a part rendered again here keeps the text its child left",

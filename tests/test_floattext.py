@@ -13,7 +13,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirachydro import _floattext
-from dirachydro._floattext import BLOCK_VALUES, json_bytes, rows_bytes
+from dirachydro._floattext import BLOCK_VALUES, csv_blocks, json_blocks
+
+
+def rows_bytes(block):
+    """The CSV bytes ``csv_blocks`` yields for the rows of a (rows, columns) block."""
+    return b"".join(csv_blocks(list(block.T), 0, block.shape[0]))
+
+
+def json_bytes(values, separator):
+    """The JSON text ``json_blocks`` yields for ``values``, one gather per block."""
+    blocks = list(json_blocks(values, separator))
+    assert len(blocks) == -(-values.size // BLOCK_VALUES)
+    return b"".join(blocks)
 
 
 def _reference(block):
@@ -86,13 +98,13 @@ def test_an_exact_tie_takes_the_scalar_fallback(monkeypatch):
     round half to even, which only the scalar oracle decides."""
     tie = 4000000000000001 / 4
     assert tie == 1000000000000000.25
-    fallback, asked = _floattext.format_float, []
+    fallback, asked = _floattext._fallback, []
 
-    def recorded(value):
-        asked.append(value)
-        return fallback(value)
+    def recorded(values, text):
+        asked.extend(values.tolist())
+        return fallback(values, text)
 
-    monkeypatch.setattr(_floattext, "format_float", recorded)
+    monkeypatch.setattr(_floattext, "_fallback", recorded)
     assert rows_bytes(np.array([[tie, -tie, 0.5]])) == (
         b"1000000000000000.2,-1000000000000000.2,0.5\r\n")
     assert asked == [tie, tie]
@@ -113,6 +125,15 @@ def test_importing_the_cli_builds_no_table_and_imports_no_rational_arithmetic(tm
     child = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "report.json")],
                            capture_output=True, text=True, env=child_env(), check=True)
     assert child.stdout == "[]\n[]\n{}\n"
+
+
+def test_the_renderer_imports_nothing_from_the_package():
+    """A fresh interpreter that imports the renderer loads no other package module."""
+    probe = ("import sys, dirachydro._floattext\n"
+             "print(sorted(m for m in sys.modules if m.startswith('dirachydro.')))\n")
+    child = subprocess.run([sys.executable, "-c", probe],
+                           capture_output=True, text=True, env=child_env(), check=True)
+    assert child.stdout == "['dirachydro._floattext']\n"
 
 
 # the separators of JSON sample arrays: at the writer's depth (grid fields, trajectory

@@ -23,13 +23,11 @@ from dirachydro.grids import GridSpec
 from dirachydro._floattext import BLOCK_VALUES
 from dirachydro.io import (
     _PART_ROWS,
-    _SLICE,
     _write_csv,
     _write_parts,
     FIT_COLUMNS,
     GRID_FORMAT,
     TRAJECTORY_COLUMNS,
-    format_float,
     load_grid_fields,
     load_trajectory_csv,
     save_fit_csv,
@@ -69,12 +67,12 @@ def _spec1d():
 
 
 def _reference_csv(header, rows):
-    """The csv.writer + format_float table the writers must reproduce."""
+    """The csv.writer + ``"%.17g"`` table the writers must reproduce."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_float(v) for v in row])
+        writer.writerow(["%.17g" % v for v in row])
     return buffer.getvalue().encode("utf-8")
 
 
@@ -90,18 +88,6 @@ def _trajectory():
     )
     provider = UniformField(B0=np.array([0.0, 0.0, 0.7]))
     return integrate(state, provider, ds=0.05, n_steps=40)
-
-
-def test_format_float_round_trips_exactly():
-    rng = np.random.default_rng(17)
-    values = np.concatenate([
-        rng.normal(size=200),
-        rng.normal(size=100) * 1e-200,
-        rng.normal(size=100) * 1e200,
-        [0.0, 1.0, -1.0, np.pi],
-    ])
-    for v in values:
-        assert float(format_float(v)) == float(v)
 
 
 def test_grid_container_round_trip(tmp_path):
@@ -258,6 +244,18 @@ def test_slice_csv_bytes_match_csv_writer(tmp_path, spec):
         rows.append([c[i] for c, i in zip(coords, index)] + [plain[index], filled])
     header = list(spec.axis_names) + ["plain", "masked"]
     assert path.read_bytes() == _reference_csv(header, rows)
+
+
+def test_slice_csv_wider_than_a_block_matches_csv_writer(tmp_path):
+    """A row of more values than the renderer gathers at once is rendered a gather at
+    a time, and the table still has the ``"%.17g"`` bytes."""
+    spec = _spec1d()
+    fields = {f"f{k}": _edge_fill(spec.shape, k) for k in range(BLOCK_VALUES + 4)}
+    path = tmp_path / "wide.csv"
+    save_slice_csv(path, spec, fields)
+    x = spec.axis_coordinates()[0]
+    rows = [[x[i]] + [values[i] for values in fields.values()] for i in range(spec.shape[0])]
+    assert path.read_bytes() == _reference_csv(["x", *fields], rows)
 
 
 def test_fit_csv_rows_end_in_crlf(tmp_path):
@@ -597,13 +595,13 @@ def test_grid_container_writer_memory_is_bounded(tmp_path):
     assert peak / (7 * 9**4) <= 1.5 * 45
 
 
-_SLICE_SIZES = [0, 1, _SLICE - 1, _SLICE, _SLICE + 1]
+_BLOCK_SIZES = [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1]
 _NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 @settings(max_examples=25)
 @given(
-    size=st.sampled_from(_SLICE_SIZES) | st.integers(0, 3 * _SLICE + 2),
+    size=st.sampled_from(_BLOCK_SIZES) | st.integers(0, 3 * BLOCK_VALUES + 2),
     seed=st.integers(0, 2**32),
     edge_values=st.lists(st.sampled_from(_NON_FINITE + [-0.0, 5e-324, 1.7976931348623157e308]),
                          min_size=6, max_size=6),
@@ -614,8 +612,9 @@ def test_json_writer_encodes_float_arrays_in_slices(size, seed, edge_values, nes
     rng = np.random.default_rng(seed)
     values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
     values[rng.random(size) < 0.01] = np.nan
-    # awkward samples on both sides of every slice boundary
-    edges = [i for k in range(0, size + _SLICE, _SLICE) for i in (k - 1, k) if 0 <= i < size]
+    # awkward samples on both sides of every block boundary
+    edges = [i for k in range(0, size + BLOCK_VALUES, BLOCK_VALUES) for i in (k - 1, k)
+             if 0 <= i < size]
     for index, value in zip(edges, edge_values * len(edges)):
         values[index] = value
     samples = [v if np.isfinite(v) else None for v in values.tolist()]
@@ -654,10 +653,11 @@ def _grid_writer_peak(tmp_path, n):
 
 
 def test_grid_writer_memory_does_not_grow_with_the_field(tmp_path):
-    """Samples are encoded a slice at a time, so 13 times the samples is not 13 times the peak.
+    """Samples are encoded a block at a time, so 13 times the samples is not 13 times the peak.
 
-    Measured 0.59 MB at both 9^4 and 17^4 (Python 3.11, NumPy 2.4); building
-    the whole sample list and its text took 9.3 MB at 17^4.
+    Measured 0.59 and 0.60 MB at 9^4 and 17^4 (Python 3.11, NumPy 2.4, 2
+    usable cores; 0.59 MB at both on one); building the whole sample list
+    and its text took 9.3 MB at 17^4.
     """
     # the first write in a process allocates once for good; keep it out of the peaks
     _grid_writer_peak(tmp_path, 5)
@@ -678,7 +678,7 @@ def test_trajectory_writer_memory_does_not_grow_with_the_table(tmp_path, monkeyp
     """Rows are rendered a block at a time from slices of the columns, so ten times
     the rows is not ten times the peak.
 
-    Measured 0.56 MB at both 4,500 and 45,000 rows (Python 3.11, NumPy 2.4);
+    Measured 0.59 and 0.58 MB at 4,500 and 45,000 rows (Python 3.11, NumPy 2.4);
     stacking the whole 45,000-row table first would add 4.3 MB.
     """
     # every row rendered in this process, where tracemalloc sees it
@@ -690,10 +690,10 @@ def test_trajectory_writer_memory_does_not_grow_with_the_table(tmp_path, monkeyp
 
 
 def test_trajectory_json_writer_memory_does_not_grow_with_the_table(tmp_path, monkeypatch):
-    """Columns are rendered a slice at a time, so ten times the rows is not ten times
+    """Columns are rendered a block at a time, so ten times the rows is not ten times
     the peak.
 
-    Measured 0.61 and 0.64 MB at 4,500 and 45,000 rows (Python 3.11, NumPy 2.4);
+    Measured 0.59 MB at both 4,500 and 45,000 rows (Python 3.11, NumPy 2.4);
     ``json.dumps`` of ``tolist()`` slices took 0.61 and 0.71 MB.
     """
     monkeypatch.setattr(_parts, "usable_cores", lambda: 1)
@@ -727,13 +727,14 @@ def test_a_refused_json_payload_opens_no_file_and_forks_nothing(tmp_path, monkey
 
 def _json_samples(size, seed):
     """``size`` float64 samples over the exponent range, with nan, +-inf and
-    signed zero among them and on both sides of every slice boundary."""
+    signed zero among them and on both sides of every block boundary."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
     awkward = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
     picked = rng.random(size) < 0.05
     values[picked] = rng.choice(awkward, size=int(picked.sum()))
-    edges = [i for k in range(0, size + _SLICE, _SLICE) for i in (k - 1, k) if 0 <= i < size]
+    edges = [i for k in range(0, size + BLOCK_VALUES, BLOCK_VALUES) for i in (k - 1, k)
+             if 0 <= i < size]
     values[edges] = rng.choice(awkward, size=len(edges))
     return values
 
@@ -741,11 +742,11 @@ def _json_samples(size, seed):
 @st.composite
 def _split_documents(draw):
     """A payload of several arrays, the document json.dumps must write for it,
-    and a part size: arrays on and either side of part and slice boundaries,
+    and a part size: arrays on and either side of part and block boundaries,
     some empty, at the top, in dicts and in lists, with scalars between them."""
     part_rows = draw(st.integers(1, 64))
     sizes = (st.sampled_from([0, 1, part_rows - 1, part_rows, part_rows + 1,
-                              _SLICE - 1, _SLICE, _SLICE + 1])
+                              BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1])
              | st.integers(0, 3 * part_rows))
     scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
                | st.floats(allow_nan=False, allow_infinity=False))
@@ -791,6 +792,22 @@ def test_full_size_json_bytes_do_not_depend_on_the_part_count(tmp_path):
 
 
 @_splits
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_a_part_cut_near_a_block_boundary_inside_an_array(tmp_path, step):
+    """Two parts cut one array one sample before, at and after a block boundary: the
+    second part starts with the separator, and its blocks start at the cut."""
+    values = _json_samples(2 * (BLOCK_VALUES + step), 5)
+    samples = [v if np.isfinite(v) else None for v in values.tolist()]
+
+    def write(path):
+        write_json_report(path, {"a": 1.5, "f": values})
+
+    one = _table_bytes(write, tmp_path / "one.json", 1)
+    split = _table_bytes(write, tmp_path / "split.json", 2, 64)
+    assert split == one == _reference_json({"a": 1.5, "f": samples})
+
+
+@_splits
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("fails", ["child", "parent"])
 def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, monkeypatch,
@@ -800,15 +817,15 @@ def test_a_failed_json_part_reaps_every_child_and_closes_every_file(tmp_path, mo
     leaves no file."""
     monkeypatch.setattr(_parts, "usable_cores", lambda: 3)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
-    maker, render = os.getpid(), _floattext.json_bytes
+    maker, render = os.getpid(), _floattext._gather
 
-    def failing_json_bytes(values, separator):
+    def failing_gather(*args):
         """Samples whose rendering fails in one process: this one or any other."""
         if (os.getpid() == maker) == (fails == "parent"):
             raise _RenderFailed(f"rendering in process {os.getpid()}")
-        return render(values, separator)
+        return render(*args)
 
-    monkeypatch.setattr(_floattext, "json_bytes", failing_json_bytes)
+    monkeypatch.setattr(_floattext, "_gather", failing_gather)
     samples = np.linspace(0.0, 1.0, 12)
     fds, cpus = _open_fds(), os.sched_getaffinity(0)
     path = tmp_path / "t.json"
@@ -834,16 +851,15 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
     monkeypatch.setattr(dio, "_PART_ROWS", 4)
     path = tmp_path / f"t.{fmt}"
-    name = {"csv": "rows_bytes", "json": "json_bytes"}[fmt]
-    render = getattr(_floattext, name)
+    render = _floattext._gather
 
-    def late_render(values, *separator):
+    def late_gather(values, *rest):
         """Values whose rendering fails, in any process, past the first ten."""
         if values.max() >= 10.0:
             raise _RenderFailed("no text for these values")
-        return render(values, *separator)
+        return render(values, *rest)
 
-    monkeypatch.setattr(_floattext, name, late_render)
+    monkeypatch.setattr(_floattext, "_gather", late_gather)
     with pytest.raises(_RenderFailed):
         if fmt == "csv":
             _write_csv(path, ["v"], [np.arange(20.0)])

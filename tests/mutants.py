@@ -50,6 +50,8 @@ _CARRY = "tests/test_floattext.py::test_digits_that_round_up_to_the_next_decade"
 _JSON_POWERS = ("tests/test_floattext.py::"
                 "test_every_power_of_ten_and_of_two_and_their_neighbours_render_as_json_dumps")
 _JSON_EDGES = "tests/test_floattext.py::test_integers_edges_and_extremes_render_as_json_dumps"
+# an oracle and the code it checks share no code beyond the allow-list
+_PAIRS = "tests/test_oracle_independence.py::test_oracle_pairs_meet_only_in_the_allow_list"
 
 MUTANTS = (
     Mutant(
@@ -214,6 +216,33 @@ MUTANTS = (
                  "tests/test_hydro.py::test_squared_operator_reproduces_bilinear_residuals"),
     ),
     Mutant(
+        name="the bilinear density terms computed through quantum_potential",
+        path="dirachydro/hydro.py",
+        fragment="    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / safe), halo\n",
+        # the same terms, -hbar^2 box(sqrt rho)/sqrt rho = 2Q, from the expanded side
+        replacement=("    potential = quantum_potential(spec, rho0, hbar)\n"
+                     "    return 2.0 * potential.filled(0.0), halo\n"),
+        killers=(_PAIRS,),
+    ),
+    Mutant(
+        name="the Pauli limit computed through expanded_terms",
+        path="dirachydro/fisher.py",
+        fragment=("    bb = np.einsum(\n"
+                  "        \"...m,...m->...\", raise_index(bracket_lower), bracket_lower\n"
+                  "    )\n"),
+        replacement=("    from .hydro import expanded_terms\n\n"
+                     "    terms = expanded_terms(fields, provider, particle)\n"
+                     "    bb = terms[\"momentum\"] + particle.mass * particle.mass\n"),
+        killers=(_PAIRS,),
+    ),
+    Mutant(
+        name="the spin azimuth rate without its pole check",
+        path="dirachydro/lagrangian.py",
+        fragment="    if np.min(perp) <= 1e-9:\n        return np.zeros(s.shape[0])\n",
+        replacement="",
+        killers=("tests/test_lagrangian.py::test_spin_azimuth_rate_polar_fallback",),
+    ),
+    Mutant(
         name="second_partial squares the spacing with a float power",
         path="dirachydro/grids.py",
         fragment="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)",
@@ -302,6 +331,13 @@ MUTANTS = (
         fragment="        Path(path).unlink(missing_ok=True)\n",
         replacement="        pass\n",
         killers=("tests/test_io.py::test_a_failed_write_leaves_no_file",),
+    ),
+    Mutant(
+        name="the process entry does not freeze",
+        path="dirachydro/cli.py",
+        fragment="    gc.freeze()\n",
+        replacement="",
+        killers=("tests/test_entry.py::test_the_entry_freezes_and_writes_the_bytes_of_main",),
     ),
 )
 

@@ -26,7 +26,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "dirachydro"
+import dirachydro.errors
+
+# the sources of the package under test, wherever it was imported from
+SOURCE = Path(dirachydro.errors.__file__).resolve().parent
 PACKAGE = "dirachydro"
 _CONSTRUCTORS = ("__init__", "__post_init__", "__call__")
 

@@ -17,10 +17,11 @@ Commands
 residuals evaluates its grids in slabs of rows along the grid's first
 active axis, one per core this process may run on (more on a grid too
 large for that many slabs of ``_SLAB_POINTS`` points).  Each slab reads a
-halo of ``_HALO`` = 3 rows on each side: the stencils reach 2 rows and the
-vacuum mask of the quantum potential 3, so the grids kept from its own rows
-are bitwise those of one evaluation of the whole grid.  The slabs are cut
-into one run per core, and the runs go through ``_parts.fork_parts`` into a
+halo of rows on each side, as many as ``hydro._residual_reach`` says a
+residual reads: 2, the reach of the stencils, or 3 on a grid with a vacuum
+point, whose mask reaches 3.  So the grids kept from its own rows are
+bitwise those of one evaluation of the whole grid.  The slabs are cut into
+one run per core, and the runs go through ``_parts.fork_parts`` into a
 shared map of the grids.
 
 The process entry is ``script``: the ``dirachydro`` console script and
@@ -63,6 +64,8 @@ from .errors import ContractError, FitError, InstabilityError, NonFiniteResultEr
 from .fields import Particle, ZERO_FIELD, provider_from_config
 from .grids import GridSpec
 from .hydro import (
+    _VACUUM_REACH,
+    _residual_reach,
     first_order_residuals,
     second_order_residuals_bilinear,
     second_order_residuals_expanded,
@@ -244,9 +247,9 @@ _RESIDUAL_NAMES = (
     "continuity_expanded",
     "qhj_expanded",
 )
-# rows a slab reads beyond its own on each side: the stencils reach 2 rows,
-# and the vacuum mask of hydro._vacuum grows 3 rows from a vacuum point
-_HALO = 3
+# rows a slab reads beyond its own on each side at most, on a grid with a
+# vacuum point; the slab count keeps to it whatever the grid
+_HALO = _VACUUM_REACH
 # points a slab holds at most, halo included, where a row is small enough;
 # every benchmark and demo grid fits in one slab this size
 _SLAB_POINTS = 1 << 17
@@ -279,10 +282,12 @@ def _slab_count(shape, cores):
 def _residual_grids(fields, provider, particle):
     """The residual grids, evaluated in slabs of rows along the first active axis.
 
-    Every residual at a point reads only the rows within ``_HALO`` of it, so
-    each slab is evaluated on its rows and a halo of ``_HALO`` rows on each
-    side (fewer at a grid edge), and only its own rows are kept: the grids
-    are bitwise those of one evaluation of the whole grid. There is a slab
+    Every residual at a point reads only the rows within
+    ``hydro._residual_reach`` of it: 2 rows, or 3 where the whole grid has a
+    vacuum point. So each slab is evaluated on its rows and a halo of that
+    many rows on each side (fewer at a grid edge), and only its own rows are
+    kept: the grids are bitwise those of one evaluation of the whole grid.
+    The slab count keeps to the widest halo, ``_HALO``. There is a slab
     per usable core, or more on a grid too large for that many slabs of
     ``_SLAB_POINTS`` points. The slabs are split into one contiguous run per
     core and the runs go through ``_parts.fork_parts``: the first run, which
@@ -296,6 +301,7 @@ def _residual_grids(fields, provider, particle):
     if slabs == 1:
         return _evaluated_grids(fields, provider, particle)
     rows = spec.shape[0]
+    halo = _residual_reach(fields.rho0)
     bounds = _parts.cuts(rows, slabs)
     runs = _parts.per_core(slabs)
     firsts = _parts.cuts(slabs, runs)
@@ -308,7 +314,7 @@ def _residual_grids(fields, provider, particle):
     def run(j):
         for k in range(firsts[j], firsts[j + 1]):
             lo, hi = bounds[k], bounds[k + 1]
-            below, above = max(0, lo - _HALO), min(rows, hi + _HALO)
+            below, above = max(0, lo - halo), min(rows, hi + halo)
             grids = _evaluated_grids(fields.slab(below, above), provider, particle)
             # indexed, not iterated, so no view of the map outlives the statement
             for index, grid in enumerate(grids.values()):

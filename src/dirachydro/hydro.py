@@ -45,6 +45,7 @@ one private function sums the terms into L for both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +98,12 @@ TERM_COEFFS = {
 # Densities at or below this are treated as vacuum: the quantum potential
 # divides by sqrt(rho0) and is reported masked there instead of raising.
 DENSITY_FLOOR = 1e-300
+# samples every stencil of a residual reaches from its point along an axis,
+# and samples the vacuum mask of _vacuum grows from a vacuum point
+_STENCIL_REACH = 2
+_VACUUM_REACH = 3
+# points of the spinor-gradient correction evaluated at a time
+_CORRECTION_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -249,24 +256,40 @@ def _slashed(ebar, de_lower, axes):
     return np.einsum("...a,...a->...", ebar, slashed_e)
 
 
+def _is_vacuum(rho0):
+    """Where rho0 <= DENSITY_FLOOR, or is not a number."""
+    return ~(rho0 > DENSITY_FLOOR)
+
+
 def _vacuum(rho0):
     """rho0 with its vacuum points set to 1, and the vacuum points with their halo.
 
-    Vacuum is where rho0 <= DENSITY_FLOOR.  A vacuum point poisons every
-    stencil that reads it, so the halo grows the vacuum by 3 samples along
-    each axis, which covers the widest (one-sided, 4-point) formula.  Shifts
-    stop at the grid edge: the grid is not periodic.
+    A vacuum point poisons every stencil that reads it, so the halo grows
+    the vacuum by ``_VACUUM_REACH`` = 3 samples along each axis, which covers
+    the widest (one-sided, 4-point) formula.  Shifts stop at the grid edge:
+    the grid is not periodic.
     """
-    vacuum = ~(rho0 > DENSITY_FLOOR)
+    vacuum = _is_vacuum(rho0)
     halo = vacuum.copy()
     for axis in range(vacuum.ndim):
         grown = np.moveaxis(vacuum.copy(), axis, 0)
-        for _ in range(3):
+        for _ in range(_VACUUM_REACH):
             previous = grown.copy()
             grown[1:] |= previous[:-1]
             grown[:-1] |= previous[1:]
         halo |= np.moveaxis(grown, 0, axis)
     return np.where(vacuum, 1.0, rho0), halo
+
+
+def _residual_reach(rho0):
+    """Samples a residual at a point reads along each axis, on a grid with this rho0.
+
+    The stencils reach ``_STENCIL_REACH`` = 2 samples; only the vacuum mask
+    reaches further, ``_VACUUM_REACH`` = 3, and only on a grid with a vacuum
+    point.  A part of the grid evaluated with this many samples past its own
+    on each side gives its own points the residuals of the whole grid.
+    """
+    return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH
 
 
 def quantum_potential(spec, rho0, hbar=1.0):
@@ -368,8 +391,22 @@ def _spinor_gradient_correction(spec, e, de_lower, e_de, scalar):
 
     d^mu ebar d_mu e / ebar e - (d_mu ebar e)(ebar d^mu e) / (ebar e)^2
 
-    summed over the active axes, the slots of de_lower and e_de.
+    summed over the active axes, the slots of de_lower and e_de.  Every term
+    is pointwise, so it is evaluated a block of whole rows along the first
+    axis at a time, at most ``_CORRECTION_POINTS`` points (one row where a
+    row holds more): the adjoint gradient, as large as de_lower, is never
+    held for the whole grid.
     """
+    step = max(1, _CORRECTION_POINTS // math.prod(spec.shape[1:]))
+    out = np.empty(spec.shape, dtype=np.complex128)
+    for lo in range(0, spec.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] = _correction_block(spec, e[rows], de_lower[rows], e_de[rows], scalar[rows])
+    return out
+
+
+def _correction_block(spec, e, de_lower, e_de, scalar):
+    """The spinor-gradient correction on a block of rows."""
     debar_lower = _adjoint(de_lower)
     de_bar_e = np.einsum("...ma,...a->...m", debar_lower, e)
     cross = np.einsum("...m,...m->...", spec.raise_gradient(de_bar_e), e_de)

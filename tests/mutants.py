@@ -243,6 +243,13 @@ MUTANTS = (
         killers=("tests/test_lagrangian.py::test_spin_azimuth_rate_polar_fallback",),
     ),
     Mutant(
+        name="an unused public alias of the density floor",
+        path="dirachydro/hydro.py",
+        fragment="DENSITY_FLOOR = 1e-300\n",
+        replacement="DENSITY_FLOOR = 1e-300\nVACUUM_FLOOR = DENSITY_FLOOR\n",
+        killers=("tests/test_public_api.py::test_every_public_name_has_a_caller",),
+    ),
+    Mutant(
         name="second_partial squares the spacing with a float power",
         path="dirachydro/grids.py",
         fragment="(v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)",
@@ -250,13 +257,28 @@ MUTANTS = (
         killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
     ),
     Mutant(
-        name="slabs read a halo of 2 rows",
-        path="dirachydro/cli.py",
-        fragment="below, above = max(0, lo - _HALO), min(rows, hi + _HALO)",
-        replacement="below, above = max(0, lo - 2), min(rows, hi + 2)",
+        name="a grid with a vacuum point gets a halo of 2",
+        path="dirachydro/hydro.py",
+        fragment="return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH",
+        replacement="return _STENCIL_REACH",
         # only a vacuum point 2 or 3 rows from a cut tells a halo of 2 from one of 3
         killers=("tests/test_cli.py::test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid",
                  _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="vacuum-free slabs read 1 row",
+        path="dirachydro/hydro.py",
+        fragment="_STENCIL_REACH = 2",
+        replacement="_STENCIL_REACH = 1",
+        killers=("tests/test_cli.py::test_slabs_read_the_halo_their_grid_needs", _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="the correction drops a partial last block",
+        path="dirachydro/hydro.py",
+        fragment="range(0, spec.shape[0], step)",
+        replacement="range(0, spec.shape[0] - step + 1, step)",
+        killers=("tests/test_hydro.py::"
+                 "test_the_correction_in_blocks_of_rows_is_bitwise_one_block",),
     ),
     Mutant(
         name="slab coordinates from a shifted origin",
@@ -289,6 +311,15 @@ MUTANTS = (
         fragment="        os.sched_setaffinity(0, cpus)\n",
         replacement="        pass\n",
         killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="usable_cores also asks multiprocessing for the CPU count",
+        path="dirachydro/_parts.py",
+        fragment="    return len(os.sched_getaffinity(0))\n",
+        # the same count wherever the process may use every CPU: only the source shows it
+        replacement=("    import multiprocessing\n\n"
+                     "    return min(multiprocessing.cpu_count(), len(os.sched_getaffinity(0)))\n"),
+        killers=("tests/test_fork_site.py::test_os_fork_is_called_only_by_the_shared_fork_helper",),
     ),
     Mutant(
         name="the fork helper does not reap the children of a failed part",
@@ -352,9 +383,13 @@ def apply(mutant, source_root):
 
 
 def run_killers(mutant, source_root):
-    """pytest's exit status on the mutated copy: 1 killed, 0 survived, else an error."""
+    """pytest's exit status on the mutated copy: 1 killed, 0 survived, else an error.
+
+    ``--assert=plain`` skips pytest's rewrite of every imported module's asserts,
+    most of a short run's cost; a plain assert still fails, so no verdict changes.
+    """
     child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain",
          "-o", f"pythonpath={source_root}", *mutant.killers],
         cwd=ROOT, capture_output=True, text=True,
     )

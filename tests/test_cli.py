@@ -28,6 +28,7 @@ from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
 from dirachydro.errors import ContractError, NonFiniteResultError
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
+from dirachydro.hydro import HydroFieldSet
 from dirachydro.io import TRAJECTORY_COLUMNS, load_grid_fields
 from dirachydro.kinematics import gamma_of_beta
 from dirachydro.schema import schema_errors
@@ -1040,6 +1041,31 @@ def test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid(offset):
     fields, provider, particle = _slab_state((0, 1), 24, "perturbed-plane-wave", "uniform")
     fields = _with_vacuum(fields, 12 + offset, 1)
     _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 2, 1 << 40, 2))
+
+
+@pytest.mark.parametrize("vacuum, halo", [(False, 2), (True, 3)],
+                         ids=["vacuum-free", "one-vacuum-point"])
+def test_slabs_read_the_halo_their_grid_needs(monkeypatch, vacuum, halo):
+    """The benchmark's 17^4 grid, in three slabs: each slab reads 2 rows past its own,
+    the reach of the stencils, or 3, the reach of the vacuum mask, once the grid has
+    a vacuum point, however far from a cut."""
+    config = _bench_workloads().round_jobs("grid-residuals", 101, 0)[2]["config"]
+    particle, provider, fields = cli._grid_state(config, config["seed"])
+    assert fields.spec.shape == (17,) * 4
+    if vacuum:
+        fields = _with_vacuum(fields, 16, 1)
+    read, slab = [], HydroFieldSet.slab
+
+    def spy(self, lo, hi):
+        read.append((lo, hi))
+        return slab(self, lo, hi)
+
+    monkeypatch.setattr(HydroFieldSet, "slab", spy)
+    # one core: every slab is evaluated in this process, where the spy sees it
+    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 1, 13 * 17**3, 3))
+    bounds = [0, 5, 11, 17]
+    assert read == [(max(0, lo - halo), min(17, hi + halo))
+                    for lo, hi in zip(bounds, bounds[1:])]
 
 
 @_slabs

@@ -19,7 +19,10 @@ process-starting name of ``os`` (``fork``, ``forkpty``, ``spawn*``,
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "dirachydro"
+import dirachydro.errors
+
+# the package that was imported, so that a mutated copy on the path is the one read
+SOURCE = Path(dirachydro.errors.__file__).resolve().parent
 FORK_SITE = ("_parts", "fork_parts")
 # the calls that place, reap and end a forked child
 CHILD_CALLS = ("sched_setaffinity", "waitpid", "_exit")

@@ -608,6 +608,28 @@ def test_gradient_contractions_match_a_zero_padded_four_axis_reference(axes):
                                    atol=8 * np.finfo(float).eps * scale)
 
 
+@pytest.mark.parametrize("shape, points", [
+    ((11, 6, 5), 4 * 30), ((11, 6, 5), 7), ((40, 1000), None),
+], ids=["four-rows-a-block", "a-row-over-a-block", "default-block"])
+def test_the_correction_in_blocks_of_rows_is_bitwise_one_block(monkeypatch, shape, points):
+    """Blocks of whole rows, the last one partial, give the bits of one block: 4-row
+    blocks of 11 rows, one row a block where a row holds more points than a block,
+    and the evaluators' own block size on 40 rows of 1,000 points (16, 16 and 8)."""
+    spec = GridSpec(active_axes=(0, 1, 3)[:len(shape)], shape=shape,
+                    spacing=(0.1, 0.07, 0.05)[:len(shape)])
+    rng = np.random.default_rng(37)
+    e = _random_spinors(rng, spec.shape)
+    de_lower = spec.gradient_lower(e)
+    e_de = np.einsum("...a,...ma->...m", _adjoint(e), de_lower)
+    scalar = rng.uniform(0.5, 1.5, size=spec.shape)
+    if points is not None:
+        monkeypatch.setattr(hydro, "_CORRECTION_POINTS", points)
+    blocks = hydro._spinor_gradient_correction(spec, e, de_lower, e_de, scalar)
+    monkeypatch.setattr(hydro, "_CORRECTION_POINTS", e.size)
+    whole = hydro._spinor_gradient_correction(spec, e, de_lower, e_de, scalar)
+    np.testing.assert_array_equal(blocks.view(np.int64), whole.view(np.int64))
+
+
 def test_field_coupling_matches_the_dense_contraction():
     """The six-pair coupling against all sixteen ebar g^mu g^nu e contracted with F."""
     rng = np.random.default_rng(29)

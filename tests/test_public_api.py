@@ -2,10 +2,10 @@
 
 A module-level public function, class or assigned name (a constant, or an
 alias such as ``raise_index``) that only tests reach is API that nothing
-uses. The guard walks the sources of ``src/``, ``demos/`` and ``bench/``
-and resolves each name they read to the package module it comes from: a
-bare name in its own module, an imported name, or an attribute of an
-imported package module. A ``def`` or ``class`` statement, an assignment,
+uses. The guard walks the sources of the imported package, ``demos/`` and
+``bench/`` and resolves each name they read to the package module it
+comes from: a bare name in its own module, an imported name, or an
+attribute of an imported package module. A ``def`` or ``class`` statement, an assignment,
 an import and an ``__all__`` entry are not uses.
 
 The exceptions are the oracles in ORACLES: each is kept because tests
@@ -15,9 +15,13 @@ compare it with an independently coded result, named beside it.
 import ast
 from pathlib import Path
 
+import dirachydro.errors
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "dirachydro"
-CALLER_DIRS = ("src", "demos", "bench")
+# the package that was imported, so that a mutated copy on the path is the one read
+SOURCE = Path(dirachydro.errors.__file__).resolve().parent
+CALLER_DIRS = (SOURCE, ROOT / "demos", ROOT / "bench")
 
 ORACLES = {
     ("spinors", "particle_spinor_u_form"): "make_particle_spinor, the half-angle form",
@@ -37,7 +41,7 @@ ORACLES = {
 
 
 def _package_modules():
-    return {path.stem: path for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
+    return {path.stem: path for path in sorted(SOURCE.glob("*.py"))}
 
 
 def _defined_names(node):
@@ -93,7 +97,7 @@ def _used_names():
     modules = _package_modules()
     trees = {}
     for folder in CALLER_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
+        for path in sorted(folder.rglob("*.py")):
             trees[path] = ast.parse(path.read_text())
     imported = {path: _imports(tree, modules) for path, tree in trees.items()}
     reexports = {module: imported[path][0] for module, path in modules.items()}
@@ -109,7 +113,7 @@ def _used_names():
     used = set()
     for path, tree in trees.items():
         names, aliases = imported[path]
-        own = path.stem if path.parent == ROOT / "src" / PACKAGE else None
+        own = path.stem if path.parent == SOURCE else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in names:

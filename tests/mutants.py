@@ -257,7 +257,7 @@ MUTANTS = (
         killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
     ),
     Mutant(
-        name="a grid with a vacuum point gets a halo of 2",
+        name="slabs read a halo of 2 rows",
         path="dirachydro/hydro.py",
         fragment="return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH",
         replacement="return _STENCIL_REACH",

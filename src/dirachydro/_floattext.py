@@ -64,10 +64,15 @@ CSV is fixed point for decimal exponents -4 to 16 and writes ``0``,
 ``nan`` and ``inf``; JSON is fixed point for -4 to 15, ends an integral
 fixed-point value in ``.0``, and writes ``0.0`` and ``null``.
 
-The tables are filled on first use, each form's layouts with its first
-call and the scales only for the binary exponents a block holds, so that
-importing this module costs nothing; the writers import it with their
-first table or array.  It imports nothing from the package.
+The tables are filled on first use, so that importing this module costs
+nothing.  The writers import it with their first table or array and call
+``output_tables`` for its form before they fork any part: the shared
+tables and that form's layouts are built once, in the writing process, and
+every part's process inherits them.  The scales are filled only for the
+binary exponents a block holds, in the process that renders the block; the
+rows still empty are found with ``np.bincount``, not ``np.unique``, which
+asks ``numpy.ma`` whether its input is masked and so imports it.  This
+module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -127,6 +132,8 @@ _CSV = _Output("csv", 16, (), {_ZERO_FORM: (_ZERO,), _NAN_FORM: _NAN, _INF_FORM:
 _JSON = _Output("json", 15, (_POINT, _ZERO),
                 {_ZERO_FORM: (_ZERO, _POINT, _ZERO), _NAN_FORM: _NULL, _INF_FORM: _NULL},
                 (_NAN_FORM, _INF_FORM), ((_COMMA,), ()))
+
+_OUTPUTS = {output.name: output for output in (_CSV, _JSON)}
 
 # the tables, once built: the shared text tables, the scales filled a binary exponent
 # at a time, and each output's layouts, built on its first use
@@ -260,7 +267,8 @@ def _scaled(a):
     row = e - _E_MIN
     filled = _tables["filled"].take(row)
     if not filled.all():
-        _fill(np.unique(row[~filled]))
+        # not np.unique, which imports numpy.ma
+        _fill(np.flatnonzero(np.bincount(row[~filled])))
     upper = a >= _tables["threshold"].take(row)
     x = _tables["low_decade"].take(row) + upper
     row = 2 * row + upper
@@ -332,13 +340,18 @@ def _shortest(a):
     return d, x
 
 
-def _output_tables(output):
-    """The layout tables of ``output``, with the shared tables built first."""
-    if output.name not in _tables:
+def output_tables(form):
+    """The layout tables of the output ``form``, "csv" or "json", built on first use
+    with the shared tables.
+
+    A writer that renders in forked parts calls this before the fork, so that every
+    part's process inherits the tables instead of building them again.
+    """
+    if form not in _tables:
         if not _tables:
             _build_tables()
-        _tables[output.name] = _layouts(output)
-    return _tables[output.name]
+        _tables[form] = _layouts(_OUTPUTS[form])
+    return _tables[form]
 
 
 def _gather(values, row_end, tables, digits):
@@ -396,7 +409,7 @@ def csv_blocks(columns, start, stop):
     source buffer, so two may not run at once in one process; the package starts
     no threads, and a forked child has its own copy.
     """
-    tables = _output_tables(_CSV)
+    tables = output_tables("csv")
     width = len(columns)
     block_rows = max(1, BLOCK_VALUES // width)
     block = np.empty((min(block_rows, stop - start), width))
@@ -418,7 +431,7 @@ def json_blocks(values, separator):
 
     A block that does not end the array ends in ``separator``.
     """
-    tables = _output_tables(_JSON)
+    tables = output_tables("json")
     for i in range(0, values.size, BLOCK_VALUES):
         block = values[i:i + BLOCK_VALUES]
         # the last value ends the one row, and every other one is followed by a

@@ -41,6 +41,13 @@ The expanded evaluator's quantum Hamilton-Jacobi residual is
 L + TERM_COEFFS["quantum_potential"] * Q, with L the classical lagrangian
 density that the action functional of :mod:`dirachydro.fisher` integrates;
 one private function sums the terms into L for both.
+
+Q is undefined where rho0 vanishes.  The public :func:`quantum_potential`
+returns it as a ``numpy.ma.MaskedArray``, masked at the vacuum points and
+at every point whose stencil reaches one.  The expanded evaluator takes the
+same values and mask from the private ``_quantum_potential`` and writes NaN
+at the masked points itself, so the residual grids are plain arrays and
+computing them does not import ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -292,21 +299,32 @@ def _residual_reach(rho0):
     return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH
 
 
+def _quantum_potential(spec, rho0, hbar):
+    """Q on the float64 grid field ``rho0``, and the mask of its vacuum points.
+
+    Returns ``(q, halo)``.  Where halo is set, q is not Q: its stencils read the
+    vacuum points as rho0 = 1.
+    """
+    safe, halo = _vacuum(rho0)
+    root = np.sqrt(safe)
+    hbar = float(hbar)
+    return -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root, halo
+
+
 def quantum_potential(spec, rho0, hbar=1.0):
     """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), masked where vacuous.
 
     Vacuum points (rho0 at or below the density floor) and every point
     whose finite-difference stencil reaches one are returned masked rather
     than raising: vanishing density is a legitimate state of the fluid, not
-    an input error.
+    an input error.  The expanded evaluator takes the same Q and mask from
+    ``_quantum_potential`` and writes NaN at the masked points itself, so
+    that no residual grid needs ``numpy.ma``.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if rho0.shape != spec.shape:
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
-    safe, halo = _vacuum(rho0)
-    root = np.sqrt(safe)
-    hbar = float(hbar)
-    q = -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root
+    q, halo = _quantum_potential(spec, rho0, hbar)
     return np.ma.MaskedArray(q, mask=halo)
 
 
@@ -527,8 +545,9 @@ def second_order_residuals_expanded(fields, provider, particle=ELECTRON):
 
     continuity = spec.divergence(rho0[..., np.newaxis] * raise_index(bracket_lower))
 
-    qp = quantum_potential(spec, rho0, hbar=particle.hbar)
-    qhj = lagrangian + TERM_COEFFS["quantum_potential"] * np.ma.filled(qp, np.nan)
+    qp, vacuum = _quantum_potential(spec, rho0, particle.hbar)
+    qp[vacuum] = np.nan
+    qhj = lagrangian + TERM_COEFFS["quantum_potential"] * qp
     return SecondOrderResiduals(
         continuity=continuity, qhj=qhj, qhj_imag=np.zeros(spec.shape)
     )

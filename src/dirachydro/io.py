@@ -10,6 +10,9 @@ Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
 to the flattened sample list in row-major (C) order over the grid shape.
 Non-finite samples (masked quantum-potential points) are stored as null.
+The grid writers accept ``numpy.ma`` masked arrays and write their masked
+samples as non-finite; they reach ``numpy.ma`` only for such an array, so
+a writer given plain arrays does not import it.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
 writer that streams the document as it encodes it.  Bulk samples reach it
 as 1-D float64 arrays, whose text ``_floattext.json_blocks`` yields in
@@ -45,6 +48,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -77,9 +81,15 @@ def _real_field(spec, name, values):
     """A named grid field as float64 with masked samples as NaN.
 
     Both grid writers read their fields through here, so a complex field or
-    one off the grid shape is refused before anything is written.
+    one off the grid shape is refused before anything is written. Masks are
+    filled through ``numpy.ma`` only once something has imported it: no
+    masked array exists before then, and the package's own grids are plain
+    arrays, so a CLI job never imports it.
     """
-    arr = np.asarray(np.ma.filled(values, np.nan))
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(values, ma.MaskedArray):
+        values = values.filled(np.nan)
+    arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise ContractError(f"field {name!r} is complex; export parts separately")
     if arr.shape != spec.shape:
@@ -211,8 +221,10 @@ def _write_csv(path, header, columns):
         raise ContractError("CSV columns must all have one value per row")
     if len(header) != width:
         raise ContractError(f"a CSV header of {len(header)} names for {width} columns")
-    # imported here: only CSV tables use the renderer, so other runs start without it
-    from ._floattext import csv_blocks
+    # imported here: only CSV tables use the renderer, so other runs start without it;
+    # its tables are built before any part forks, so that every part inherits them
+    from ._floattext import csv_blocks, output_tables
+    output_tables("csv")
 
     def render(write, start, stop):
         if start == 0:
@@ -299,8 +311,10 @@ def write_json_report(path, payload):
     for _, samples, _ in segments:
         offsets.append(offsets[-1] + samples.size)
     if segments:
-        # imported here: only documents with arrays use the renderer
-        from ._floattext import json_blocks
+        # imported here: only documents with arrays use the renderer; its tables are
+        # built before any part forks, so that every part inherits them
+        from ._floattext import json_blocks, output_tables
+        output_tables("json")
 
     def render(write, start, stop):
         for (text, samples, separator), first in zip(segments, offsets):

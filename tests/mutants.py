@@ -370,6 +370,29 @@ MUTANTS = (
         replacement="",
         killers=("tests/test_entry.py::test_the_entry_freezes_and_writes_the_bytes_of_main",),
     ),
+    Mutant(
+        name="the expanded evaluator leaves vacuum points unmasked",
+        path="dirachydro/hydro.py",
+        fragment="    qp[vacuum] = np.nan\n",
+        replacement="",
+        killers=("tests/test_fisher.py::"
+                 "test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential",),
+    ),
+    Mutant(
+        name="the renderer fills only the first missing scale row",
+        path="dirachydro/_floattext.py",
+        fragment="_fill(np.flatnonzero(np.bincount(row[~filled])))",
+        replacement="_fill(np.flatnonzero(np.bincount(row[~filled]))[:1])",
+        killers=("tests/test_floattext.py::"
+                 "test_a_block_of_many_binary_exponents_fills_every_scale_row_it_needs",),
+    ),
+    Mutant(
+        name="the grid writer fills masks through np.ma unconditionally",
+        path="dirachydro/io.py",
+        fragment="    arr = np.asarray(values)\n",
+        replacement="    arr = np.asarray(np.ma.filled(values, np.nan))\n",
+        killers=("tests/test_cli.py::test_no_command_or_variational_api_call_loads_numpy_ma",),
+    ),
 )
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import mmap
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -350,6 +351,84 @@ def test_cli_import_and_validation_load_no_jsonschema():
     child = subprocess.run([sys.executable, "-c", code, str(DEMO_CONFIGS / "rest_in_B.json")],
                            capture_output=True, text=True, env=child_env(), check=True)
     assert json.loads(child.stdout) == [[], False]
+
+
+# every command and every bulk writer, in one process after import: numpy.ma loads on
+# first use, at 10-20 ms a process on a 2-vCPU VM, and no artifact or API result needs
+# a masked array
+_NO_MASKED_ARRAYS = """
+import json, sys
+from pathlib import Path
+from dirachydro import _parts, cli, fisher, hydro
+from dirachydro.fields import provider_from_config
+from dirachydro.grids import GridSpec
+from dirachydro.manufactured import perturbed_plane_wave_fields
+
+# slabs and text parts run in this process, where sys.modules sees them
+_parts.usable_cores = lambda: 1
+runs, variational, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), Path(sys.argv[3])
+steps = []
+for k, (name, config, flags) in enumerate(runs):
+    path = out / f"{k}.json"
+    path.write_text(json.dumps(config))
+    status = cli.main(["--config", str(path), "--out", str(out / str(k)), "--quiet", *flags])
+    steps.append([name, status, "numpy.ma" in sys.modules])
+
+# the public-API sequence of bench/variational_job.py
+grid = variational["grid"]
+spec = GridSpec(active_axes=tuple(grid["active_axes"]), shape=tuple(grid["shape"]),
+                spacing=tuple(grid["spacing"]))
+block = dict(variational["configuration"])
+del block["type"]
+fields = perturbed_plane_wave_fields(spec, variational["seed"], **block)
+provider = provider_from_config(variational["fields"])
+api = [("perturbed fields", lambda: fields.rho0),
+       ("expanded residuals", lambda: hydro.second_order_residuals_expanded(fields, provider))]
+api += [(f"derivative wrt {wrt}", lambda wrt=wrt: fisher.functional_derivative(
+    fields, provider, wrt=wrt)) for wrt in ("S", "rho0")]
+api += [(f"{kind} action", lambda kind=kind: fisher.action_functional(
+    fields, provider, kind=kind, depth=variational["fisher"]["depth"])) for kind in
+    ("particle", "antiparticle")]
+for name, call in api:
+    call()
+    steps.append([name, 0, "numpy.ma" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_no_command_or_variational_api_call_loads_numpy_ma(tmp_path):
+    manufactured = {
+        "command": "residuals", "seed": 4,
+        "fields": {"kind": "uniform", "B0": [0.0, 0.0, 0.5]},
+        "grid": {"active_axes": [0, 1], "shape": [33, 33], "spacing": [0.02, 0.02]},
+        "configuration": {"type": "manufactured", "kind": "particle", "amplitude": 5e-5,
+                          "rho_value": 1.1},
+    }
+    four_d = {
+        "command": "residuals", "seed": 5,
+        "fields": {"kind": "plane-wave", "wave_vector": [1.0, 0.0, 0.0, 1.0],
+                   "polarization": [1.0, 0.0, 0.0], "amplitude": 0.1},
+        "grid": {"active_axes": [0, 1, 2, 3], "shape": [7, 7, 7, 7], "spacing": [0.02] * 4},
+        "configuration": {"type": "perturbed-plane-wave", "kind": "antiparticle",
+                          "amplitude": 2e-4, "theta_u": 1.0, "phi": 0.5},
+    }
+    runs = [
+        ("verify", _verify_config(samples=20), []),
+        ("uniform-B simulate with a fit", _simulate_config(), []),
+        ("plane-wave simulate", _plane_wave_simulate_config(), []),
+        ("2-D residuals, CSV", manufactured, ["--format", "csv"]),
+        ("2-D residuals, JSON", manufactured, ["--format", "json"]),
+        ("4-D residuals", four_d, []),
+        ("fisher", json.loads((DEMO_CONFIGS / "fisher_perturbed_wave.json").read_text()), []),
+    ]
+    variational = _bench_workloads().variational_job(random.Random(2), "v", 17)["config"]
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, json.dumps(runs), json.dumps(variational),
+         str(tmp_path)], capture_output=True, text=True, env=child_env(), check=True)
+    steps = json.loads(child.stdout)
+    assert len(steps) == len(runs) + 6
+    # [name, exit status, numpy.ma loaded] after each step
+    assert [step for step in steps if step[1:] != [0, False]] == []
 
 
 def test_run_report_is_deterministic(tmp_path):

@@ -127,6 +127,36 @@ def test_importing_the_cli_builds_no_table_and_imports_no_rational_arithmetic(tm
     assert child.stdout == "[]\n[]\n{}\n"
 
 
+def test_rendering_with_every_scale_row_empty_does_not_import_numpy_ma():
+    """Finding the scale rows a block needs loads no masked-array module: ``np.unique``
+    would, and a job that writes text would pay for it."""
+    probe = ("import sys\n"
+             "import numpy as np\n"
+             "from dirachydro._floattext import csv_blocks, json_blocks\n"
+             "values = np.ldexp(np.linspace(-1.5, 1.5, 2098), np.arange(-1074, 1024))\n"
+             "b''.join(csv_blocks([values, -values], 0, values.size))\n"
+             "b''.join(json_blocks(values, b','))\n"
+             "print('numpy.ma' in sys.modules)\n")
+    child = subprocess.run([sys.executable, "-c", probe],
+                           capture_output=True, text=True, env=child_env(), check=True)
+    assert child.stdout == "False\n"
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_a_block_of_many_binary_exponents_fills_every_scale_row_it_needs(monkeypatch, form):
+    """From empty tables, one block spanning hundreds of binary exponents fills the
+    scale row of each of them, and no other."""
+    monkeypatch.setattr(_floattext, "_tables", {})
+    rng = np.random.default_rng(5)
+    values = np.ldexp(rng.uniform(0.5, 1.0, BLOCK_VALUES), rng.integers(-1073, 1025, BLOCK_VALUES))
+    if form == "csv":
+        _assert_renders(values, 4)
+    else:
+        _assert_json(values)
+    filled = np.flatnonzero(_floattext._tables["filled"])
+    np.testing.assert_array_equal(filled, np.unique(np.frexp(values)[1]) - _floattext._E_MIN)
+
+
 def test_the_renderer_imports_nothing_from_the_package():
     """A fresh interpreter that imports the renderer loads no other package module."""
     probe = ("import sys, dirachydro._floattext\n"

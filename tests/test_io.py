@@ -477,6 +477,29 @@ def test_one_part_never_forks(tmp_path, monkeypatch, cores, rows):
     assert path.read_bytes() == _reference_csv(TRAJECTORY_COLUMNS, traj.table.tolist())
 
 
+@_splits
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_the_renderer_tables_are_built_before_the_parts_fork(tmp_path, monkeypatch, form):
+    """Every part's process inherits the tables of its form, none builds them again."""
+    monkeypatch.setattr(_floattext, "_tables", {})
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
+    monkeypatch.setattr(dio, "_PART_ROWS", 4)
+    fork_parts, entered = dio.fork_parts, []
+
+    def spy(parts, run):
+        entered.append((parts, sorted(_floattext._tables)))
+        fork_parts(parts, run)
+
+    monkeypatch.setattr(dio, "fork_parts", spy)
+    traj = _trajectory_table(9, 3)
+    if form == "csv":
+        save_trajectory_csv(tmp_path / "traj.csv", traj)
+    else:
+        save_trajectory_json(tmp_path / "traj.json", traj)
+    assert len(entered) == 1 and entered[0][0] == 2
+    assert form in entered[0][1] and "four" in entered[0][1]
+
+
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_a_platform_without_fork_or_affinity_has_one_core(monkeypatch, missing):
     monkeypatch.delattr(os, missing, raising=False)

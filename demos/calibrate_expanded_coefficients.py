@@ -75,9 +75,7 @@ def _joint_shape_fit(spec, seeds, amplitude, particle):
                                             particle=particle)
         terms = expanded_terms(fields, ZERO_FIELD, particle)[1]
         y = second_order_residuals_bilinear(fields, ZERO_FIELD, particle).qhj - terms["momentum"]
-        terms["quantum_potential"] = np.ma.filled(
-            quantum_potential(spec, fields.rho0, hbar=particle.hbar), 0.0
-        )
+        terms["quantum_potential"] = quantum_potential(spec, fields.rho0, hbar=particle.hbar)
         targets.append(y[mask])
         for name in columns:
             columns[name].append(terms[name][mask])
@@ -107,7 +105,7 @@ def _magnetic_fit(spec, seeds, amplitude, particle, resolved_shape, use_direct):
         fields = seeded_manufactured_fields(spec, seed, amplitude=amplitude,
                                             particle=particle)
         terms = expanded_terms(fields, provider, particle)[1]
-        qp = np.ma.filled(quantum_potential(spec, fields.rho0, hbar=particle.hbar), 0.0)
+        qp = quantum_potential(spec, fields.rho0, hbar=particle.hbar)
         resolved = terms["momentum"] + resolved_shape["quantum_potential"] * qp
         for name in SHAPE_TERMS:
             resolved = resolved + resolved_shape[name] * terms[name]

@@ -247,9 +247,6 @@ _RESIDUAL_NAMES = (
     "continuity_expanded",
     "qhj_expanded",
 )
-# rows a slab reads beyond its own on each side at most, on a grid with a
-# vacuum point; the slab count keeps to it whatever the grid
-_HALO = _VACUUM_REACH
 # points a slab holds at most, halo included, where a row is small enough;
 # every benchmark and demo grid fits in one slab this size
 _SLAB_POINTS = 1 << 17
@@ -273,10 +270,11 @@ def _evaluated_grids(fields, provider, particle):
 
 def _slab_count(shape, cores):
     """Slabs the first axis is cut into: one per core, more where a slab would
-    hold over ``_SLAB_POINTS`` points, but none owning fewer than ``_HALO`` rows."""
+    hold over ``_SLAB_POINTS`` points, but none owning fewer rows than the
+    widest halo, ``hydro._VACUUM_REACH``, whatever the grid."""
     rows, row = shape[0], math.prod(shape[1:])
-    owned = max(_HALO, _SLAB_POINTS // row - 2 * _HALO)
-    return min(max(cores, -(-rows // owned)), rows // _HALO)
+    owned = max(_VACUUM_REACH, _SLAB_POINTS // row - 2 * _VACUUM_REACH)
+    return min(max(cores, -(-rows // owned)), rows // _VACUUM_REACH)
 
 
 def _residual_grids(fields, provider, particle):
@@ -287,8 +285,8 @@ def _residual_grids(fields, provider, particle):
     vacuum point. So each slab is evaluated on its rows and a halo of that
     many rows on each side (fewer at a grid edge), and only its own rows are
     kept: the grids are bitwise those of one evaluation of the whole grid.
-    The slab count keeps to the widest halo, ``_HALO``. There is a slab
-    per usable core, or more on a grid too large for that many slabs of
+    The slab count keeps to the widest halo, ``_VACUUM_REACH``. There is a
+    slab per usable core, or more on a grid too large for that many slabs of
     ``_SLAB_POINTS`` points. The slabs are split into one contiguous run per
     core and the runs go through ``_parts.fork_parts``: the first run, which
     starts with slab 0, here, each other one in a child, which writes its rows

@@ -42,12 +42,10 @@ L + TERM_COEFFS["quantum_potential"] * Q, with L the classical lagrangian
 density that the action functional of :mod:`dirachydro.fisher` integrates;
 one private function sums the terms into L for both.
 
-Q is undefined where rho0 vanishes.  The public :func:`quantum_potential`
-returns it as a ``numpy.ma.MaskedArray``, masked at the vacuum points and
-at every point whose stencil reaches one.  The expanded evaluator takes the
-same values and mask from the private ``_quantum_potential`` and writes NaN
-at the masked points itself, so the residual grids are plain arrays and
-computing them does not import ``numpy.ma``.
+Q is undefined where rho0 vanishes.  :func:`quantum_potential` returns it
+as a plain float64 grid with NaN at the vacuum points and at every point
+whose stencil reaches one, the form every residual grid takes; the expanded
+evaluator adds it to L as it is.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ TERM_COEFFS = {
 }
 
 # Densities at or below this are treated as vacuum: the quantum potential
-# divides by sqrt(rho0) and is reported masked there instead of raising.
+# divides by sqrt(rho0) and is reported as NaN there instead of raising.
 DENSITY_FLOOR = 1e-300
 # samples every stencil of a residual reaches from its point along an axis,
 # and samples the vacuum mask of _vacuum grows from a vacuum point
@@ -299,33 +297,23 @@ def _residual_reach(rho0):
     return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH
 
 
-def _quantum_potential(spec, rho0, hbar):
-    """Q on the float64 grid field ``rho0``, and the mask of its vacuum points.
-
-    Returns ``(q, halo)``.  Where halo is set, q is not Q: its stencils read the
-    vacuum points as rho0 = 1.
-    """
-    safe, halo = _vacuum(rho0)
-    root = np.sqrt(safe)
-    hbar = float(hbar)
-    return -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root, halo
-
-
 def quantum_potential(spec, rho0, hbar=1.0):
-    """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), masked where vacuous.
+    """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), NaN where vacuous.
 
     Vacuum points (rho0 at or below the density floor) and every point
-    whose finite-difference stencil reaches one are returned masked rather
+    whose finite-difference stencil reaches one are returned as NaN rather
     than raising: vanishing density is a legitimate state of the fluid, not
-    an input error.  The expanded evaluator takes the same Q and mask from
-    ``_quantum_potential`` and writes NaN at the masked points itself, so
-    that no residual grid needs ``numpy.ma``.
+    an input error.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if rho0.shape != spec.shape:
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
-    q, halo = _quantum_potential(spec, rho0, hbar)
-    return np.ma.MaskedArray(q, mask=halo)
+    safe, halo = _vacuum(rho0)
+    root = np.sqrt(safe)
+    hbar = float(hbar)
+    q = -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root
+    q[halo] = np.nan
+    return q
 
 
 def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
@@ -393,7 +381,7 @@ def _field_coupling(e, ebar, scalar, F, hbar, q):
 def _density_terms(spec, rho0, hbar):
     """Density terms in the displayed quarter/half form, and the vacuum halo.
 
-    The caller masks the halo, the points that Q masks.
+    The caller sets the halo to NaN, the points where Q is NaN.
     """
     safe, halo = _vacuum(rho0)
     # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
@@ -545,8 +533,7 @@ def second_order_residuals_expanded(fields, provider, particle=ELECTRON):
 
     continuity = spec.divergence(rho0[..., np.newaxis] * raise_index(bracket_lower))
 
-    qp, vacuum = _quantum_potential(spec, rho0, particle.hbar)
-    qp[vacuum] = np.nan
+    qp = quantum_potential(spec, rho0, particle.hbar)
     qhj = lagrangian + TERM_COEFFS["quantum_potential"] * qp
     return SecondOrderResiduals(
         continuity=continuity, qhj=qhj, qhj_imag=np.zeros(spec.shape)

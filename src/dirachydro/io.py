@@ -9,10 +9,10 @@ same computation must reproduce the same bytes.
 Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
 to the flattened sample list in row-major (C) order over the grid shape.
-Non-finite samples (masked quantum-potential points) are stored as null.
-The grid writers accept ``numpy.ma`` masked arrays and write their masked
-samples as non-finite; they reach ``numpy.ma`` only for such an array, so
-a writer given plain arrays does not import it.
+Non-finite samples (the quantum potential's vacuum points) are stored as
+null.  For callers outside the package, whose grids may be ``numpy.ma``
+masked arrays, the writers store masked samples the same way; they reach
+``numpy.ma`` only for such an array, so plain arrays never import it.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
 writer that streams the document as it encodes it.  Bulk samples reach it
 as 1-D float64 arrays, whose text ``_floattext.json_blocks`` yields in
@@ -81,10 +81,10 @@ def _real_field(spec, name, values):
     """A named grid field as float64 with masked samples as NaN.
 
     Both grid writers read their fields through here, so a complex field or
-    one off the grid shape is refused before anything is written. Masks are
-    filled through ``numpy.ma`` only once something has imported it: no
-    masked array exists before then, and the package's own grids are plain
-    arrays, so a CLI job never imports it.
+    one off the grid shape is refused before anything is written. The mask
+    fill serves callers outside the package, whose masked samples would
+    otherwise be written as the values under the mask; it goes through
+    ``numpy.ma`` only once something has imported it, so a CLI job never does.
     """
     ma = sys.modules.get("numpy.ma")
     if ma is not None and isinstance(values, ma.MaskedArray):

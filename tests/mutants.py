@@ -6,20 +6,24 @@ on it.  Run the catalogue with
 
     python tests/mutants.py
 
-It copies ``src/`` to a temporary directory, applies one mutant at a time
-to the copy, and runs only that mutant's killer tests (``pytest -x``)
-against it.  A mutant whose killers all pass survives; the runner prints
-every survivor and exits 1 if one survives or a killer run errors.  ``tests/test_mutants.py``
-checks that the catalogue still matches the sources, without running it.
+It runs one mutant per CPU this process may use at a time.  Each mutant
+gets its own copy of ``src/`` in a temporary directory, with the mutant
+applied, and only that mutant's killer tests (``pytest -x``) run against
+it.  Verdicts are printed in catalogue order.  A mutant whose killers all
+pass survives; the runner prints every survivor and exits 1 if one
+survives or a killer run errors.  ``tests/test_mutants.py`` checks that
+the catalogue still matches the sources, without running it.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +56,14 @@ _JSON_POWERS = ("tests/test_floattext.py::"
 _JSON_EDGES = "tests/test_floattext.py::test_integers_edges_and_extremes_render_as_json_dumps"
 # an oracle and the code it checks share no code beyond the allow-list
 _PAIRS = "tests/test_oracle_independence.py::test_oracle_pairs_meet_only_in_the_allow_list"
+# draft 2020-12 cases against the jsonschema package, and the schema subset's refusals
+_TRAPS = "tests/test_cli.py::test_draft_2020_12_traps"
+_REFUSALS = "tests/test_cli.py::test_checker_refuses_keywords_it_does_not_implement"
+# whole RK4 orbits against the closed-form plane wave
+_PLANE_WAVE_RK4 = ("tests/test_dynamics.py::"
+                   "test_rk4_converges_at_fourth_order_to_closed_form_plane_wave")
+# the first row past the blow-up limit, from the closed form of u^0
+_OVERFLOW = "tests/test_dynamics.py::test_overflowing_plane_wave_raises_at_the_first_bad_row"
 
 MUTANTS = (
     Mutant(
@@ -373,10 +385,166 @@ MUTANTS = (
     Mutant(
         name="the expanded evaluator leaves vacuum points unmasked",
         path="dirachydro/hydro.py",
-        fragment="    qp[vacuum] = np.nan\n",
+        fragment="    q[halo] = np.nan\n",
         replacement="",
-        killers=("tests/test_fisher.py::"
-                 "test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential",),
+        killers=("tests/test_hydro.py::test_quantum_potential_masks_vacuum",
+                 "tests/test_fisher.py::"
+                 "test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential"),
+    ),
+    Mutant(
+        name="Q's NaN stops at the vacuum points",
+        path="dirachydro/hydro.py",
+        fragment="    q[halo] = np.nan\n",
+        replacement="    q[_is_vacuum(rho0)] = np.nan\n",
+        killers=("tests/test_hydro.py::test_quantum_potential_masks_vacuum",),
+    ),
+    Mutant(
+        name="bool counted as an integer",
+        path="dirachydro/schema.py",
+        fragment='"integer": lambda value: _is_number(value)',
+        replacement='"integer": lambda value: isinstance(value, int) or _is_number(value)',
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="1.0 not an integer",
+        path="dirachydro/schema.py",
+        fragment="(isinstance(value, int) or value.is_integer())",
+        replacement="isinstance(value, int)",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="exclusiveMinimum inclusive",
+        path="dirachydro/schema.py",
+        fragment="_is_number(instance) and instance <= minimum:",
+        replacement="_is_number(instance) and instance < minimum:",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="minimum exclusive",
+        path="dirachydro/schema.py",
+        fragment="_is_number(instance) and instance < minimum:",
+        replacement="_is_number(instance) and instance <= minimum:",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="uniqueItems off",
+        path="dirachydro/schema.py",
+        fragment="if unique and isinstance(instance, list) and any(",
+        replacement="if False and any(",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="maxItems off by one",
+        path="dirachydro/schema.py",
+        fragment="isinstance(instance, list) and len(instance) > count:",
+        replacement="isinstance(instance, list) and len(instance) >= count:",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="then applied unconditionally",
+        path="dirachydro/schema.py",
+        fragment='if "then" in schema and not any(_errors(root, condition, instance, path)):',
+        replacement='if "then" in schema:',
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="bool equal to a number",
+        path="dirachydro/schema.py",
+        fragment="    if isinstance(one, bool) or isinstance(two, bool):\n        return False\n",
+        replacement="",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="patternProperties ignored by additionalProperties",
+        path="dirachydro/schema.py",
+        fragment="and not any(re.search(pattern, name) for pattern in patterns))",
+        replacement=")",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="array index left out of item paths",
+        path="dirachydro/schema.py",
+        fragment="yield from _errors(root, subschema, item, path + (index,))",
+        replacement="yield from _errors(root, subschema, item, path)",
+        killers=(_TRAPS,),
+    ),
+    Mutant(
+        name="unknown keywords not refused",
+        path="dirachydro/schema.py",
+        fragment="    if schema.keys() - _KEYWORDS.keys():\n",
+        replacement="    if False:\n",
+        killers=(_REFUSALS,),
+    ),
+    Mutant(
+        name="an additionalProperties schema not refused",
+        path="dirachydro/schema.py",
+        fragment='if not isinstance(schema.get("additionalProperties", False), bool):',
+        replacement="if False:",
+        killers=(_REFUSALS,),
+    ),
+    Mutant(
+        name="a $ref outside $defs not refused",
+        path="dirachydro/schema.py",
+        fragment="if ref is not None and not (ref.startswith(_DEFS)",
+        replacement="if False and not (ref.startswith(_DEFS)",
+        killers=(_REFUSALS,),
+    ),
+    Mutant(
+        name="the plane-wave orbit has no Taylor branch",
+        path="dirachydro/dynamics.py",
+        fragment="small = np.abs(y) < 2.0",
+        replacement="small = np.abs(y) < 0.0",
+        killers=("tests/test_dynamics.py::test_zero_wave_vector_is_free_motion",),
+    ),
+    Mutant(
+        name="the plane wave's generator G with its sign flipped",
+        path="dirachydro/dynamics.py",
+        fragment="G = lower_index(-qm * wave.amplitude * wave._antisym)",
+        replacement="G = lower_index(qm * wave.amplitude * wave._antisym)",
+        killers=(_PLANE_WAVE_RK4,),
+    ),
+    Mutant(
+        name="one quintic series coefficient off by 1/5040",
+        path="dirachydro/dynamics.py",
+        fragment="(2 ** (2 * m + 3) - 2) / math.factorial(2 * m + 5)",
+        replacement="(2 ** (2 * m + 3) - 2) / math.factorial(2 * m + 5) + (m == 1) / 5040",
+        killers=(_PLANE_WAVE_RK4,),
+    ),
+    Mutant(
+        name="the plane-wave orbit runs without its errstate",
+        path="dirachydro/dynamics.py",
+        fragment=("        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
+                  "            _plane_wave_orbit(provider, qm, ds, n_steps, state)\n"),
+        replacement="        _plane_wave_orbit(provider, qm, ds, n_steps, state)\n",
+        killers=(_OVERFLOW,),
+    ),
+    Mutant(
+        name="the sin cos term of A2 doubled",
+        path="dirachydro/dynamics.py",
+        fragment="0.25 * sin0 * cos0 * y * sinc**4",
+        replacement="0.5 * sin0 * cos0 * y * sinc**4",
+        killers=(_PLANE_WAVE_RK4,),
+    ),
+    Mutant(
+        name="A1 reads the cubic factor at 1.001 y",
+        path="dirachydro/dynamics.py",
+        fragment="cos0 * y * _cubic(y))",
+        replacement="cos0 * y * _cubic(1.001 * y))",
+        killers=(_PLANE_WAVE_RK4,),
+    ),
+    Mutant(
+        name="the instability row off by one",
+        path="dirachydro/dynamics.py",
+        fragment="raise InstabilityError(first + int(np.argmax(bad)))",
+        replacement="raise InstabilityError(first + 1 + int(np.argmax(bad)))",
+        killers=(_OVERFLOW,),
+    ),
+    Mutant(
+        name="plane waves not dispatched to their closed form",
+        path="dirachydro/dynamics.py",
+        fragment="    if isinstance(provider, PlaneWaveField):\n",
+        replacement="    if False:\n",
+        killers=(_PLANE_WAVE_RK4,),
     ),
     Mutant(
         name="the renderer fills only the first missing scale row",
@@ -419,19 +587,24 @@ def run_killers(mutant, source_root):
     return child.returncode
 
 
+def _verdict(mutant):
+    """pytest's exit status on a mutated copy of src/ of its own, and its seconds."""
+    began = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        copy = Path(scratch) / "src"
+        shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, copy)
+        status = run_killers(mutant, copy)
+    return status, time.perf_counter() - began
+
+
 def main():
     start = time.perf_counter()
     survivors, errors = [], []
-    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
-        copy = Path(scratch) / "src"
-        for mutant in MUTANTS:
-            shutil.rmtree(copy, ignore_errors=True)
-            shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
-            apply(mutant, copy)
-            began = time.perf_counter()
-            status = run_killers(mutant, copy)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for mutant, (status, seconds) in zip(MUTANTS, pool.map(_verdict, MUTANTS)):
             verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"error (pytest exit {status})")
-            print(f"{verdict:<8}  {time.perf_counter() - began:5.1f} s  {mutant.name}")
+            print(f"{verdict:<8}  {seconds:5.1f} s  {mutant.name}", flush=True)
             if status == 0:
                 survivors.append(mutant)
             elif status != 1:

@@ -328,7 +328,7 @@ def test_criterion_10_quantum_potential():
         )
         x = spec.axis_coordinates()[0]
         q = quantum_potential(spec, np.exp(-(x**2)))
-        errors.append(abs(q.data[(n - 1) // 2] + 0.5))
+        errors.append(abs(q[(n - 1) // 2] + 0.5))
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
 
     h = 1e-3
@@ -339,7 +339,7 @@ def test_criterion_10_quantum_potential():
     x = spec.axis_coordinates()[0]
     q = quantum_potential(spec, np.exp(-(x**2)))
     window = np.abs(x) <= 2.0
-    sup = float(np.max(np.abs(q.data[window] - 0.5 * (x[window] ** 2 - 1.0))))
+    sup = float(np.max(np.abs(q[window] - 0.5 * (x[window] ** 2 - 1.0))))
 
     register_criterion(
         10, "quantum potential on a Gaussian",

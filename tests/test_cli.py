@@ -16,6 +16,7 @@ import tempfile
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -317,6 +318,12 @@ def test_checker_agrees_with_jsonschema_on_mutated_configs(data):
     (load_schema(), {"command": "verify", "verify": {"suites": ["clifford", "clifford"]}}, False),
     (load_schema(), {"command": "verify", "fields": {"kind": "custom-polynomial",
                                                      "coefficients": {"0": [], "4": []}}}, False),
+    # each bound at its own value: exclusive, inclusive, inclusive
+    ({"exclusiveMinimum": 0}, 0, False),
+    ({"minimum": 0}, 0, True),
+    ({"maxItems": 2}, [1, 2], True),
+    # a violation inside an array is located at its index
+    ({"items": {"type": "integer"}}, [1, "a"], False),
 ])
 def test_draft_2020_12_traps(schema, instance, valid):
     expected = _oracle_errors(schema, instance)
@@ -357,7 +364,7 @@ def test_cli_import_and_validation_load_no_jsonschema():
 # first use, at 10-20 ms a process on a 2-vCPU VM, and no artifact or API result needs
 # a masked array
 _NO_MASKED_ARRAYS = """
-import json, sys
+import json, math, sys
 from pathlib import Path
 from dirachydro import _parts, cli, fisher, hydro
 from dirachydro.fields import provider_from_config
@@ -392,6 +399,13 @@ api += [(f"{kind} action", lambda kind=kind: fisher.action_functional(
 for name, call in api:
     call()
     steps.append([name, 0, "numpy.ma" in sys.modules])
+
+# Q on a grid with a vacuum point: NaN there, and no masked array
+rho0 = [1.0] * 20
+rho0[7] = 0.0
+q = hydro.quantum_potential(GridSpec(active_axes=(1,), shape=(20,), spacing=(0.1,)), rho0)
+steps.append(["quantum potential with a vacuum point", 0 if math.isnan(q[7]) else 1,
+              "numpy.ma" in sys.modules])
 print(json.dumps(steps))
 """
 
@@ -426,7 +440,7 @@ def test_no_command_or_variational_api_call_loads_numpy_ma(tmp_path):
         [sys.executable, "-c", _NO_MASKED_ARRAYS, json.dumps(runs), json.dumps(variational),
          str(tmp_path)], capture_output=True, text=True, env=child_env(), check=True)
     steps = json.loads(child.stdout)
-    assert len(steps) == len(runs) + 6
+    assert len(steps) == len(runs) + 7
     # [name, exit status, numpy.ma loaded] after each step
     assert [step for step in steps if step[1:] != [0, False]] == []
 
@@ -1008,10 +1022,14 @@ def test_extreme_grid_commands_exit_by_cause_without_warnings(payload):
     """Exit 2 only for a value a module refused, never for the JSON encoder; no warning leaks."""
     assert validate_config(payload) == []
     stderr = io.StringIO()
+    # an odd seed (about half the draws) fails every fork, so each slab runs
+    # in this process, where a warning it raises is recorded
+    forks = (mock.patch("os.fork", side_effect=OSError("fork refused"))
+             if payload.get("seed", 0) % 2 else contextlib.nullcontext())
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(Path(tmp), payload)
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(stderr):
+                contextlib.redirect_stderr(stderr), forks:
             warnings.simplefilter("always")
             status = main(["--config", path, "--out", str(Path(tmp) / "out"), "--quiet"])
     err = stderr.getvalue()

@@ -341,7 +341,7 @@ def test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential(provider
     qhj = second_order_residuals_expanded(fields, provider).qhj
     qp = quantum_potential(spec, fields.rho0)
     expected = (lagrangian_density(fields, provider)
-                + TERM_COEFFS["quantum_potential"] * np.ma.filled(qp, np.nan))
+                + TERM_COEFFS["quantum_potential"] * qp)
     assert np.isnan(qhj).any()
     np.testing.assert_array_equal(qhj, expected)
 

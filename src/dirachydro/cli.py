@@ -14,15 +14,15 @@ Commands
     residuals  first- and second-order residual grids for a configured state
     fisher     information and action functionals of a configured state
 
-residuals evaluates its grids in slabs of rows along the grid's first
-active axis, one per core this process may run on (more on a grid too
-large for that many slabs of ``_SLAB_POINTS`` points).  Each slab reads a
-halo of rows on each side, as many as ``hydro._residual_reach`` says a
-residual reads: 2, the reach of the stencils, or 3 on a grid with a vacuum
-point, whose mask reaches 3.  So the grids kept from its own rows are
-bitwise those of one evaluation of the whole grid.  The slabs are cut into
-one run per core, and the runs go through ``_parts.fork_parts`` into a
-shared map of the grids.
+residuals and fisher refuse a vacuum point of rho0 (exit 3) before any
+evaluator runs: the quantum potential is undefined there.  residuals
+evaluates its grids in slabs of rows along the grid's first active axis,
+one per core this process may run on (more on a grid too large for that
+many slabs of ``_SLAB_POINTS`` points).  Each slab reads a halo of 2 rows,
+the reach of the stencils, on each side, so the grids kept from its own
+rows are bitwise those of one evaluation of the whole grid.  The slabs are
+cut into one run per core, and the runs go through ``_parts.fork_parts``
+into a shared map of the grids.
 
 The process entry is ``script``: the ``dirachydro`` console script and
 ``python -m dirachydro.cli`` both call it.  It moves every object the
@@ -62,10 +62,10 @@ from . import _parts
 from .dynamics import DynState, fit_precession_frequency, integrate
 from .errors import ContractError, FitError, InstabilityError, NonFiniteResultError
 from .fields import Particle, ZERO_FIELD, provider_from_config
-from .grids import GridSpec
+from .grids import _MIN_SAMPLES, GridSpec
 from .hydro import (
-    _VACUUM_REACH,
-    _residual_reach,
+    _STENCIL_REACH,
+    _is_vacuum,
     first_order_residuals,
     second_order_residuals_bilinear,
     second_order_residuals_expanded,
@@ -139,11 +139,18 @@ def _configured_fields(spec, config, seed, default_kind, particle):
 
 
 def _grid_state(config, seed):
-    """(particle, provider, fields) of a residuals or fisher config."""
+    """(particle, provider, fields) of a residuals or fisher config, refused
+    with NonFiniteResultError where rho0 has a vacuum point."""
     particle, kind = _particle_from(config)
     provider = _provider_from(config)
     spec = GridSpec(**config["grid"])
-    return particle, provider, _configured_fields(spec, config, seed, kind, particle)
+    fields = _configured_fields(spec, config, seed, kind, particle)
+    vacuum = np.count_nonzero(_is_vacuum(fields.rho0))
+    if vacuum:
+        raise NonFiniteResultError(
+            f"rho0 is at or below the density floor at {vacuum} of {fields.rho0.size} grid points,"
+            " where the quantum potential, and so qhj_bilinear and qhj_expanded, is undefined")
+    return particle, provider, fields
 
 
 def _cmd_verify(config, seed, out_dir, fmt):
@@ -270,22 +277,23 @@ def _evaluated_grids(fields, provider, particle):
 
 def _slab_count(shape, cores):
     """Slabs the first axis is cut into: one per core, more where a slab would
-    hold over ``_SLAB_POINTS`` points, but none owning fewer rows than the
-    widest halo, ``hydro._VACUUM_REACH``, whatever the grid."""
+    hold over ``_SLAB_POINTS`` points with its halo, but none owning fewer than
+    ``_MIN_SAMPLES - _STENCIL_REACH`` = 3 rows, so an edge slab with its one
+    halo has the 5 rows a ``GridSpec`` needs."""
     rows, row = shape[0], math.prod(shape[1:])
-    owned = max(_VACUUM_REACH, _SLAB_POINTS // row - 2 * _VACUUM_REACH)
-    return min(max(cores, -(-rows // owned)), rows // _VACUUM_REACH)
+    floor = _MIN_SAMPLES - _STENCIL_REACH
+    owned = max(floor, _SLAB_POINTS // row - 2 * _STENCIL_REACH)
+    return min(max(cores, -(-rows // owned)), rows // floor)
 
 
 def _residual_grids(fields, provider, particle):
     """The residual grids, evaluated in slabs of rows along the first active axis.
 
-    Every residual at a point reads only the rows within
-    ``hydro._residual_reach`` of it: 2 rows, or 3 where the whole grid has a
-    vacuum point. So each slab is evaluated on its rows and a halo of that
-    many rows on each side (fewer at a grid edge), and only its own rows are
-    kept: the grids are bitwise those of one evaluation of the whole grid.
-    The slab count keeps to the widest halo, ``_VACUUM_REACH``. There is a
+    ``fields`` is vacuum-free (``_grid_state`` refuses the others), so every
+    residual at a point reads only the rows within ``hydro._STENCIL_REACH``
+    = 2 of it. So each slab is evaluated on its rows and a halo of 2 rows on
+    each side (fewer at a grid edge), and only its own rows are kept: the
+    grids are bitwise those of one evaluation of the whole grid. There is a
     slab per usable core, or more on a grid too large for that many slabs of
     ``_SLAB_POINTS`` points. The slabs are split into one contiguous run per
     core and the runs go through ``_parts.fork_parts``: the first run, which
@@ -299,7 +307,6 @@ def _residual_grids(fields, provider, particle):
     if slabs == 1:
         return _evaluated_grids(fields, provider, particle)
     rows = spec.shape[0]
-    halo = _residual_reach(fields.rho0)
     bounds = _parts.cuts(rows, slabs)
     runs = _parts.per_core(slabs)
     firsts = _parts.cuts(slabs, runs)
@@ -312,7 +319,7 @@ def _residual_grids(fields, provider, particle):
     def run(j):
         for k in range(firsts[j], firsts[j + 1]):
             lo, hi = bounds[k], bounds[k + 1]
-            below, above = max(0, lo - halo), min(rows, hi + halo)
+            below, above = max(0, lo - _STENCIL_REACH), min(rows, hi + _STENCIL_REACH)
             grids = _evaluated_grids(fields.slab(below, above), provider, particle)
             # indexed, not iterated, so no view of the map outlives the statement
             for index, grid in enumerate(grids.values()):

@@ -21,6 +21,8 @@ __all__ = ["GridSpec"]
 
 
 _AXIS_NAMES = ("t", "x", "y", "z")
+# fewest samples an active axis may have; a slab of rows is held to it too
+_MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ class GridSpec:
         spacing = tuple(float(h) for h in self.spacing)
         if len(shape) != len(axes) or len(spacing) != len(axes):
             raise ContractError("shape and spacing must match active_axes in length")
-        if any(n < 5 for n in shape):
-            raise ContractError("need at least 5 samples per active axis")
+        if any(n < _MIN_SAMPLES for n in shape):
+            raise ContractError(f"need at least {_MIN_SAMPLES} samples per active axis")
         if any(not (h > 0 and np.isfinite(h)) for h in spacing):
             raise ContractError("spacing must be positive and finite")
         origin = tuple(float(c) for c in self.origin)

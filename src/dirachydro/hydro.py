@@ -104,7 +104,8 @@ TERM_COEFFS = {
 # divides by sqrt(rho0) and is reported as NaN there instead of raising.
 DENSITY_FLOOR = 1e-300
 # samples every stencil of a residual reaches from its point along an axis,
-# and samples the vacuum mask of _vacuum grows from a vacuum point
+# the halo a slab of rows reads; and samples the vacuum mask of _vacuum grows
+# from a vacuum point, which no slab reads: the CLI refuses a vacuum grid
 _STENCIL_REACH = 2
 _VACUUM_REACH = 3
 # points of the spinor-gradient correction evaluated at a time
@@ -284,17 +285,6 @@ def _vacuum(rho0):
             grown[:-1] |= previous[1:]
         halo |= np.moveaxis(grown, 0, axis)
     return np.where(vacuum, 1.0, rho0), halo
-
-
-def _residual_reach(rho0):
-    """Samples a residual at a point reads along each axis, on a grid with this rho0.
-
-    The stencils reach ``_STENCIL_REACH`` = 2 samples; only the vacuum mask
-    reaches further, ``_VACUUM_REACH`` = 3, and only on a grid with a vacuum
-    point.  A part of the grid evaluated with this many samples past its own
-    on each side gives its own points the residuals of the whole grid.
-    """
-    return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH
 
 
 def quantum_potential(spec, rho0, hbar=1.0):

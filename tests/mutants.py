@@ -44,6 +44,9 @@ class Mutant:
 _ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loop"
 # slabbed residual grids against one evaluation of the whole grid, bitwise
 _SLAB_ORACLE = "tests/test_cli.py::test_slabbed_residual_grids_are_bitwise_the_whole_grid"
+# the slab count of every first axis of 5 to 60 rows against its rules
+_SLAB_COUNT = ("tests/test_cli.py::"
+               "test_every_slab_owns_3_rows_and_an_edge_slab_holds_5_with_its_halo")
 # parts that fail in a child, one after writing text, or here
 _FAILED_PART = "tests/test_io.py::test_a_failed_part_reaps_every_child_and_closes_every_file"
 # every power of ten and its neighbours through the CSV renderer
@@ -269,20 +272,44 @@ MUTANTS = (
         killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
     ),
     Mutant(
+        # no refusal: a vacuum grid reaches the evaluators, whose slabs read a halo of 2
+        # rows where its vacuum mask reaches 3
         name="slabs read a halo of 2 rows",
-        path="dirachydro/hydro.py",
-        fragment="return _VACUUM_REACH if np.any(_is_vacuum(rho0)) else _STENCIL_REACH",
-        replacement="return _STENCIL_REACH",
-        # only a vacuum point 2 or 3 rows from a cut tells a halo of 2 from one of 3
-        killers=("tests/test_cli.py::test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid",
-                 _SLAB_ORACLE),
+        path="dirachydro/cli.py",
+        fragment="    if vacuum:\n        raise NonFiniteResultError(",
+        replacement="    if False:\n        raise NonFiniteResultError(",
+        killers=("tests/test_cli.py::test_a_vacuum_grid_is_refused_before_any_evaluator_runs",
+                 "tests/test_cli.py::"
+                 "test_a_rest_density_that_underflows_to_zero_exits_as_numerical_failure"),
     ),
     Mutant(
+        # every slab is vacuum-free: _grid_state refuses a vacuum grid
         name="vacuum-free slabs read 1 row",
         path="dirachydro/hydro.py",
         fragment="_STENCIL_REACH = 2",
         replacement="_STENCIL_REACH = 1",
         killers=("tests/test_cli.py::test_slabs_read_the_halo_their_grid_needs", _SLAB_ORACLE),
+    ),
+    Mutant(
+        name="slabs own 2 rows",
+        path="dirachydro/cli.py",
+        fragment="floor = _MIN_SAMPLES - _STENCIL_REACH",
+        replacement="floor = _STENCIL_REACH",
+        killers=(_SLAB_COUNT,),
+    ),
+    Mutant(
+        name="the slab budget counts a halo of 3 rows a side",
+        path="dirachydro/cli.py",
+        fragment="_SLAB_POINTS // row - 2 * _STENCIL_REACH",
+        replacement="_SLAB_POINTS // row - 6",
+        killers=(_SLAB_COUNT,),
+    ),
+    Mutant(
+        name="a GridSpec admits 4 samples on an axis",
+        path="dirachydro/grids.py",
+        fragment="_MIN_SAMPLES = 5",
+        replacement="_MIN_SAMPLES = 4",
+        killers=("tests/test_grids.py::test_spec_validation",),
     ),
     Mutant(
         name="the correction drops a partial last block",
@@ -341,6 +368,41 @@ MUTANTS = (
         killers=(_FAILED_PART,),
     ),
     Mutant(
+        name="a child's exit status ignored",
+        path="dirachydro/_parts.py",
+        fragment="finished = os.waitpid(pids[0], 0)[1] == 0",
+        replacement="finished = os.waitpid(pids[0], 0)[1] >= 0",
+        killers=("tests/test_cli.py::test_a_slab_whose_child_fails_is_evaluated_again_here",),
+    ),
+    Mutant(
+        name="every file written in one part",
+        path="dirachydro/io.py",
+        fragment="    parts = per_core(items, _PART_ROWS)\n",
+        replacement="    parts = 1\n",
+        killers=("tests/test_io.py::test_parts_are_appended_in_row_order_each_from_its_own_cpu",),
+    ),
+    Mutant(
+        name="the CSV header written by every part",
+        path="dirachydro/io.py",
+        fragment="        if start == 0:\n",
+        replacement="        if True:\n",
+        killers=("tests/test_io.py::test_full_size_csv_bytes_do_not_depend_on_the_part_count",),
+    ),
+    Mutant(
+        name="the JSON tail written by every part",
+        path="dirachydro/io.py",
+        fragment="        if stop == offsets[-1]:\n",
+        replacement="        if True:\n",
+        killers=("tests/test_io.py::test_a_part_cut_near_a_block_boundary_inside_an_array",),
+    ),
+    Mutant(
+        name="the text before an array written by every part",
+        path="dirachydro/io.py",
+        fragment="write(text.encode() if begin == first else separator)",
+        replacement="write(text.encode())",
+        killers=("tests/test_io.py::test_a_part_cut_near_a_block_boundary_inside_an_array",),
+    ),
+    Mutant(
         name="a part after the first drops its first row",
         path="dirachydro/io.py",
         fragment="render(part.write, bounds[k], bounds[k + 1])",
@@ -374,6 +436,55 @@ MUTANTS = (
         fragment="        Path(path).unlink(missing_ok=True)\n",
         replacement="        pass\n",
         killers=("tests/test_io.py::test_a_failed_write_leaves_no_file",),
+    ),
+    Mutant(
+        name="a report written without its finiteness check",
+        path="dirachydro/cli.py",
+        fragment="    _require_finite(results=results, max_abs_residuals=max_abs)\n",
+        replacement="",
+        killers=("tests/test_cli.py::test_overflow_exits_as_numerical_failure",),
+    ),
+    Mutant(
+        name="an OverflowError escapes main",
+        path="dirachydro/cli.py",
+        fragment="except (FitError, NonFiniteResultError, OverflowError) as exc:",
+        replacement="except (FitError, NonFiniteResultError) as exc:",
+        killers=("tests/test_cli.py::test_integer_beyond_float64_exits_as_numerical_failure",),
+    ),
+    Mutant(
+        name="an output that cannot be written escapes main",
+        path="dirachydro/cli.py",
+        fragment="    except OSError as exc:\n        # the output directory",
+        replacement="    except ValueError as exc:\n        # the output directory",
+        killers=("tests/test_cli.py::test_an_output_that_cannot_be_written_exits_2",),
+    ),
+    Mutant(
+        name="simulate ignores the antiparticle kind",
+        path="dirachydro/cli.py",
+        fragment="charge=species_sign(kind) * particle.charge",
+        replacement="charge=particle.charge",
+        killers=("tests/test_cli.py::test_antiparticle_orbit_is_the_opposite_charge_orbit",),
+    ),
+    Mutant(
+        name="species_sign accepts any kind",
+        path="dirachydro/spinors.py",
+        fragment="    if kind not in _KINDS:\n",
+        replacement="    if False:\n",
+        killers=("tests/test_spinors.py::test_species_sign",),
+    ),
+    Mutant(
+        name="an interior of no samples admitted",
+        path="dirachydro/grids.py",
+        fragment="if 2 * depth >= n:",
+        replacement="if 2 * depth > n:",
+        killers=("tests/test_grids.py::test_interior_slices_build_the_trusted_mask",),
+    ),
+    Mutant(
+        name="the Fisher density admits a nonpositive rho",
+        path="dirachydro/fisher.py",
+        fragment="    if np.any(rho.real[interior] <= 0.0):\n",
+        replacement="    if False:\n",
+        killers=("tests/test_fisher.py::test_information_contract_checks",),
     ),
     Mutant(
         name="the process entry does not freeze",
@@ -545,6 +656,26 @@ MUTANTS = (
         fragment="    if isinstance(provider, PlaneWaveField):\n",
         replacement="    if False:\n",
         killers=(_PLANE_WAVE_RK4,),
+    ),
+    Mutant(
+        # a half turn about x is diagonal and commutes with it: only the quarter turn sees it
+        name="the plane wave's A^y with its sign flipped",
+        path="dirachydro/fields.py",
+        fragment="np.cos(phase)[..., np.newaxis] * self.polarization\n",
+        replacement="np.cos(phase)[..., np.newaxis] * self.polarization * (1.0, -1.0, 1.0)\n",
+        killers=("tests/test_fields.py::test_plane_wave_tensor_consistency",
+                 "tests/test_hydro.py::"
+                 "test_every_evaluator_is_covariant_under_a_quarter_turn_about_z"),
+    ),
+    Mutant(
+        # a half turn commutes with it, and the consistency test's polynomial has no y
+        name="the polynomial potential's y-derivative with its sign flipped",
+        path="dirachydro/fields.py",
+        fragment="out[..., alpha] += coeff * powers[alpha] * _monomial(x, tuple(dp))",
+        replacement=("out[..., alpha] += (-1.0 if alpha == 2 else 1.0) * coeff * powers[alpha]"
+                     " * _monomial(x, tuple(dp))"),
+        killers=("tests/test_hydro.py::"
+                 "test_every_evaluator_is_covariant_under_a_quarter_turn_about_z",),
     ),
     Mutant(
         name="the renderer fills only the first missing scale row",

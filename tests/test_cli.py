@@ -25,12 +25,12 @@ from conftest import child_env, draw_transverse_unit, draw_unit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirachydro import _parts, cli
+from dirachydro import _parts, cli, fisher
 from dirachydro.cli import load_schema, main, run, validate_config
 from dirachydro.dynamics import DynState, integrate
 from dirachydro.errors import ContractError, NonFiniteResultError
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
-from dirachydro.hydro import HydroFieldSet
+from dirachydro.hydro import _STENCIL_REACH, HydroFieldSet
 from dirachydro.io import TRAJECTORY_COLUMNS, load_grid_fields
 from dirachydro.kinematics import gamma_of_beta
 from dirachydro.schema import schema_errors
@@ -774,8 +774,8 @@ def test_exit_status_contract(tmp_path, capsys):
 
 
 def test_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
-    # rho0 sits below the density floor everywhere, so every qhj point is
-    # masked as vacuum without a division warning
+    # rho0 sits below the density floor everywhere, so the grid is refused
+    # as vacuum before any evaluator runs, and without a division warning
     payload = json.loads((DEMO_CONFIGS / "plane_wave_residuals.json").read_text())
     payload["configuration"]["rho_value"] = 1e-305
     path = _write_config(tmp_path, payload)
@@ -791,8 +791,8 @@ def test_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
 
 
 def test_fisher_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys):
-    # the vacuum-masked qhj is NaN; it used to surface as a JSON encoding
-    # error reported as "config rejected" (exit 2)
+    # refused as vacuum before any evaluator runs; a NaN qhj used to surface
+    # as a JSON encoding error reported as "config rejected" (exit 2)
     payload = json.loads((DEMO_CONFIGS / "plane_wave_residuals.json").read_text())
     payload["command"] = "fisher"
     payload["configuration"]["rho_value"] = 1e-305
@@ -805,6 +805,39 @@ def test_fisher_non_finite_residual_exits_as_numerical_failure(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "numerical failure" in err and "qhj_expanded" in err
     assert "config rejected" not in err and "Warning" not in err
+    assert not any(out.iterdir())
+
+
+_EVALUATORS = ("first_order_residuals", "second_order_residuals_bilinear",
+               "second_order_residuals_expanded")
+
+
+def _spy_on_evaluators(monkeypatch):
+    """The names of the evaluators called from here on; each call returns None."""
+    called = []
+    for name in _EVALUATORS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    monkeypatch.setattr(fisher, "action_functional",
+                        lambda *args, **kwargs: called.append("action_functional"))
+    return called
+
+
+@pytest.mark.parametrize("command", ["residuals", "fisher"])
+def test_a_rest_density_that_underflows_to_zero_exits_as_numerical_failure(
+        tmp_path, monkeypatch, capsys, command):
+    """rho = 5e-324 at chi = 2 is schema-valid, but rho0 = rho / gamma underflows to 0:
+    both grid commands refuse it as vacuum (exit 3) before any evaluator runs. fisher
+    used to reach the Fisher term first and exit 2, "config rejected"."""
+    payload = json.loads((DEMO_CONFIGS / "plane_wave_residuals.json").read_text())
+    payload["command"] = command
+    payload["configuration"].update(rho_value=5e-324, chi=2.0)
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    called = _spy_on_evaluators(monkeypatch)
+    assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "config rejected" not in err
+    assert called == []
     assert not any(out.iterdir())
 
 
@@ -1056,8 +1089,8 @@ _SLAB_FIELDS = {
 }
 
 
-def _slab_state(axes, rows, config_type, field, kind="particle", seed=0):
-    """(fields, provider, particle) of a residuals config whose first axis has ``rows`` rows."""
+def _slab_config(axes, rows, config_type, field, kind="particle", seed=0):
+    """A residuals config whose first axis has ``rows`` rows."""
     config = {
         "command": "residuals", "seed": seed,
         "grid": {"active_axes": list(axes), "shape": [rows] + [5] * (len(axes) - 1),
@@ -1072,6 +1105,12 @@ def _slab_state(axes, rows, config_type, field, kind="particle", seed=0):
         # a plane wave moves along x unless at rest
         config["configuration"]["chi"] = 0.0
     assert validate_config(config) == []
+    return config
+
+
+def _slab_state(axes, rows, config_type, field, kind="particle", seed=0):
+    """(fields, provider, particle) of ``_slab_config``."""
+    config = _slab_config(axes, rows, config_type, field, kind, seed)
     particle, provider, fields = cli._grid_state(config, seed)
     return fields, provider, particle
 
@@ -1115,42 +1154,47 @@ def _assert_bitwise(whole, slabbed):
 def test_slabbed_residual_grids_are_bitwise_the_whole_grid(axes, slabs, data, config_type,
                                                            field, kind, seed):
     """2 to 4 slabs, as many cores or fewer (several slabs to a core), on 1-D to
-    4-D grids, with a vacuum point within 4 rows of a cut or none."""
+    4-D grids."""
     rows = data.draw(st.integers(max(5, 3 * slabs), 40), label="rows")
     fields, provider, particle = _slab_state(axes, rows, config_type, field, kind, seed)
     cores = data.draw(st.integers(1, slabs), label="cores")
     row_points = int(np.prod(fields.spec.shape[1:]))
     # fewer cores than slabs: slabs of ceil(rows / slabs) rows, halo included, by size
-    slab_points = 1 << 40 if cores == slabs else (-(-rows // slabs) + 6) * row_points
-    # rows from the cut to the vacuum point, or no vacuum point
-    offset = data.draw(st.sampled_from([None, -4, -3, -2, -1, 0, 1, 2, 3]), label="offset")
-    if offset is not None:
-        cut = rows * data.draw(st.integers(1, slabs - 1), label="cut") // slabs
-        fields = _with_vacuum(fields, min(rows - 1, max(0, cut + offset)), seed)
+    slab_points = (1 << 40 if cores == slabs
+                   else (-(-rows // slabs) + 2 * _STENCIL_REACH) * row_points)
     _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, cores, slab_points, slabs))
 
 
-@_slabs
 @pytest.mark.parametrize("offset", range(-4, 4))
-def test_a_vacuum_point_near_a_cut_is_masked_as_on_the_whole_grid(offset):
-    """The vacuum mask reaches 3 rows from a vacuum point, so a slab must read 3 rows
-    past its own: a vacuum point 3 rows before the cut masks the slab's first row."""
-    fields, provider, particle = _slab_state((0, 1), 24, "perturbed-plane-wave", "uniform")
-    fields = _with_vacuum(fields, 12 + offset, 1)
-    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 2, 1 << 40, 2))
+def test_a_vacuum_grid_is_refused_before_any_evaluator_runs(tmp_path, monkeypatch, capsys,
+                                                            offset):
+    """One vacuum point in a row 4 rows before to 3 rows after the cut of a 24-row
+    grid in two slabs, where the vacuum mask (3 rows) reaches past the halo (2 rows):
+    residuals and fisher refuse the grid (exit 3) before any evaluator runs, so no
+    slab ever reads it, and write nothing."""
+    configured = cli._configured_fields
+    monkeypatch.setattr(cli, "_configured_fields",
+                        lambda *args: _with_vacuum(configured(*args), 12 + offset, 1))
+    monkeypatch.setattr(_parts, "usable_cores", lambda: 2)
+    called = _spy_on_evaluators(monkeypatch)
+    for command in ("residuals", "fisher"):
+        payload = _slab_config((0, 1), 24, "perturbed-plane-wave", "uniform")
+        payload["command"] = command
+        path = _write_config(tmp_path, payload, name=f"{command}.json")
+        out = tmp_path / command
+        assert main(["--config", path, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "at 1 of 120 grid points" in err
+        assert not any(out.iterdir())
+    assert called == []
 
 
-@pytest.mark.parametrize("vacuum, halo", [(False, 2), (True, 3)],
-                         ids=["vacuum-free", "one-vacuum-point"])
-def test_slabs_read_the_halo_their_grid_needs(monkeypatch, vacuum, halo):
+def test_slabs_read_the_halo_their_grid_needs(monkeypatch):
     """The benchmark's 17^4 grid, in three slabs: each slab reads 2 rows past its own,
-    the reach of the stencils, or 3, the reach of the vacuum mask, once the grid has
-    a vacuum point, however far from a cut."""
+    the reach of the stencils."""
     config = _bench_workloads().round_jobs("grid-residuals", 101, 0)[2]["config"]
     particle, provider, fields = cli._grid_state(config, config["seed"])
     assert fields.spec.shape == (17,) * 4
-    if vacuum:
-        fields = _with_vacuum(fields, 16, 1)
     read, slab = [], HydroFieldSet.slab
 
     def spy(self, lo, hi):
@@ -1159,10 +1203,30 @@ def test_slabs_read_the_halo_their_grid_needs(monkeypatch, vacuum, halo):
 
     monkeypatch.setattr(HydroFieldSet, "slab", spy)
     # one core: every slab is evaluated in this process, where the spy sees it
-    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 1, 13 * 17**3, 3))
+    _assert_bitwise(*_whole_and_slabbed(fields, provider, particle, 1, 11 * 17**3, 3))
     bounds = [0, 5, 11, 17]
-    assert read == [(max(0, lo - halo), min(17, hi + halo))
-                    for lo, hi in zip(bounds, bounds[1:])]
+    assert read == [(max(0, lo - 2), min(17, hi + 2)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_every_slab_owns_3_rows_and_an_edge_slab_holds_5_with_its_halo():
+    """On first axes of 5 to 60 rows, rows of 1 to 2^18 points (the floor binds from
+    21,846) and 1 to 8 cores: a slab owns at least 3 rows, so an edge slab with its
+    one halo of 2 has the 5 rows a GridSpec needs; a slab holds at most
+    ``_SLAB_POINTS`` points with its halo wherever 3 rows and two halos fit in
+    that; and there are no more slabs than one per core or that budget asks for."""
+    for rows in range(5, 61):
+        for row in (1, 5, 289, 4913, 18**3, 25**3, 21846, 35937, 1 << 17, 1 << 18):
+            for cores in range(1, 9):
+                slabs = cli._slab_count((rows, row), cores)
+                bounds = _parts.cuts(rows, slabs)
+                owned = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+                held = [min(rows, hi + 2) - max(0, lo - 2) for lo, hi in zip(bounds, bounds[1:])]
+                case = (rows, row, cores, slabs)
+                assert min(owned) >= 3 and min(held) >= 5, case
+                if (3 + 4) * row <= cli._SLAB_POINTS:
+                    assert max(held) * row <= cli._SLAB_POINTS, case
+                if slabs > cores:
+                    assert (-(-rows // (slabs - 1)) + 4) * row > cli._SLAB_POINTS, case
 
 
 @_slabs

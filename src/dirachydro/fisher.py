@@ -48,7 +48,8 @@ import numpy as np
 from .clifford import raise_index
 from .errors import ContractError
 from .fields import ELECTRON, magnetic_field
-from .hydro import _expanded_bracket, _expanded_lagrangian, _metric_square, _sample_potential
+from .hydro import (_expanded_bracket, _expanded_lagrangian, _is_vacuum, _metric_square,
+                    _sample_potential)
 from .spinors import rest_spin, species_sign
 
 __all__ = [
@@ -99,13 +100,14 @@ def fisher_information(spec, rho, depth=1):
 
 
 def _fisher_density(spec, rho, interior):
-    """(1/4) d^mu rho d_mu rho / rho, refused unless rho > 0 on the interior.
+    """(1/4) d^mu rho d_mu rho / rho, refused at a vacuum point of the interior.
 
-    No integral reads the density outside it, where a rho <= 0 divides as 1.
+    ``hydro._is_vacuum`` names the vacuum points, as for Q.  No integral
+    reads the density outside the interior, where a rho <= 0 divides as 1.
     A complex rho (a complex step) is tested on its real part.
     """
-    if np.any(rho.real[interior] <= 0.0):
-        raise ContractError("rho must be positive on the trusted interior")
+    if np.any(_is_vacuum(rho.real[interior])):
+        raise ContractError("rho must be above the density floor on the trusted interior")
     return 0.25 * _metric_square(spec, rho) / np.where(rho.real > 0.0, rho, 1.0)
 
 

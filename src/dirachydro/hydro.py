@@ -42,10 +42,10 @@ L + TERM_COEFFS["quantum_potential"] * Q, with L the classical lagrangian
 density that the action functional of :mod:`dirachydro.fisher` integrates;
 one private function sums the terms into L for both.
 
-Q is undefined where rho0 vanishes.  :func:`quantum_potential` returns it
-as a plain float64 grid with NaN at the vacuum points and at every point
-whose stencil reaches one, the form every residual grid takes; the expanded
-evaluator adds it to L as it is.
+Q and the density terms divide by rho0, so they are undefined where it
+vanishes.  :func:`quantum_potential` and both second-order evaluators
+refuse a grid with a vacuum point (rho0 at or below ``DENSITY_FLOOR``)
+with a ContractError that counts the vacuum points.
 """
 
 from __future__ import annotations
@@ -100,14 +100,12 @@ TERM_COEFFS = {
     "quantum_potential": 2.0,
 }
 
-# Densities at or below this are treated as vacuum: the quantum potential
-# divides by sqrt(rho0) and is reported as NaN there instead of raising.
+# Densities at or below this are vacuum: the quantum potential divides by
+# sqrt(rho0) and the density terms by rho0, so a vacuum point is refused.
 DENSITY_FLOOR = 1e-300
 # samples every stencil of a residual reaches from its point along an axis,
-# the halo a slab of rows reads; and samples the vacuum mask of _vacuum grows
-# from a vacuum point, which no slab reads: the CLI refuses a vacuum grid
+# the halo a slab of rows reads
 _STENCIL_REACH = 2
-_VACUUM_REACH = 3
 # points of the spinor-gradient correction evaluated at a time
 _CORRECTION_POINTS = 1 << 14
 
@@ -267,43 +265,28 @@ def _is_vacuum(rho0):
     return ~(rho0 > DENSITY_FLOOR)
 
 
-def _vacuum(rho0):
-    """rho0 with its vacuum points set to 1, and the vacuum points with their halo.
-
-    A vacuum point poisons every stencil that reads it, so the halo grows
-    the vacuum by ``_VACUUM_REACH`` = 3 samples along each axis, which covers
-    the widest (one-sided, 4-point) formula.  Shifts stop at the grid edge:
-    the grid is not periodic.
-    """
-    vacuum = _is_vacuum(rho0)
-    halo = vacuum.copy()
-    for axis in range(vacuum.ndim):
-        grown = np.moveaxis(vacuum.copy(), axis, 0)
-        for _ in range(_VACUUM_REACH):
-            previous = grown.copy()
-            grown[1:] |= previous[:-1]
-            grown[:-1] |= previous[1:]
-        halo |= np.moveaxis(grown, 0, axis)
-    return np.where(vacuum, 1.0, rho0), halo
+def _refuse_vacuum(rho0):
+    """Raise ContractError if rho0 has a vacuum point, naming how many."""
+    vacuum = np.count_nonzero(_is_vacuum(rho0))
+    if vacuum:
+        raise ContractError(
+            f"rho0 is at or below the density floor at {vacuum} of {rho0.size} grid points,"
+            " where the quantum potential is undefined")
 
 
 def quantum_potential(spec, rho0, hbar=1.0):
-    """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0), NaN where vacuous.
+    """Q = -(hbar^2/2) box(sqrt(rho0)) / sqrt(rho0).
 
-    Vacuum points (rho0 at or below the density floor) and every point
-    whose finite-difference stencil reaches one are returned as NaN rather
-    than raising: vanishing density is a legitimate state of the fluid, not
-    an input error.
+    Q divides by sqrt(rho0), so a grid with a vacuum point (rho0 at or
+    below the density floor) is refused with ContractError.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if rho0.shape != spec.shape:
         raise ContractError(f"rho0 must have grid shape {spec.shape}, got {rho0.shape}")
-    safe, halo = _vacuum(rho0)
-    root = np.sqrt(safe)
+    _refuse_vacuum(rho0)
+    root = np.sqrt(rho0)
     hbar = float(hbar)
-    q = -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root
-    q[halo] = np.nan
-    return q
+    return -(0.5 * (hbar * hbar)) * spec.dalembertian(root) / root
 
 
 def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
@@ -330,7 +313,7 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     # ebar d_mu e, read by the momentum bracket and the gradient correction
     e_de = np.einsum("...a,...ma->...m", ebar, de_lower)
     combo = _spinor_gradient_correction(spec, e, de_lower, e_de, scalar)
-    rho_terms, halo = _density_terms(spec, rho0, hbar)
+    rho_terms = _density_terms(spec, rho0, hbar)
 
     A_lower, F = _sample_potential(provider, spec.points())[1:]
     cterm = _field_coupling(e, ebar, scalar, F, hbar, q)
@@ -348,7 +331,6 @@ def second_order_residuals_bilinear(fields, provider, particle=ELECTRON):
     bb = np.einsum("...m,...m->...", bracket_upper, bracket_lower)
 
     qhj = bb - m * m + np.real(cterm) + rho_terms + hbar * hbar * np.real(combo)
-    qhj[halo] = np.nan
     qhj_imag = np.imag(cterm) + hbar * hbar * np.imag(combo)
     return SecondOrderResiduals(continuity=continuity, qhj=qhj, qhj_imag=qhj_imag)
 
@@ -369,17 +351,14 @@ def _field_coupling(e, ebar, scalar, F, hbar, q):
 
 
 def _density_terms(spec, rho0, hbar):
-    """Density terms in the displayed quarter/half form, and the vacuum halo.
-
-    The caller sets the halo to NaN, the points where Q is NaN.
-    """
-    safe, halo = _vacuum(rho0)
+    """Density terms in the displayed quarter/half form, refused at a vacuum point."""
+    _refuse_vacuum(rho0)
     # the normalised gradient d_mu rho0 / rho0 is contracted, so no tiny
     # density is ever squared (rho0**2 flushes to zero below about 1e-162)
-    drho_norm = spec.gradient_lower(rho0) / safe[..., np.newaxis]
+    drho_norm = spec.gradient_lower(rho0) / rho0[..., np.newaxis]
     drho_sq = np.einsum("...m,...m->...", spec.raise_gradient(drho_norm), drho_norm)
     box_rho = spec.dalembertian(rho0)
-    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / safe), halo
+    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / rho0)
 
 
 def _spinor_gradient_correction(spec, e, de_lower, e_de, scalar):

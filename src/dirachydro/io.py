@@ -9,10 +9,10 @@ same computation must reproduce the same bytes.
 Grid container layout: a single JSON object with a ``grid`` header
 (active_axes, shape, spacing, origin) and a ``fields`` map from field name
 to the flattened sample list in row-major (C) order over the grid shape.
-Non-finite samples (the quantum potential's vacuum points) are stored as
-null.  For callers outside the package, whose grids may be ``numpy.ma``
-masked arrays, the writers store masked samples the same way; they reach
-``numpy.ma`` only for such an array, so plain arrays never import it.
+Non-finite samples are stored as null.  For callers outside the package,
+whose grids may be ``numpy.ma`` masked arrays, the writers store masked
+samples the same way; they reach ``numpy.ma`` only for such an array, so
+plain arrays never import it.
 Every JSON file (reports, grid containers, trajectory JSON) comes from one
 writer that streams the document as it encodes it.  Bulk samples reach it
 as 1-D float64 arrays, whose text ``_floattext.json_blocks`` yields in

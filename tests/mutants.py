@@ -65,6 +65,9 @@ _REFUSALS = "tests/test_cli.py::test_checker_refuses_keywords_it_does_not_implem
 # whole RK4 orbits against the closed-form plane wave
 _PLANE_WAVE_RK4 = ("tests/test_dynamics.py::"
                    "test_rk4_converges_at_fourth_order_to_closed_form_plane_wave")
+# one vacuum point on random 1-D to 4-D grids, against every entry that divides by rho0
+_VACUUM_RULE = ("tests/test_fisher.py::"
+                "test_every_entry_that_divides_by_rho0_refuses_one_vacuum_point")
 # the first row past the blow-up limit, from the closed form of u^0
 _OVERFLOW = "tests/test_dynamics.py::test_overflowing_plane_wave_raises_at_the_first_bad_row"
 
@@ -158,6 +161,23 @@ MUTANTS = (
         killers=(_JSON_POWERS,),
     ),
     Mutant(
+        name="-0.0 written as 0.0",
+        path="dirachydro/_floattext.py",
+        fragment="key += np.signbit(values) * (_FORMS * 17)",
+        replacement="key += (values < 0.0) * (_FORMS * 17)",
+        killers=("tests/test_floattext.py::test_signed_zeros_nan_and_infinities",
+                 "tests/test_io.py::"
+                 "test_grid_container_round_trips_finite_values_and_nulls_the_rest"),
+    ),
+    Mutant(
+        name="the antiparticle sign dropped from fisher_term at depth 0",
+        path="dirachydro/fisher.py",
+        fragment="fisher_term = sign * (particle.hbar * particle.hbar) * information",
+        replacement=("fisher_term = (sign if depth else 1) * (particle.hbar * particle.hbar)"
+                     " * information"),
+        killers=("tests/test_fisher.py::test_functional_antisymmetry_is_exact",),
+    ),
+    Mutant(
         name="S integrand contracts the conjugated bracket",
         path="dirachydro/fisher.py",
         fragment="raise_index(bracket), bracket)",
@@ -231,12 +251,32 @@ MUTANTS = (
                  "tests/test_hydro.py::test_squared_operator_reproduces_bilinear_residuals"),
     ),
     Mutant(
+        name="the field coupling without its factor 2",
+        path="dirachydro/hydro.py",
+        fragment="((2.0 * lower) * F[..., m, n])",
+        replacement="(lower * F[..., m, n])",
+        killers=("tests/test_hydro.py::test_field_coupling_matches_the_dense_contraction",),
+    ),
+    Mutant(
+        name="the bilinear bracket's q A scaled by 1.5",
+        path="dirachydro/hydro.py",
+        fragment="    bracket_lower = q * A_lower\n",
+        replacement="    bracket_lower = 1.5 * q * A_lower\n",
+        killers=("tests/test_hydro.py::test_expanded_matches_bilinear_on_smooth_fields",),
+    ),
+    Mutant(
+        name="an extra key in TERM_COEFFS",
+        path="dirachydro/hydro.py",
+        fragment='    "quantum_potential": 2.0,\n}',
+        replacement='    "quantum_potential": 2.0,\n    "spin": 0.0,\n}',
+        killers=("tests/test_hydro.py::test_frozen_shape_coefficients",),
+    ),
+    Mutant(
         name="the bilinear density terms computed through quantum_potential",
         path="dirachydro/hydro.py",
-        fragment="    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / safe), halo\n",
+        fragment="    return hbar * hbar * (0.25 * drho_sq - 0.5 * box_rho / rho0)\n",
         # the same terms, -hbar^2 box(sqrt rho)/sqrt rho = 2Q, from the expanded side
-        replacement=("    potential = quantum_potential(spec, rho0, hbar)\n"
-                     "    return 2.0 * potential.filled(0.0), halo\n"),
+        replacement="    return 2.0 * quantum_potential(spec, rho0, hbar)\n",
         killers=(_PAIRS,),
     ),
     Mutant(
@@ -272,8 +312,8 @@ MUTANTS = (
         killers=("tests/test_cli.py::test_spacing_whose_square_overflows_names_the_residual",),
     ),
     Mutant(
-        # no refusal: a vacuum grid reaches the evaluators, whose slabs read a halo of 2
-        # rows where its vacuum mask reaches 3
+        # no refusal in the CLI: a vacuum grid reaches the evaluators, which refuse it as a
+        # contract error (exit 2), not a numerical failure (exit 3)
         name="slabs read a halo of 2 rows",
         path="dirachydro/cli.py",
         fragment="    if vacuum:\n        raise NonFiniteResultError(",
@@ -482,9 +522,16 @@ MUTANTS = (
     Mutant(
         name="the Fisher density admits a nonpositive rho",
         path="dirachydro/fisher.py",
-        fragment="    if np.any(rho.real[interior] <= 0.0):\n",
+        fragment="    if np.any(_is_vacuum(rho.real[interior])):\n",
         replacement="    if False:\n",
         killers=("tests/test_fisher.py::test_information_contract_checks",),
+    ),
+    Mutant(
+        name="the Fisher density refuses only a nonpositive rho",
+        path="dirachydro/fisher.py",
+        fragment="_is_vacuum(rho.real[interior])",
+        replacement="rho.real[interior] <= 0.0",
+        killers=(_VACUUM_RULE,),
     ),
     Mutant(
         name="the process entry does not freeze",
@@ -494,20 +541,18 @@ MUTANTS = (
         killers=("tests/test_entry.py::test_the_entry_freezes_and_writes_the_bytes_of_main",),
     ),
     Mutant(
-        name="the expanded evaluator leaves vacuum points unmasked",
+        name="quantum_potential skips the vacuum refusal",
         path="dirachydro/hydro.py",
-        fragment="    q[halo] = np.nan\n",
-        replacement="",
-        killers=("tests/test_hydro.py::test_quantum_potential_masks_vacuum",
-                 "tests/test_fisher.py::"
-                 "test_expanded_residual_is_the_lagrangian_plus_the_quantum_potential"),
+        fragment="    _refuse_vacuum(rho0)\n    root = np.sqrt(rho0)\n",
+        replacement="    root = np.sqrt(rho0)\n",
+        killers=("tests/test_hydro.py::test_quantum_potential_refuses_vacuum",),
     ),
     Mutant(
-        name="Q's NaN stops at the vacuum points",
+        name="the bilinear density terms skip the vacuum refusal",
         path="dirachydro/hydro.py",
-        fragment="    q[halo] = np.nan\n",
-        replacement="    q[_is_vacuum(rho0)] = np.nan\n",
-        killers=("tests/test_hydro.py::test_quantum_potential_masks_vacuum",),
+        fragment="    _refuse_vacuum(rho0)\n    # the normalised gradient",
+        replacement="    # the normalised gradient",
+        killers=("tests/test_hydro.py::test_both_second_order_evaluators_refuse_vacuum",),
     ),
     Mutant(
         name="bool counted as an integer",
@@ -668,14 +713,15 @@ MUTANTS = (
                  "test_every_evaluator_is_covariant_under_a_quarter_turn_about_z"),
     ),
     Mutant(
-        # a half turn commutes with it, and the consistency test's polynomial has no y
+        # a half turn commutes with it: the quarter turn and the y and z powers see it
         name="the polynomial potential's y-derivative with its sign flipped",
         path="dirachydro/fields.py",
         fragment="out[..., alpha] += coeff * powers[alpha] * _monomial(x, tuple(dp))",
         replacement=("out[..., alpha] += (-1.0 if alpha == 2 else 1.0) * coeff * powers[alpha]"
                      " * _monomial(x, tuple(dp))"),
-        killers=("tests/test_hydro.py::"
-                 "test_every_evaluator_is_covariant_under_a_quarter_turn_about_z",),
+        killers=("tests/test_fields.py::test_polynomial_field_exact_derivatives",
+                 "tests/test_hydro.py::"
+                 "test_every_evaluator_is_covariant_under_a_quarter_turn_about_z"),
     ),
     Mutant(
         name="the renderer fills only the first missing scale row",

@@ -364,9 +364,10 @@ def test_cli_import_and_validation_load_no_jsonschema():
 # first use, at 10-20 ms a process on a 2-vCPU VM, and no artifact or API result needs
 # a masked array
 _NO_MASKED_ARRAYS = """
-import json, math, sys
+import json, sys
 from pathlib import Path
 from dirachydro import _parts, cli, fisher, hydro
+from dirachydro.errors import ContractError
 from dirachydro.fields import provider_from_config
 from dirachydro.grids import GridSpec
 from dirachydro.manufactured import perturbed_plane_wave_fields
@@ -400,12 +401,15 @@ for name, call in api:
     call()
     steps.append([name, 0, "numpy.ma" in sys.modules])
 
-# Q on a grid with a vacuum point: NaN there, and no masked array
+# Q on a grid with a vacuum point: refused, and no masked array
 rho0 = [1.0] * 20
 rho0[7] = 0.0
-q = hydro.quantum_potential(GridSpec(active_axes=(1,), shape=(20,), spacing=(0.1,)), rho0)
-steps.append(["quantum potential with a vacuum point", 0 if math.isnan(q[7]) else 1,
-              "numpy.ma" in sys.modules])
+try:
+    hydro.quantum_potential(GridSpec(active_axes=(1,), shape=(20,), spacing=(0.1,)), rho0)
+    status = 1
+except ContractError:
+    status = 0
+steps.append(["quantum potential with a vacuum point", status, "numpy.ma" in sys.modules])
 print(json.dumps(steps))
 """
 
@@ -1169,9 +1173,9 @@ def test_slabbed_residual_grids_are_bitwise_the_whole_grid(axes, slabs, data, co
 def test_a_vacuum_grid_is_refused_before_any_evaluator_runs(tmp_path, monkeypatch, capsys,
                                                             offset):
     """One vacuum point in a row 4 rows before to 3 rows after the cut of a 24-row
-    grid in two slabs, where the vacuum mask (3 rows) reaches past the halo (2 rows):
-    residuals and fisher refuse the grid (exit 3) before any evaluator runs, so no
-    slab ever reads it, and write nothing."""
+    grid in two slabs, inside or past the halo (2 rows) of either slab: residuals and
+    fisher refuse the grid (exit 3) before any evaluator runs, so no slab ever reads
+    it, and write nothing."""
     configured = cli._configured_fields
     monkeypatch.setattr(cli, "_configured_fields",
                         lambda *args: _with_vacuum(configured(*args), 12 + offset, 1))

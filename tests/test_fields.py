@@ -101,12 +101,19 @@ def test_plane_wave_tensor_consistency():
 
 def test_polynomial_field_exact_derivatives():
     # A^1 = 0.3 t^2 x gives F^{01} = d^0 A^1 - d^1 A^0 = 0.6 t x
-    provider = PolynomialField(terms={1: [(0.3, (2, 1, 0, 0))]})
-    x = np.array([1.5, 2.0, 0.0, 0.0])
-    A, F = provider.sample(x)
-    assert A[1] == pytest.approx(0.3 * 1.5**2 * 2.0)
-    assert F[0, 1] == pytest.approx(0.6 * 1.5 * 2.0)
-    assert F[1, 0] == pytest.approx(-0.6 * 1.5 * 2.0)
+    # A^2 = 0.5 x y z and A^3 = -0.4 x y z give F^{23} = -d_y A^3 + d_z A^2 = 0.4 x z + 0.5 x y,
+    # F^{12} = -d_x A^2 = -0.5 y z and F^{13} = -d_x A^3 = 0.4 y z
+    provider = PolynomialField(terms={1: [(0.3, (2, 1, 0, 0))], 2: [(0.5, (0, 1, 1, 1))],
+                                      3: [(-0.4, (0, 1, 1, 1))]})
+    t, x, y, z = 1.5, 2.0, -0.7, 1.3
+    A, F = provider.sample(np.array([t, x, y, z]))
+    assert A[1] == pytest.approx(0.3 * t**2 * x)
+    assert A[2] == pytest.approx(0.5 * x * y * z) and A[3] == pytest.approx(-0.4 * x * y * z)
+    assert F[0, 1] == pytest.approx(0.6 * t * x)
+    assert F[1, 0] == pytest.approx(-0.6 * t * x)
+    assert F[2, 3] == pytest.approx(0.4 * x * z + 0.5 * x * y)
+    assert F[1, 2] == pytest.approx(-0.5 * y * z) and F[1, 3] == pytest.approx(0.4 * y * z)
+    assert F[0, 2] == F[0, 3] == 0.0
     rng = np.random.default_rng(43)
     assert field_consistency_residual(provider, rng.normal(size=(10, 4)), h=1e-4) < 1e-7
 

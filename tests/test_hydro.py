@@ -463,30 +463,30 @@ def test_quantum_potential_gaussian_closed_form():
     np.testing.assert_allclose(q2, 4.0 * q, atol=1e-12)
 
 
-def test_quantum_potential_masks_vacuum():
-    """Zero-density points and their stencil halo come back as NaN."""
+def test_quantum_potential_refuses_vacuum():
+    """Zero-density points are refused, counted; so is a grid of the wrong shape."""
     spec = GridSpec(
         active_axes=(1,), shape=(401,), spacing=(0.01,), origin=(0.0, -2.0, 0.0, 0.0)
     )
     x = spec.points()[:, 1]
     rho0 = np.exp(-(x**2))
     rho0[180:221] = 0.0
-    q = quantum_potential(spec, rho0)
-    undefined = np.isnan(q)
-    assert undefined[177] and undefined[223]
-    assert not undefined[176] and not undefined[224]
-    assert np.all(np.isfinite(q[~undefined]))
+    with pytest.raises(ContractError, match="at 41 of 401 grid points"):
+        quantum_potential(spec, rho0)
     with pytest.raises(ContractError):
         quantum_potential(spec, np.ones(7))
 
 
-def test_quantum_potential_mask_stops_at_grid_edge():
-    """A vacuum point on one edge makes its own halo NaN, not the opposite edge."""
+def test_quantum_potential_refuses_a_vacuum_point_on_the_grid_edge():
+    """An edge sample is refused like any other; so is a NaN, and a density at the floor."""
     spec = GridSpec(active_axes=(1,), shape=(20,), spacing=(0.1,))
-    rho0 = np.ones(20)
-    rho0[0] = 0.0
-    q = quantum_potential(spec, rho0)
-    np.testing.assert_array_equal(np.flatnonzero(np.isnan(q)), [0, 1, 2, 3])
+    for value in (0.0, np.nan, hydro.DENSITY_FLOOR):
+        rho0 = np.ones(20)
+        rho0[0] = value
+        with pytest.raises(ContractError, match="at 1 of 20 grid points"):
+            quantum_potential(spec, rho0)
+    rho0[0] = np.nextafter(hydro.DENSITY_FLOOR, 1.0)
+    assert np.isfinite(quantum_potential(spec, rho0)).all()
 
 
 _EVALUATORS = (
@@ -555,8 +555,8 @@ def test_warm_field_set_reproduces_fresh_results_bitwise():
             np.testing.assert_array_equal(got[name], grid, err_msg=name)
 
 
-def test_bilinear_evaluator_masks_vacuum_like_expanded():
-    """A vacuum patch is NaN in both qhj grids, on the same points."""
+def test_both_second_order_evaluators_refuse_vacuum():
+    """A vacuum patch is refused by both qhj evaluators, with the same count."""
     spec = _plane_spec(25)
     plane = plane_wave_fields(spec)
     rho = np.array(plane.rho, copy=True)
@@ -564,14 +564,9 @@ def test_bilinear_evaluator_masks_vacuum_like_expanded():
     fields = HydroFieldSet(
         spec=spec, rho=rho, S=plane.S, params=plane.params, kind=plane.kind
     )
-    bil = second_order_residuals_bilinear(fields, ZERO_FIELD)
-    exp = second_order_residuals_expanded(fields, ZERO_FIELD)
-    vacuum = np.isnan(bil.qhj)
-    np.testing.assert_array_equal(vacuum, np.isnan(exp.qhj))
-    # the halo reaches three points along each axis from the patch
-    assert vacuum[7, 8] and vacuum[13, 14]
-    assert not vacuum[6, 10] and not vacuum[7, 7]
-    assert np.all(np.isfinite(bil.qhj[~vacuum]))
+    for evaluator in (second_order_residuals_bilinear, second_order_residuals_expanded):
+        with pytest.raises(ContractError, match="at 16 of 625 grid points"):
+            evaluator(fields, ZERO_FIELD)
 
 
 def test_frozen_shape_coefficients():

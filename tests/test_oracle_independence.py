@@ -152,7 +152,8 @@ PAIRS = {
     "bilinear-expanded": (
         ["hydro.second_order_residuals_bilinear"],
         ["hydro.second_order_residuals_expanded"],
-        {"hydro._vacuum": "the one vacuum mask; each side keeps its own density formula",
+        {"hydro._refuse_vacuum": "the one vacuum predicate; it refuses an input and "
+                                 "computes no reported value",
          "hydro.SecondOrderResiduals": "the result type both return"},
     ),
     "squared-bilinear": (
@@ -181,7 +182,9 @@ PAIRS = {
                                        "residual, the action and its variations",
          "hydro._expanded_bracket": "shared by design: the momentum bracket of that "
                                     "lagrangian, the only term that depends on S",
-         "hydro.expanded_terms": "shared by design: the terms that lagrangian sums"},
+         "hydro.expanded_terms": "shared by design: the terms that lagrangian sums",
+         "hydro._is_vacuum": "the one vacuum predicate; it refuses an input and computes "
+                             "no reported value"},
     ),
 }
 

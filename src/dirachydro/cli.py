@@ -45,7 +45,6 @@ numerical failure (instability, fit, or a non-finite or overflowing result).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import gc
 import importlib.resources
@@ -172,7 +171,8 @@ def _cmd_verify(config, seed, out_dir, fmt):
 def _cmd_simulate(config, seed, out_dir, fmt):
     particle, kind = _particle_from(config)
     # an antiparticle moves as the particle with the opposite charge
-    particle = dataclasses.replace(particle, charge=species_sign(kind) * particle.charge)
+    particle = Particle(mass=particle.mass, charge=species_sign(kind) * particle.charge,
+                        hbar=particle.hbar)
     provider = _provider_from(config)
 
     init = config["initial_state"]

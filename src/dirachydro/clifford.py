@@ -19,11 +19,11 @@ M e from literal index tables of those entries instead of contracting dense
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
+from ._record import Record
 from .errors import ContractError
 
 __all__ = [
@@ -170,8 +170,7 @@ def _adjoint(e):
     return out
 
 
-@dataclass(frozen=True)
-class BilinearSet:
+class BilinearSet(Record):
     """Real bilinear densities of one spinor.
 
     scalar : e-bar e

@@ -44,10 +44,10 @@ An antiparticle is the particle with the opposite charge: callers pass a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .clifford import lower_index
 from .errors import ContractError, FitError, InstabilityError
 from .fields import ELECTRON, PlaneWaveField, electric_field, magnetic_field
@@ -73,15 +73,15 @@ _BLOWUP_LIMIT = 1e12
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class DynState:
+class DynState(Record):
     """Instantaneous state: position, four-velocity and rest spin."""
 
     x: np.ndarray
     u: np.ndarray
     s_rest: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         x = np.asarray(self.x, dtype=np.float64).reshape(4)
         u = np.asarray(self.u, dtype=np.float64).reshape(4)
         s_rest = np.asarray(self.s_rest, dtype=np.float64).reshape(3)
@@ -130,8 +130,7 @@ def state_derivative(state, provider, particle=ELECTRON):
     return state.u, du, ds_rest
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled orbit: one (samples, 12) table in TRAJECTORY_COLUMNS order.
 
     Column 0 counts proper time. The table is held read-only, and s, x, u
@@ -145,7 +144,8 @@ class Trajectory:
     u = property(lambda self: self.table[:, 5:9])
     s_rest = property(lambda self: self.table[:, 9:])
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != len(TRAJECTORY_COLUMNS):
             raise ContractError(f"a trajectory table has shape (samples, 12), not {table.shape}")
@@ -425,8 +425,7 @@ def integrate(
     return Trajectory(out)
 
 
-@dataclass(frozen=True)
-class PrecessionFit:
+class PrecessionFit(Record):
     """Least-squares rotation rate of a vector series about a fixed axis."""
 
     omega: float

@@ -14,10 +14,9 @@ tests can confirm F really is the curl of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record
 from .clifford import minkowski_dot, raise_index
 from .errors import ContractError
 from .kinematics import acceleration_tensor, boost_matrix, vorticity_to_rest
@@ -42,15 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(Record):
     """Mass, signed charge and hbar in natural units (c = 1)."""
 
     mass: float = 1.0
     charge: float = -1.0
     hbar: float = 1.0
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise ContractError("mass must be positive and finite")
         if not np.isfinite(self.charge) or not np.isfinite(self.hbar):
@@ -102,8 +101,7 @@ def _check_finite(name, value):
     return value
 
 
-@dataclass(frozen=True)
-class UniformField:
+class UniformField(Record):
     """Constant E and B everywhere.
 
     Gauge choice: A^0 = -E . r (electrostatic potential) and A = B x r / 2
@@ -115,7 +113,8 @@ class UniformField:
 
     constant_field = True  # integrators may sample once and reuse F
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "E0", _check_finite("E0", self.E0))
         object.__setattr__(self, "B0", _check_finite("B0", self.B0))
 
@@ -132,19 +131,17 @@ class UniformField:
 ZERO_FIELD = UniformField()
 
 
-@dataclass(frozen=True)
 class CrossedField(UniformField):
     """Uniform fields with E perpendicular to B, the drift-frame workhorse."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         scale = max(float(np.linalg.norm(self.E0) * np.linalg.norm(self.B0)), 1.0)
         if abs(float(np.dot(self.E0, self.B0))) > 1e-10 * scale:
             raise ContractError("crossed fields require E0 . B0 = 0")
 
 
-@dataclass(frozen=True)
-class PlaneWaveField:
+class PlaneWaveField(Record):
     """Vacuum plane wave in temporal gauge, A = (0, pol * amplitude * cos(k.x)).
 
     The wave vector must be lightlike and the polarization transverse to its
@@ -154,11 +151,9 @@ class PlaneWaveField:
     wave_vector: np.ndarray = (1.0, 0.0, 0.0, 1.0)
     polarization: np.ndarray = (1.0, 0.0, 0.0)
     amplitude: float = 1.0
-    # k^mu eps^nu - eps^mu k^nu, built once in __post_init__ from the
-    # normalised polarization
-    _antisym: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         k = _check_finite("wave_vector", self.wave_vector)
         pol = _check_finite("polarization", self.polarization)
         object.__setattr__(self, "wave_vector", k)
@@ -177,6 +172,8 @@ class PlaneWaveField:
         object.__setattr__(self, "polarization", pol / norm)
         eps4 = np.zeros(4)
         eps4[1:4] = self.polarization
+        # k^mu eps^nu - eps^mu k^nu of the normalised polarization, not a field:
+        # it is neither compared nor shown
         antisym = np.einsum("m,n->mn", k, eps4) - np.einsum("m,n->mn", eps4, k)
         object.__setattr__(self, "_antisym", antisym)
 
@@ -197,8 +194,7 @@ def _monomial(x, powers):
     return out
 
 
-@dataclass(frozen=True)
-class ScalarPolynomial:
+class ScalarPolynomial(Record):
     """Polynomial in (t, x, y, z) with exact gradient, degree capped at 3.
 
     terms lists (coefficient, powers) pairs with powers = (pt, px, py, pz).
@@ -211,7 +207,8 @@ class ScalarPolynomial:
 
     terms: tuple = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         rows = []
         for coeff, powers in self.terms:
             powers = tuple(int(p) for p in powers)
@@ -241,8 +238,7 @@ class ScalarPolynomial:
         return out
 
 
-@dataclass(frozen=True)
-class PolynomialField:
+class PolynomialField(Record):
     """Potential with polynomial components, for manufactured configurations.
 
     terms maps a component index mu to a list of (coefficient, powers) pairs
@@ -251,9 +247,10 @@ class PolynomialField:
     gradient.
     """
 
-    terms: dict = field(default_factory=dict)
+    terms: dict = {}  # only read: __init__ stores a new dict
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         components = {}
         for mu, entries in self.terms.items():
             mu = int(mu)
@@ -274,8 +271,7 @@ class PolynomialField:
         return A, F
 
 
-@dataclass(frozen=True)
-class GaugeShiftedProvider:
+class GaugeShiftedProvider(Record):
     """Wraps a provider with A^mu -> A^mu + d^mu(Lambda); F is untouched.
 
     This is the package's one way to shift a gauge; a Lambda linear in the

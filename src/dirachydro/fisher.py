@@ -41,10 +41,9 @@ on the same fields; reports carry the sign on every term so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .clifford import raise_index
 from .errors import ContractError
 from .fields import ELECTRON, magnetic_field
@@ -71,8 +70,7 @@ CONTINUITY_FACTOR = -2.0   # d A / d S = CONTINUITY_FACTOR * continuity residual
 QHJ_FACTOR = 1.0           # d A / d rho0 = QHJ_FACTOR * qhj residual
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(Record):
     """Evaluated action functional, split into its two integrand pieces.
 
     ``fisher_information`` is the bare integral I that the Fisher term
@@ -103,12 +101,14 @@ def _fisher_density(spec, rho, interior):
     """(1/4) d^mu rho d_mu rho / rho, refused at a vacuum point of the interior.
 
     ``hydro._is_vacuum`` names the vacuum points, as for Q.  No integral
-    reads the density outside the interior, where a rho <= 0 divides as 1.
-    A complex rho (a complex step) is tested on its real part.
+    reads the density outside the interior, where a vacuum point divides as
+    1, so it neither overflows nor warns.  A complex rho (a complex step) is
+    tested on its real part.
     """
-    if np.any(_is_vacuum(rho.real[interior])):
+    vacuum = _is_vacuum(rho.real)
+    if np.any(vacuum[interior]):
         raise ContractError("rho must be above the density floor on the trusted interior")
-    return 0.25 * _metric_square(spec, rho) / np.where(rho.real > 0.0, rho, 1.0)
+    return 0.25 * _metric_square(spec, rho) / np.where(vacuum, 1.0, rho)
 
 
 def lagrangian_density(fields, provider, particle=ELECTRON):

@@ -11,10 +11,9 @@ interior depth and reductions respect it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import ContractError, InsufficientInteriorError
 
 __all__ = ["GridSpec"]
@@ -25,8 +24,7 @@ _AXIS_NAMES = ("t", "x", "y", "z")
 _MIN_SAMPLES = 5
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Axis-aligned grid over a subset of (t, x, y, z).
 
     active_axes lists spacetime axis indices in increasing order; shape and
@@ -42,7 +40,8 @@ class GridSpec:
     origin: tuple = (0.0, 0.0, 0.0, 0.0)
     start: int = 0
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         axes = tuple(int(a) for a in self.active_axes)
         if not axes or any(a not in (0, 1, 2, 3) for a in axes):
             raise ContractError("active_axes must be a nonempty subset of 0..3")

@@ -51,11 +51,11 @@ with a ContractError that counts the vacuum points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .clifford import (_GAMMA_COEFF, _GAMMA_PAIR, _GAMMA_PERM, _PAIR_COEFF, _PAIR_LOWER,
                        _PAIR_PERM, _PAIRS, _adjoint, bilinears, lower_both, lower_index,
                        minkowski_dot, raise_index)
@@ -110,8 +110,7 @@ _STENCIL_REACH = 2
 _CORRECTION_POINTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class HydroFieldSet:
+class HydroFieldSet(Record):
     """Grid-sampled density, phase action and spinor-shape parameters.
 
     ``rho`` is the probability density psi^dag psi; the rest density that
@@ -125,7 +124,8 @@ class HydroFieldSet:
     params: KinematicParams
     kind: str = "particle"
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         species_sign(self.kind)  # refuses an unknown kind
         rho = np.asarray(self.rho, dtype=np.float64)
         S = np.asarray(self.S, dtype=np.float64)
@@ -183,16 +183,14 @@ class HydroFieldSet:
         return amplitude[..., np.newaxis] * self.spinors()
 
 
-@dataclass(frozen=True)
-class FirstOrderResiduals:
+class FirstOrderResiduals(Record):
     """Pointwise defects of the first-order hydrodynamic equations."""
 
     continuity: np.ndarray
     hamilton_jacobi: np.ndarray
 
 
-@dataclass(frozen=True)
-class SecondOrderResiduals:
+class SecondOrderResiduals(Record):
     """Pointwise defects of the second-order (squared-operator) equations.
 
     ``qhj_imag`` collects the parts of the quantum Hamilton-Jacobi

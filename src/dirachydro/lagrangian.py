@@ -10,10 +10,9 @@ is linear in hbar; tests exercise that scaling directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .clifford import lower_both, minkowski_dot, sigma_from_u_s
 from .fields import ELECTRON, ZERO_FIELD, electric_field, magnetic_field
 from .kinematics import (
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LagrangianBreakdown:
+class LagrangianBreakdown(Record):
     """Term-by-term values; fields broadcast together, total is their sum."""
 
     mass: np.ndarray

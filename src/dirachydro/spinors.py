@@ -12,11 +12,10 @@ returning spinor components along the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from . import clifford
+from ._record import Record
 from .errors import ContractError, DegenerateSpinorError
 
 __all__ = [
@@ -44,8 +43,7 @@ def species_sign(kind):
     return 1.0 if kind == "particle" else -1.0
 
 
-@dataclass(frozen=True)
-class KinematicParams:
+class KinematicParams(Record):
     """Rapidity and orientation angles of a single-particle state.
 
     chi is nonnegative and below arccosh of the largest float64 (about
@@ -60,7 +58,8 @@ class KinematicParams:
     theta: np.ndarray = 0.0
     eta0: np.ndarray = 0.0
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name in _PARAM_NAMES:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.chi < -_ANGLE_TOL):
@@ -89,7 +88,7 @@ class KinematicParams:
 
 # The names of the five shape parameters, in field order; seeded draws of
 # the parameter fields follow this order.
-_PARAM_NAMES = tuple(field.name for field in fields(KinematicParams))
+_PARAM_NAMES = KinematicParams._fields
 
 
 def four_velocity(params):

@@ -10,10 +10,9 @@ path is exercised without corrupting any physics code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .clifford import (
     GAMMA,
     GAMMA5,
@@ -43,8 +42,7 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all"]
 SUITE_NAMES = ("clifford", "spinor_factory", "kinematics", "lagrangian")
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """Outcome of one suite: per-check residuals against tolerances."""
 
     name: str

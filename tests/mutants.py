@@ -187,8 +187,8 @@ MUTANTS = (
     Mutant(
         name="Fisher density divides by the real part of rho",
         path="dirachydro/fisher.py",
-        fragment="np.where(rho.real > 0.0, rho, 1.0)",
-        replacement="np.where(rho.real > 0.0, rho.real, 1.0)",
+        fragment="np.where(vacuum, 1.0, rho)",
+        replacement="np.where(vacuum, 1.0, rho.real)",
         killers=(_ORACLE, "tests/test_fisher.py::test_functional_derivatives_reproduce_residual_grids"),
     ),
     Mutant(
@@ -522,16 +522,24 @@ MUTANTS = (
     Mutant(
         name="the Fisher density admits a nonpositive rho",
         path="dirachydro/fisher.py",
-        fragment="    if np.any(_is_vacuum(rho.real[interior])):\n",
+        fragment="    if np.any(vacuum[interior]):\n",
         replacement="    if False:\n",
         killers=("tests/test_fisher.py::test_information_contract_checks",),
     ),
     Mutant(
         name="the Fisher density refuses only a nonpositive rho",
         path="dirachydro/fisher.py",
-        fragment="_is_vacuum(rho.real[interior])",
-        replacement="rho.real[interior] <= 0.0",
+        fragment="vacuum = _is_vacuum(rho.real)",
+        replacement="vacuum = rho.real <= 0.0",
         killers=(_VACUUM_RULE,),
+    ),
+    Mutant(
+        name="the Fisher density divides a boundary sample by a vacuum rho",
+        path="dirachydro/fisher.py",
+        fragment="np.where(vacuum, 1.0, rho)",
+        replacement="np.where(rho.real > 0.0, rho, 1.0)",
+        killers=("tests/test_fisher.py::"
+                 "test_a_vacuum_sample_outside_the_interior_divides_as_one",),
     ),
     Mutant(
         name="the process entry does not freeze",
@@ -737,6 +745,22 @@ MUTANTS = (
         fragment="    arr = np.asarray(values)\n",
         replacement="    arr = np.asarray(np.ma.filled(values, np.nan))\n",
         killers=("tests/test_cli.py::test_no_command_or_variational_api_call_loads_numpy_ma",),
+    ),
+    Mutant(
+        name="a record accepts assignment",
+        path="dirachydro/_record.py",
+        fragment=('        raise AttributeError(f"{type(self).__name__} is frozen: '
+                  'cannot assign to {name!r}")\n'),
+        replacement="        object.__setattr__(self, name, value)\n",
+        killers=("tests/test_record.py::test_every_record_keeps_the_frozen_record_contract",),
+    ),
+    Mutant(
+        name="record equality ignores the last field",
+        path="dirachydro/_record.py",
+        fragment="return tuple(getattr(self, name) for name in self._fields)",
+        replacement="return tuple(getattr(self, name) for name in self._fields[:-1])",
+        killers=("tests/test_record.py::"
+                 "test_grid_spec_and_particle_compare_and_hash_by_their_fields",),
     ),
 )
 

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import filecmp
 import importlib.util
 import io
@@ -362,7 +361,8 @@ def test_cli_import_and_validation_load_no_jsonschema():
 
 # every command and every bulk writer, in one process after import: numpy.ma loads on
 # first use, at 10-20 ms a process on a 2-vCPU VM, and no artifact or API result needs
-# a masked array
+# a masked array; nor does any step import dataclasses, whose classes each compile
+# their methods when created (see dirachydro._record)
 _NO_MASKED_ARRAYS = """
 import json, sys
 from pathlib import Path
@@ -374,13 +374,14 @@ from dirachydro.manufactured import perturbed_plane_wave_fields
 
 # slabs and text parts run in this process, where sys.modules sees them
 _parts.usable_cores = lambda: 1
+loaded = lambda: ["numpy.ma" in sys.modules, "dataclasses" in sys.modules]
 runs, variational, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), Path(sys.argv[3])
 steps = []
 for k, (name, config, flags) in enumerate(runs):
     path = out / f"{k}.json"
     path.write_text(json.dumps(config))
     status = cli.main(["--config", str(path), "--out", str(out / str(k)), "--quiet", *flags])
-    steps.append([name, status, "numpy.ma" in sys.modules])
+    steps.append([name, status, *loaded()])
 
 # the public-API sequence of bench/variational_job.py
 grid = variational["grid"]
@@ -399,7 +400,7 @@ api += [(f"{kind} action", lambda kind=kind: fisher.action_functional(
     ("particle", "antiparticle")]
 for name, call in api:
     call()
-    steps.append([name, 0, "numpy.ma" in sys.modules])
+    steps.append([name, 0, *loaded()])
 
 # Q on a grid with a vacuum point: refused, and no masked array
 rho0 = [1.0] * 20
@@ -409,7 +410,7 @@ try:
     status = 1
 except ContractError:
     status = 0
-steps.append(["quantum potential with a vacuum point", status, "numpy.ma" in sys.modules])
+steps.append(["quantum potential with a vacuum point", status, *loaded()])
 print(json.dumps(steps))
 """
 
@@ -445,8 +446,8 @@ def test_no_command_or_variational_api_call_loads_numpy_ma(tmp_path):
          str(tmp_path)], capture_output=True, text=True, env=child_env(), check=True)
     steps = json.loads(child.stdout)
     assert len(steps) == len(runs) + 7
-    # [name, exit status, numpy.ma loaded] after each step
-    assert [step for step in steps if step[1:] != [0, False]] == []
+    # [name, exit status, numpy.ma loaded, dataclasses loaded] after each step
+    assert [step for step in steps if step[1:] != [0, False, False]] == []
 
 
 def test_run_report_is_deterministic(tmp_path):
@@ -1124,7 +1125,7 @@ def _with_vacuum(fields, row, seed):
     rho = fields.rho.copy()
     rng = np.random.default_rng(seed)
     rho[(row,) + tuple(int(rng.integers(0, n)) for n in fields.spec.shape[1:])] = 0.0
-    return dataclasses.replace(fields, rho=rho)
+    return HydroFieldSet(fields.spec, rho, fields.S, fields.params, fields.kind)
 
 
 def _whole_and_slabbed(fields, provider, particle, cores, slab_points, slabs):

@@ -92,6 +92,19 @@ def test_information_tolerates_zero_density_outside_the_interior():
     assert value == 0.1875
 
 
+def test_a_vacuum_sample_outside_the_interior_divides_as_one():
+    """rho = 1e-305 on the boundary layer is vacuum like 0: no overflow, the same integral."""
+    spec = GridSpec(active_axes=(0, 1), shape=(9, 9), spacing=(0.01, 0.01))
+    values = []
+    for value in (0.0, 1e-305):
+        rho = np.ones(spec.shape)
+        rho[0, 4] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values.append(fisher_information(spec, rho, depth=1))
+    assert values[0] == values[1]
+
+
 @settings(max_examples=50)
 @given(data=st.data(), value=st.sampled_from([0.0, 1e-305]))
 def test_every_entry_that_divides_by_rho0_refuses_one_vacuum_point(data, value):

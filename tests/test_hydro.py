@@ -1,6 +1,5 @@
 """Grid field sets, hydrodynamic residual evaluators, quantum potential."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -409,7 +408,8 @@ def test_every_evaluator_is_covariant_under_a_quarter_turn_about_z(case):
         case,
         turn=lambda grid: np.rot90(grid, 1, axes=(1, 2)),
         origin=lambda axes, width: (0.0, -width, 0.0, 0.0),
-        turned_params=lambda p: dataclasses.replace(p, phi=p.phi + 0.5 * np.pi),
+        turned_params=lambda p: KinematicParams(
+            chi=p.chi, theta_u=p.theta_u, phi=p.phi + 0.5 * np.pi, theta=p.theta, eta0=p.eta0),
         rotate=_about_z,
     )
 

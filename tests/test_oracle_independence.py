@@ -13,8 +13,8 @@ The nodes of the graph are the module-level names of ``src/dirachydro``
 (functions, classes, assigned constants) and the methods and properties of
 its classes. A name read in a body is an edge to the definition it resolves
 to through the module's imports; reading a class also reaches its
-``__init__``, ``__post_init__`` and ``__call__``. An attribute of a package
-module (``clifford.bilinears``) is an edge to that name. Any other
+``__init__`` and ``__call__``. An attribute of a package module
+(``clifford.bilinears``) is an edge to that name. Any other
 attribute, ``obj.name``, is an edge to every class member called ``name``,
 because the class of ``obj`` is not known: the graph over-approximates,
 which can only make the check stricter.
@@ -31,7 +31,7 @@ import dirachydro.errors
 # the sources of the package under test, wherever it was imported from
 SOURCE = Path(dirachydro.errors.__file__).resolve().parent
 PACKAGE = "dirachydro"
-_CONSTRUCTORS = ("__init__", "__post_init__", "__call__")
+_CONSTRUCTORS = ("__init__", "__call__")
 
 
 @cache

@@ -5,11 +5,11 @@ residual grids (continuity and quantum Hamilton-Jacobi) are small but
 structured.  This script re-derives both grids without ever calling the
 residual evaluators: it steps every grid sample of the action integrand
 by an imaginary 1e-30 and reads the derivative off the imaginary part, a
-complex-step derivative with nothing subtracted (samples three apart are
-stepped together, since their weighted stencils do not overlap).  Up to
-the measured proportionality constants the numerical functional
-derivatives land on the independently coded residuals, which is the
-variational claim made concrete.
+complex-step derivative with nothing subtracted (the samples of one of
+2d + 1 colours are stepped together, since their weighted stencils do not
+overlap).  Up to the measured proportionality constants the numerical
+functional derivatives land on the independently coded residuals, which
+is the variational claim made concrete.
 
 Also shown: the antiparticle functional is the exact negation of the
 particle one, and the Fisher information of a normalized Gaussian matches

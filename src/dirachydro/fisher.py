@@ -25,10 +25,11 @@ symbolic derivation would share bugs with the thing under test.  The
 integrand is holomorphic in the varied field, so an imaginary step of
 1e-30 gives its derivative with nothing subtracted, exact to roundoff at
 any step size, and no step needs scaling or checking.  The derivatives
-weight the integrand over the depth-1 trusted interior, where samples
-three apart along every axis do not share a weighted stencil, so the grid
-is coloured with stride 3 and all samples of a colour are stepped at once:
-3^d complex integrand grids per derivative, whatever the sample count.
+weight the integrand over the depth-1 trusted interior, where a weighted
+sample reads only the cross of itself and its 2d neighbours, so the grid
+is coloured with 2d + 1 colours whose crosses do not overlap and all
+samples of a colour are stepped at once: 2d + 1 complex integrand grids
+per derivative, whatever the sample count.
 
 Sign conventions: gradients contract with the Minkowski metric, so the
 Fisher information of a static profile is negative (the spatial axes carry
@@ -90,10 +91,14 @@ def fisher_information(spec, rho, depth=1):
     The contraction is Minkowski-signed: time-axis gradients enter with a
     plus, spatial ones with a minus, so static profiles yield a negative
     number (a normalized 1D Gaussian of width sigma gives -1/(4 sigma^2)).
+    A non-finite rho is refused anywhere on the grid: the interior
+    gradients read the boundary layer.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != spec.shape:
         raise ContractError(f"rho must have grid shape {spec.shape}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ContractError("rho must be finite")
     return spec.integrate(_fisher_density(spec, rho, spec.interior(depth)), depth=depth)
 
 
@@ -194,12 +199,6 @@ def action_functional(fields, provider, particle=ELECTRON, kind=None, depth=1):
 # The derivatives weight the integrand with the trapezoid rule over the
 # interior of this depth.
 _DEPTH = 1
-# Reach of the weighted integrand: the change at a sample of nonzero weight
-# reads samples at most this many steps away along each axis (the central
-# stencil of np.gradient).  The one-sided edge_order=2 formulas reach two
-# steps, but only at edge samples, which weigh zero at depth 1.
-_REACH = 1
-_STRIDE = 2 * _REACH + 1
 # Imaginary step of the complex-step derivative.  Nothing is subtracted, so
 # roundoff sets no lower bound on it.
 _STEP = 1e-30
@@ -239,27 +238,6 @@ def _integrand(fields, provider, particle, wrt):
     return np.array(rho0_base, copy=True), integrand
 
 
-def _box_sums(values, offsets):
-    """Sum of values over the stride-wide box centred on each sample of a colour.
-
-    The colour holds the samples whose index along every axis is its offset
-    plus a multiple of the stride; their boxes are disjoint.  The sum is
-    separable: stride shifted adds per axis, each shrinking that axis to
-    the colour's sample count.
-    """
-    out = np.pad(values, _REACH)
-    for axis, (offset, n) in enumerate(zip(offsets, values.shape)):
-        count = len(range(offset, n, _STRIDE))
-        total = 0.0
-        for shift in range(_STRIDE):
-            index = [slice(None)] * out.ndim
-            start = offset + shift
-            index[axis] = slice(start, start + count * _STRIDE, _STRIDE)
-            total = total + out[tuple(index)]
-        out = total
-    return out
-
-
 def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     """Numerical dA/df(x) per grid point, f one of the phase action or rho0.
 
@@ -272,14 +250,15 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     points whose trapezoid weight is the plain volume element; the
     outermost samples carry edge weights and are reported as computed.
 
-    A weighted integrand sample reads samples at most one step away (the
-    one-sided formulas that read two steps run only at edge samples, which
-    weigh zero), so samples three apart along every axis cannot see each
-    other's steps.  The grid is coloured with stride 3 per active axis:
-    each of the 3^d colours is stepped all at once, one complex integrand
-    grid per colour, and the weighted imaginary part is summed over the
-    3^d box around each of its samples.  The cost is 3^d integrand
-    evaluations, whatever the sample count.
+    A weighted integrand sample reads only itself and its neighbours one
+    step away along each axis (the one-sided formulas that read two steps
+    run only at edge samples, which weigh zero).  Two samples whose labels
+    sum_k (k + 1) x_k agree modulo 2d + 1 never differ by e_j +- e_k or
+    2 e_k, so no weighted sample reads two of them (Goldfarb & Toint, Math.
+    Comp. 43, 1984).  Each of the 2d + 1 colours is stepped all at once,
+    one complex integrand grid per colour, and the weighted imaginary part
+    is gathered over the cross around each of its samples.  The cost is
+    2d + 1 integrand evaluations, whatever the sample count.
 
     The derivative with respect to rho0 treats the rest density as the
     independent field at fixed spinor shape, matching the variational
@@ -295,13 +274,18 @@ def functional_derivative(fields, provider, particle=ELECTRON, wrt="S"):
     base_field, integrand = _integrand(fields, provider, particle, wrt)
     field = base_field.astype(np.complex128)
 
+    colours = 2 * spec.ndim + 1
+    label = sum((k + 1) * x for k, x in enumerate(np.indices(spec.shape))) % colours
+    # the cross, added in the order the tests pin bitwise: axis 0's -1, 0, +1, then -1, +1
+    # per later axis; np.roll wraps only onto edge samples, whose change is zero
+    cross = [(1, 0), (0, 0), (-1, 0)] + [(s, k) for k in range(1, spec.ndim) for s in (1, -1)]
     change = np.zeros(spec.shape)
     out = np.zeros(spec.shape)
-    for offsets in np.ndindex(*(_STRIDE,) * spec.ndim):
-        colour = tuple(slice(c, None, _STRIDE) for c in offsets)
-        field[colour] += 1j * _STEP
+    for colour in range(colours):
+        stepped = label == colour
+        field[stepped] += 1j * _STEP
         change[interior] = weights * integrand(field)[interior].imag
-        field[colour] = base_field[colour]
-        out[colour] = _box_sums(change, offsets)
+        field[stepped] = base_field[stepped]
+        out[stepped] = sum(np.roll(change, s, k) for s, k in cross)[stepped]
     out *= sign / (_STEP * volume)
     return out

@@ -42,6 +42,8 @@ class Mutant:
 
 # per-sample real central difference: sees any non-holomorphic step, on every grid
 _ORACLE = "tests/test_fisher.py::test_coloured_derivative_matches_per_sample_loop"
+# the star colouring against the 3^d box colouring on 1-D to 4-D grids, bitwise
+_BOX_COLOURING = "tests/test_fisher.py::test_star_colouring_is_bitwise_the_box_colouring"
 # slabbed residual grids against one evaluation of the whole grid, bitwise
 _SLAB_ORACLE = "tests/test_cli.py::test_slabbed_residual_grids_are_bitwise_the_whole_grid"
 # the slab count of every first axis of 5 to 60 rows against its rules
@@ -201,9 +203,25 @@ MUTANTS = (
     Mutant(
         name="colour keeps its step after its pass",
         path="dirachydro/fisher.py",
-        fragment="        field[colour] = base_field[colour]\n",
+        fragment="        field[stepped] = base_field[stepped]\n",
         replacement="",
         killers=(_ORACLE, "tests/test_fisher.py::test_phase_closure_is_exact_to_roundoff"),
+    ),
+    Mutant(
+        # labels 2 e_k apart then share a colour, and a central difference cancels their steps
+        name="colour label modulo 2d instead of 2d + 1",
+        path="dirachydro/fisher.py",
+        fragment="enumerate(np.indices(spec.shape))) % colours",
+        replacement="enumerate(np.indices(spec.shape))) % (colours - 1)",
+        killers=(_ORACLE, _BOX_COLOURING),
+    ),
+    Mutant(
+        # axis 0 then weighs nothing: neighbours along it share a colour
+        name="label weights axis k by k, not k + 1",
+        path="dirachydro/fisher.py",
+        fragment="sum((k + 1) * x for k, x",
+        replacement="sum(k * x for k, x",
+        killers=(_ORACLE, _BOX_COLOURING),
     ),
     Mutant(
         name="_metric_square casts its field to float64",
@@ -518,6 +536,13 @@ MUTANTS = (
         fragment="if 2 * depth >= n:",
         replacement="if 2 * depth > n:",
         killers=("tests/test_grids.py::test_interior_slices_build_the_trusted_mask",),
+    ),
+    Mutant(
+        name="the Fisher information admits a non-finite rho",
+        path="dirachydro/fisher.py",
+        fragment="    if not np.isfinite(rho).all():\n",
+        replacement="    if False:\n",
+        killers=("tests/test_fisher.py::test_information_refuses_a_non_finite_rho",),
     ),
     Mutant(
         name="the Fisher density admits a nonpositive rho",

@@ -24,6 +24,11 @@ rows are bitwise those of one evaluation of the whole grid.  The slabs are
 cut into one run per core, and the runs go through ``_parts.fork_parts``
 into a shared map of the grids.
 
+A command computes its results and lists its artifacts; it writes nothing.
+``run`` checks every float of the report, then writes the artifacts,
+report.json and metadata.json in that order; a write that fails removes
+the files written before it, so a run leaves all of its files or none.
+
 The process entry is ``script``: the ``dirachydro`` console script and
 ``python -m dirachydro.cli`` both call it.  It moves every object the
 imports left behind (NumPy's included, about 22,000) into the collector's
@@ -152,7 +157,7 @@ def _grid_state(config, seed):
     return particle, provider, fields
 
 
-def _cmd_verify(config, seed, out_dir, fmt):
+def _cmd_verify(config, seed, fmt):
     # imported here: only verify runs the suites, and they pull in lagrangian
     from .verification import run_all
 
@@ -165,10 +170,10 @@ def _cmd_verify(config, seed, out_dir, fmt):
         for suite in suites
     ]
     status = 0 if all(suite.passed for suite in suites) else 1
-    return status, results, max_abs, lines
+    return status, results, max_abs, lines, []
 
 
-def _cmd_simulate(config, seed, out_dir, fmt):
+def _cmd_simulate(config, seed, fmt):
     particle, kind = _particle_from(config)
     # an antiparticle moves as the particle with the opposite charge
     particle = Particle(mass=particle.mass, charge=species_sign(kind) * particle.charge,
@@ -220,6 +225,7 @@ def _cmd_simulate(config, seed, out_dir, fmt):
         f" (mass-shell drift {max_abs['mass_shell_drift']:.3e})"
     ]
 
+    artifacts = []
     if evolution.get("fit_frequency"):
         axis = evolution.get("fit_axis")
         fit = fit_precession_frequency(
@@ -234,15 +240,14 @@ def _cmd_simulate(config, seed, out_dir, fmt):
             "total_angle": float(fit.total_angle),
         }
         if fmt == "csv":
-            save_fit_csv(out_dir / "fit.csv", fit)
+            artifacts.append(("fit.csv", save_fit_csv, fit))
         lines.append(
             f"simulate: fitted precession frequency {fit.omega:.9f}"
             f" (rms residual {fit.rms_residual:.3e})"
         )
-    # written last: the fit refuses a bad axis before any artifact exists
     save = save_trajectory_csv if fmt == "csv" else save_trajectory_json
-    save(out_dir / artifact, trajectory)
-    return 0, results, max_abs, lines
+    artifacts.append((artifact, save, trajectory))
+    return 0, results, max_abs, lines, artifacts
 
 
 _RESIDUAL_NAMES = (
@@ -346,51 +351,48 @@ def _floats(value, path):
         yield path, value
 
 
-def _require_finite(**sections):
-    """Raise NonFiniteResultError naming each non-finite float of the report sections.
+def _require_finite(report):
+    """Raise NonFiniteResultError naming each non-finite float of the report by its key path.
 
     Checked before anything is written, so a NaN or an overflow surfaces as
     a numerical failure (exit 3) rather than as a JSON encoding error.
     """
     broken = [
         path
-        for name, section in sections.items()
-        for path, value in _floats(section, name)
+        for key, section in report.items()
+        for path, value in _floats(section, key)
         if not math.isfinite(value)
     ]
     if broken:
         raise NonFiniteResultError("non-finite " + ", ".join(broken))
 
 
-def _cmd_residuals(config, seed, out_dir, fmt):
+def _cmd_residuals(config, seed, fmt):
     particle, provider, fields = _grid_state(config, seed)
     spec = fields.spec
 
     grids = _residual_grids(fields, provider, particle)
     max_abs = {name: spec.sup_norm(grid, depth=0) for name, grid in grids.items()}
-    _require_finite(max_abs_residuals=max_abs)
 
     # 1D and 2D grids export cleanly as CSV tables; anything bigger keeps
     # the self-describing grid container regardless of the requested format
     if fmt == "csv" and spec.ndim <= 2:
-        save_slice_csv(out_dir / "residual_fields.csv", spec, grids)
-        artifact = "residual_fields.csv"
+        artifacts = [("residual_fields.csv", save_slice_csv, spec, grids)]
     else:
-        save_grid_fields(out_dir / "residual_fields.json", spec, grids)
-        artifact = "residual_fields.json"
+        artifacts = [("residual_fields.json", save_grid_fields, spec, grids)]
 
     results = {
         "configuration_type": config["configuration"]["type"],
         "kind": fields.kind,
         "grid_shape": list(spec.shape),
-        "artifact": artifact,
+        "artifact": artifacts[0][0],
     }
     worst = max(max_abs.values())
     lines = [f"residuals: worst sup-norm {worst:.3e} across {len(grids)} fields"]
-    return 0, results, max_abs, lines
+    return 0, results, max_abs, lines, artifacts
 
 
-def _cmd_fisher(config, seed, out_dir, fmt):
+def _cmd_fisher(config, seed, fmt):
     # imported here: only fisher evaluates the action functional
     from .fisher import action_functional
 
@@ -420,7 +422,7 @@ def _cmd_fisher(config, seed, out_dir, fmt):
         f"fisher: action total {report.total:.9e}"
         f" (fisher term {report.fisher_term:.9e})"
     ]
-    return 0, results, max_abs, lines
+    return 0, results, max_abs, lines, []
 
 
 _COMMANDS = {
@@ -434,9 +436,11 @@ _COMMANDS = {
 def run(config, out_dir=None, fmt=None, quiet=False):
     """Execute a schema-valid config; returns the process exit status.
 
-    Writes report.json (deterministic) and metadata.json (wall-clock
-    times, excluded from the determinism contract) into the output
-    directory next to any command-specific artifacts.
+    Writes the command's artifacts, report.json (deterministic) and
+    metadata.json (wall-clock times, excluded from the determinism
+    contract) into the output directory, all of them or none, once every
+    reported number is checked; elapsed_seconds covers the command and
+    every file but metadata.json itself.
     """
     command = config["command"]
     # a float seed such as 3.0 is a schema-valid integer
@@ -449,29 +453,30 @@ def run(config, out_dir=None, fmt=None, quiet=False):
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     # floating-point trouble shows up as a non-finite result, checked
-    # before the report is written, instead of as a warning on stderr
+    # before anything is written, instead of as a warning on stderr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        status, results, max_abs, lines = _COMMANDS[command](config, seed, out_dir, fmt)
-    elapsed = time.perf_counter() - t0
-    _require_finite(results=results, max_abs_residuals=max_abs)
+        status, results, max_abs, lines, artifacts = _COMMANDS[command](config, seed, fmt)
+    report = {
+        "command": command,
+        "seed": seed,
+        "results": results,
+        "max_abs_residuals": max_abs,
+        "timing": {"recorded_in": "metadata.json"},
+    }
+    _require_finite(report)
 
-    write_json_report(
-        out_dir / "report.json",
-        {
-            "command": command,
-            "seed": seed,
-            "results": results,
-            "max_abs_residuals": max_abs,
-            "timing": {"recorded_in": "metadata.json"},
-        },
-    )
-    write_json_report(
-        out_dir / "metadata.json",
-        {
-            "started_utc": started.isoformat(),
-            "elapsed_seconds": elapsed,
-        },
-    )
+    written = []
+    try:
+        for name, save, *args in [*artifacts, ("report.json", write_json_report, report)]:
+            save(out_dir / name, *args)
+            written.append(out_dir / name)
+        timing = {"started_utc": started.isoformat(), "elapsed_seconds": time.perf_counter() - t0}
+        write_json_report(out_dir / "metadata.json", timing)
+    except BaseException:
+        # the writer that raised has removed its own file
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     if not quiet:
         for line in lines:
             print(line)

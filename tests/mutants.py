@@ -498,9 +498,30 @@ MUTANTS = (
     Mutant(
         name="a report written without its finiteness check",
         path="dirachydro/cli.py",
-        fragment="    _require_finite(results=results, max_abs_residuals=max_abs)\n",
+        fragment="    _require_finite(report)\n",
         replacement="",
         killers=("tests/test_cli.py::test_overflow_exits_as_numerical_failure",),
+    ),
+    Mutant(
+        name="the finiteness check runs after the artifacts are written",
+        path="dirachydro/cli.py",
+        fragment=("    _require_finite(report)\n\n    written = []\n    try:\n"
+                  "        for name, save, *args in [*artifacts, (\"report.json\", write_json_report, "
+                  "report)]:\n"),
+        replacement=("    for name, save, *args in artifacts:\n        save(out_dir / name, *args)\n"
+                     "    _require_finite(report)\n\n    written = []\n    try:\n"
+                     "        for name, save, *args in [(\"report.json\", write_json_report, "
+                     "report)]:\n"),
+        killers=("tests/test_cli.py::test_a_non_finite_result_is_refused_before_any_file_is_written",
+                 "tests/test_cli.py::test_overflow_exits_as_numerical_failure"),
+    ),
+    Mutant(
+        name="a failed write keeps the run's earlier files",
+        path="dirachydro/cli.py",
+        fragment="        for path in written:\n            path.unlink(missing_ok=True)\n",
+        replacement="        pass\n",
+        killers=("tests/test_cli.py::test_a_write_that_fails_partway_leaves_none_of_the_run_files",
+                 "tests/test_cli.py::test_a_report_that_cannot_be_written_takes_the_artifacts_along"),
     ),
     Mutant(
         name="an OverflowError escapes main",

@@ -9,6 +9,7 @@ import json
 import mmap
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from dirachydro import _parts, cli, fisher
 from dirachydro.cli import load_schema, main, run, validate_config
-from dirachydro.dynamics import DynState, integrate
+from dirachydro.dynamics import DynState, PrecessionFit, integrate
 from dirachydro.errors import ContractError, NonFiniteResultError
 from dirachydro.fields import ELECTRON, Particle, provider_from_config
 from dirachydro.hydro import _STENCIL_REACH, HydroFieldSet
@@ -584,6 +585,95 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, blocked):
     err = capsys.readouterr().err
     assert err.startswith("dirachydro: cannot write output: [Errno")
     assert "Traceback" not in err
+
+
+def _residuals_3d_config():
+    payload = _residuals_config()
+    payload["grid"] = {"active_axes": [0, 1, 2], "shape": [7, 7, 7],
+                       "spacing": [0.02, 0.02, 0.02]}
+    return payload
+
+
+_FISHER_CONFIG = {
+    "command": "fisher", "seed": 3, "fields": {"kind": "uniform", "B0": [0.0, 0.0, 0.05]},
+    "grid": {"active_axes": [0, 1], "shape": [9, 9], "spacing": [0.025, 0.025]},
+    "configuration": {"type": "perturbed-plane-wave", "amplitude": 0.001},
+}
+
+
+@pytest.mark.parametrize("payload, fmt, artifacts", [
+    (_verify_config(), "csv", []),
+    (_verify_config(), "json", []),
+    (_FISHER_CONFIG, "csv", []),
+    (_FISHER_CONFIG, "json", []),
+    (_simulate_config(), "csv", ["fit.csv", "trajectory.csv"]),
+    (_simulate_config(), "json", ["trajectory.json"]),
+    (_residuals_config(), "csv", ["residual_fields.csv"]),
+    (_residuals_config(), "json", ["residual_fields.json"]),
+    (_residuals_3d_config(), "csv", ["residual_fields.json"]),
+], ids=["verify-csv", "verify-json", "fisher-csv", "fisher-json", "simulate-fit-csv",
+        "simulate-fit-json", "residuals-2d-csv", "residuals-2d-json", "residuals-3d-csv"])
+def test_each_command_writes_exactly_its_file_set(tmp_path, payload, fmt, artifacts):
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--format", fmt, "--quiet"]) == 0
+    assert sorted(entry.name for entry in out.iterdir()) == sorted(
+        artifacts + ["metadata.json", "report.json"])
+
+
+def test_a_non_finite_result_is_refused_before_any_file_is_written(tmp_path, monkeypatch,
+                                                                   capsys):
+    """Only a patched fit returns a NaN frequency: this pins the order, check then write."""
+    def nan_fit(s, vectors, axis=None):
+        return PrecessionFit(omega=float("nan"), axis=np.array([0.0, 0.0, 1.0]),
+                             rms_residual=0.0, total_angle=0.0)
+
+    monkeypatch.setattr(cli, "fit_precession_frequency", nan_fit)
+    out = tmp_path / "out"
+    assert main(["--config", str(DEMO_CONFIGS / "rest_in_B.json"), "--out", str(out),
+                 "--quiet"]) == 3
+    assert "numerical failure: non-finite results/fit/frequency" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_a_write_that_fails_partway_leaves_none_of_the_run_files(tmp_path):
+    """Under a 200 kB file-size limit fit.csv is written and the 6285-row trajectory.csv
+    is not: the run exits 2 and takes fit.csv along."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        # runs in the child only, between fork and exec
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (200_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    out = tmp_path / "out"
+    child = subprocess.run(
+        [sys.executable, "-m", "dirachydro.cli", "--config", str(DEMO_CONFIGS / "rest_in_B.json"),
+         "--out", str(out), "--quiet"],
+        capture_output=True, text=True, env=child_env(), preexec_fn=limit_file_size,
+    )
+    assert child.returncode == 2
+    assert "dirachydro: cannot write output: [Errno 27] File too large" in child.stderr
+    assert list(out.iterdir()) == []
+
+
+def test_a_report_that_cannot_be_written_takes_the_artifacts_along(tmp_path, monkeypatch,
+                                                                    capsys):
+    write_json_report = cli.write_json_report
+
+    def full_disk_at_the_report(path, payload):
+        if Path(path).name == "report.json":
+            raise OSError(28, "No space left on device")
+        write_json_report(path, payload)
+
+    monkeypatch.setattr(cli, "write_json_report", full_disk_at_the_report)
+    path = _write_config(tmp_path, _residuals_config())
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--format", "csv", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dirachydro: cannot write output: [Errno 28] No space left on device")
+    assert not any(out.iterdir())
 
 
 def test_simulate_writes_trajectory_and_fit(tmp_path, capsys):
